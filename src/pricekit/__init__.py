@@ -53,9 +53,11 @@ from .laws import (
     zeroth_law,
 )
 from .entropy import (
+    CellArrays,
     EntropyProfile,
     Partition,
     ReversibilityVerdict,
+    cell_arrays,
     dispersion_mixing_bounds,
     environmental_equilibrium,
     environmental_profile,

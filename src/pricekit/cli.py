@@ -19,14 +19,16 @@ import numpy as np
 from . import config
 from .entropy import (
     Partition,
-    dispersion_mixing_bounds,
+    bounds_reports_from_cells,
     generating_profile,
     reversibility,
     third_law,
+    third_law_from_cells,
 )
 from .laws import (
     ec_selective_entropy_bound,
     ec_variance_bound,
+    equilibrium_class,
     exp_first_law,
     higher_order_first_law,
     multilevel_second_law,
@@ -157,8 +159,9 @@ def _law_section(p: Process, q: Process | None) -> dict:
 
 def _entropy_section(p: Process, doc: dict) -> dict:
     prof = generating_profile(p)
-    dis, mix = dispersion_mixing_bounds(p)
-    windows = third_law(p)
+    eq = equilibrium_class(p)
+    dis, mix = bounds_reports_from_cells(prof.cells, prof.s_dis, prof.s_mix, prof.s_ec, eq)
+    windows = third_law_from_cells(prof.cells, eq)
     verdict = reversibility(p)
     section = {
         "s_ns": prof.s_ns,

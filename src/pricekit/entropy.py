@@ -11,13 +11,20 @@ the mass flow certifies one-sided invertibility of the redistribution stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
 from .config import EPS_REL, EPS_SAT, EPS_ZERO
-from .laws import LawReport, equilibrium_class
-from .measure import Population, TypeSet, variance, xlogx
+from .laws import (
+    LawReport,
+    _summary,
+    classify_equilibrium,
+    equilibrium_class,
+    gibbs_report_from_summary,
+)
+from .measure import Population, TypeSet, xlogx
 from .process import (
     Process,
     check_composable,
@@ -54,9 +61,14 @@ class Partition:
     def singletons(types: TypeSet) -> "Partition":
         return Partition(types, tuple((c,) for c in types.labels))
 
-    def indices(self) -> list[np.ndarray]:
-        idx = {c: k for k, c in enumerate(self.types.labels)}
-        return [np.array([idx[c] for c in block], dtype=int) for block in self.blocks]
+    def block_index(self) -> np.ndarray:
+        """Block number of each type, in type-set order."""
+        idx = {c: b for b, block in enumerate(self.blocks) for c in block}
+        return np.array([idx[c] for c in self.types.labels], dtype=int)
+
+    def indicator(self) -> np.ndarray:
+        """Type-by-block 0/1 matrix."""
+        return np.eye(len(self.blocks))[self.block_index()]
 
 
 # ---------------------------------------------------------------------------
@@ -72,18 +84,8 @@ def selective_entropy(p: Process) -> float:
 
 def gibbs_report(p: Process) -> LawReport:
     """-log(1 + var(U)) <= S_NS <= log p_* <= 0."""
-    fd = fitness(p)
-    s = selective_entropy(p)
-    var_u = variance(p.source, fd.U)
-    lower = float(-np.log1p(var_u))
-    return LawReport(
-        name="gibbs",
-        lhs=s,
-        bounds=(float(np.log(fd.p_star)), 0.0),
-        direction="le",
-        equilibrium_class=equilibrium_class(p),
-        extras={"lower_bound": lower, "lower_slack": s - lower, "var_u": var_u},
-    )
+    ins = _summary(p)
+    return gibbs_report_from_summary(ins, classify_equilibrium(ins))
 
 
 def local_selective_entropy(p: Process, block_a, block_b,
@@ -137,100 +139,143 @@ class CellStats:
     cov_mix: float           # cov(U_cell log(D / u_bar), U)
 
 
+CELL_FIELDS = tuple(f.name for f in fields(CellStats))
+
+
+@dataclass(frozen=True, eq=False)
+class CellArrays:
+    """Every CellStats field of every cell, as (source cell, target cell) arrays.
+
+    Row a and column b belong to the cells labelled keys_a[a] and
+    keys_b[b].  ``support`` and ``d`` are indexed by (parent, target cell):
+    the parents whose flow share into the cell and whose relative fitness
+    clear EPS_ZERO, and their dispersion coefficients W_iB / W_i (0 off the
+    support).  Projection cells have operator-valued coefficients and leave
+    both as None.
+    """
+
+    keys_a: tuple
+    keys_b: tuple
+    u_bar: np.ndarray
+    s_ec: np.ndarray
+    s_dis: np.ndarray
+    s_mix: np.ndarray
+    p_tilde: np.ndarray
+    phi: np.ndarray
+    lam: np.ndarray
+    gamma: np.ndarray
+    mean_d2: np.ndarray
+    cov_ec: np.ndarray
+    cov_dis: np.ndarray
+    cov_mix: np.ndarray
+    support: np.ndarray | None = None
+    d: np.ndarray | None = None
+
+
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den where den > 0, else 0."""
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+
+
+def cell_arrays(p: Process, part_a: Partition, part_b: Partition) -> CellArrays:
+    """Statistics of every cell of a joint partition, as nA x nB arrays.
+
+    W_B = kernel @ B gives each parent's kernel mass on each target block;
+    a sum over a source block is A.T @ (...), with A and B the block
+    indicator matrices, so singleton cells need no path of their own.
+    Flow shares are normalized by the child population n * wbar.
+    """
+    if part_a.types != p.source.types or part_b.types != p.target.types:
+        raise ValueError("partitions must match the process type sets")
+    fd = fitness(p)
+    mu = p.source.weights
+    n = p.source.size
+    n_child = n * fd.wbar
+    w_row = fd.W.values
+    u = fd.U.values
+    prob = mu / n
+    block_a = part_a.block_index()
+    sum_a = part_a.indicator().T
+
+    w_b = p.kernel @ part_b.indicator()
+    flow = w_b * mu[:, None]
+    u_bar = sum_a @ flow / n_child
+
+    # Support decisions run on normalized mass shares so they are scale-free.
+    support = (flow / n_child > EPS_ZERO) & (w_row / fd.wbar > EPS_ZERO)[:, None]
+    d = np.divide(w_b, w_row[:, None], out=np.zeros_like(w_b), where=support)
+    log_d = np.log(d, out=np.zeros_like(d), where=support)
+    log_ubar = np.log(u_bar, out=np.zeros_like(u_bar), where=u_bar > 0)
+    u_cell = w_b / fd.wbar
+
+    dis = -u_cell * log_d
+    log_m = np.where(support, log_d - log_ubar[block_a], 0.0)
+    mass = np.where(support, (w_row * mu)[:, None], 0.0)
+    p_tilde = sum_a @ mass / n_child
+    norm = p_tilde * n_child
+    ud = u[:, None] * d
+    prob_c = (prob * (u - 1.0))[:, None]
+    cov_ec = -log_ubar * (sum_a @ (prob_c * u_cell))
+    cov_dis = sum_a @ (prob_c * dis)
+    return CellArrays(
+        keys_a=part_a.blocks, keys_b=part_b.blocks,
+        u_bar=u_bar,
+        s_ec=-xlogx(u_bar),
+        s_dis=sum_a @ (prob[:, None] * dis),
+        s_mix=sum_a @ (prob[:, None] * (u_cell * log_m)),
+        p_tilde=p_tilde,
+        phi=_ratio(sum_a @ (mass * u[:, None]), norm),
+        lam=_ratio(sum_a @ (mass * ud), norm),
+        gamma=_ratio(sum_a @ (mass * ud * d), norm),
+        mean_d2=sum_a @ (prob[:, None] * ud * d),
+        cov_ec=cov_ec, cov_dis=cov_dis, cov_mix=cov_ec - cov_dis,
+        support=support, d=d,
+    )
+
+
 @dataclass(frozen=True)
 class EntropyProfile:
     s_ns: float
     s_ec: float
     s_dis: float
     s_mix: float
-    per_cell: dict = field(repr=False)
+    cells: CellArrays = field(repr=False)
+
+    @classmethod
+    def from_cells(cls, s_ns: float, cells: CellArrays) -> "EntropyProfile":
+        return cls(s_ns, float(cells.s_ec.sum()), float(cells.s_dis.sum()),
+                   float(cells.s_mix.sum()), cells)
 
     @property
     def s_tot(self) -> float:
         return self.s_ns + self.s_ec
 
-
-def _profile_from_cells(s_ns: float, per_cell: dict) -> EntropyProfile:
-    cells = per_cell.values()
-    return EntropyProfile(
-        s_ns=s_ns,
-        s_ec=float(sum(c.s_ec for c in cells)),
-        s_dis=float(sum(c.s_dis for c in cells)),
-        s_mix=float(sum(c.s_mix for c in cells)),
-        per_cell=per_cell,
-    )
-
-
-def _cell_stats(p: Process, rows: np.ndarray, cols: np.ndarray, fd) -> CellStats:
-    mu = p.source.weights
-    n = p.source.size
-    n_child = n * fd.wbar
-    w_row = fd.W.values
-    u = fd.U.values
-
-    w_ab = np.zeros(len(mu))
-    w_ab[rows] = p.kernel[np.ix_(rows, cols)].sum(axis=1)
-    flow = w_ab * mu
-    u_bar = float(flow.sum()) / n_child
-
-    # Support decisions run on normalized mass shares so they are scale-free.
-    support = (flow / n_child > EPS_ZERO) & (w_row / fd.wbar > EPS_ZERO)
-    d = np.zeros(len(mu))
-    d[support] = w_ab[support] / w_row[support]
-
-    u_cell = w_ab / fd.wbar
-    prob = mu / n
-
-    s_ec = float(-xlogx(u_bar)) if u_bar > 0 else 0.0
-    log_d = np.zeros(len(mu))
-    log_d[support] = np.log(d[support])
-    s_dis = float(prob @ (-u_cell * log_d))
-    if u_bar > 0:
-        log_m = np.where(support, log_d - np.log(u_bar), 0.0)
-        s_mix = float(prob @ (u_cell * log_m))
-    else:
-        s_mix = 0.0
-
-    p_tilde = float((w_row * mu)[support].sum()) / n_child
-    if p_tilde > 0:
-        tilde_w = (w_row * mu)[support] / (p_tilde * n_child)
-        phi = float(tilde_w @ u[support])
-        lam = float(tilde_w @ (u[support] * d[support]))
-        gamma = float(tilde_w @ (u[support] * d[support] ** 2))
-    else:
-        phi = lam = gamma = 0.0
-    mean_d2 = float(prob[support] @ (u[support] * d[support] ** 2))
-
-    centered = u - 1.0
-    log_ubar = np.log(u_bar) if u_bar > 0 else 0.0
-    cov_ec = float(prob @ ((-u_cell * log_ubar) * centered))
-    cov_dis = float(prob @ ((-u_cell * log_d) * centered))
-    cov_mix = cov_ec - cov_dis
-    return CellStats(
-        u_bar=u_bar, s_ec=s_ec, s_dis=s_dis, s_mix=s_mix,
-        p_tilde=p_tilde, phi=phi, lam=lam, gamma=gamma, mean_d2=mean_d2,
-        cov_ec=cov_ec, cov_dis=cov_dis, cov_mix=cov_mix,
-    )
+    @cached_property
+    def per_cell(self) -> dict:
+        """CellStats keyed by (source cell, target cell) label."""
+        c = self.cells
+        rows = np.stack([getattr(c, name) for name in CELL_FIELDS], axis=-1).tolist()
+        return {
+            (ka, kb): CellStats(*rows[a][b])
+            for a, ka in enumerate(c.keys_a) for b, kb in enumerate(c.keys_b)
+        }
 
 
 def environmental_profile(p: Process, part_a: Partition, part_b: Partition) -> EntropyProfile:
     """Per-cell and total environmental, dispersion, and mixing entropies."""
-    if part_a.types != p.source.types or part_b.types != p.target.types:
-        raise ValueError("partitions must match the process type sets")
-    fd = fitness(p)
-    per_cell = {}
-    for block_a, rows in zip(part_a.blocks, part_a.indices()):
-        for block_b, cols in zip(part_b.blocks, part_b.indices()):
-            per_cell[(block_a, block_b)] = _cell_stats(p, rows, cols, fd)
-    return _profile_from_cells(selective_entropy(p), per_cell)
+    return EntropyProfile.from_cells(selective_entropy(p), cell_arrays(p, part_a, part_b))
+
+
+def _partitions(p: Process, part_a: Partition | None, part_b: Partition | None):
+    """The given partitions, singletons where None."""
+    return (part_a or Partition.singletons(p.source.types),
+            part_b or Partition.singletons(p.target.types))
 
 
 def generating_profile(p: Process) -> EntropyProfile:
     """Profile at the singleton joint partition, which realizes the
     partition suprema for finite discrete processes."""
-    return environmental_profile(
-        p, Partition.singletons(p.source.types), Partition.singletons(p.target.types)
-    )
+    return environmental_profile(p, *_partitions(p, None, None))
 
 
 def total_entropy(p: Process) -> float:
@@ -249,28 +294,19 @@ def environmental_equilibrium(p: Process, part_a: Partition | None = None,
     discrete processes always pass; block partitions can fail.
     Returns (flag, witnesses) where witnesses lists the offending cells.
     """
-    if part_a is None:
-        part_a = Partition.singletons(p.source.types)
-    if part_b is None:
-        part_b = Partition.singletons(p.target.types)
-    fd = fitness(p)
-    mu = p.source.weights
-    w_row = fd.W.values
-    n_child = p.target.size
-    witnesses = []
-    for block_a, rows in zip(part_a.blocks, part_a.indices()):
-        for block_b, cols in zip(part_b.blocks, part_b.indices()):
-            w_ab = p.kernel[np.ix_(rows, cols)].sum(axis=1)
-            support = (w_ab * mu[rows] / n_child > EPS_ZERO) \
-                & (w_row[rows] / fd.wbar > EPS_ZERO)
-            if not support.any():
-                continue
-            d = w_ab[support] / w_row[rows][support]
-            if d.max() - d.min() > EPS_SAT * max(1.0, d.max()):
-                witnesses.append(
-                    {"cell": (block_a, block_b), "d_min": float(d.min()),
-                     "d_max": float(d.max())}
-                )
+    part_a, part_b = _partitions(p, part_a, part_b)
+    cells = cell_arrays(p, part_a, part_b)
+    block_a = part_a.block_index()
+    d_max = np.full(cells.u_bar.shape, -np.inf)
+    d_min = np.full(cells.u_bar.shape, np.inf)
+    np.maximum.at(d_max, block_a, np.where(cells.support, cells.d, -np.inf))
+    np.minimum.at(d_min, block_a, np.where(cells.support, cells.d, np.inf))
+    spread = (d_max >= d_min) & (d_max - d_min > EPS_SAT * np.maximum(1.0, d_max))
+    witnesses = [
+        {"cell": (cells.keys_a[a], cells.keys_b[b]), "d_min": float(d_min[a, b]),
+         "d_max": float(d_max[a, b])}
+        for a, b in zip(*np.nonzero(spread))
+    ]
     return len(witnesses) == 0, witnesses
 
 
@@ -278,18 +314,17 @@ def environmental_equilibrium(p: Process, part_a: Partition | None = None,
 # Strong bounds on dispersion and mixing entropies
 
 
-def bounds_reports_from_cells(cells, s_dis: float, s_mix: float, s_ec: float,
+def bounds_reports_from_cells(cells: CellArrays, s_dis: float, s_mix: float, s_ec: float,
                               eq: str) -> tuple[LawReport, LawReport]:
     """Chains 0 <= lower <= S <= upper <= S_EC for dispersion and mixing."""
-    l_dis = u_dis = l_mix = u_mix = 0.0
-    for c in cells:
-        if c.u_bar <= 0 or c.p_tilde <= 0:
-            continue
-        if c.mean_d2 > 0:
-            l_dis += c.u_bar * np.log(c.u_bar / c.mean_d2)
-            u_mix += c.u_bar * np.log(c.mean_d2 / c.u_bar**2)
-        u_dis += c.u_bar * np.log(c.p_tilde / c.u_bar)
-        l_mix += c.u_bar * np.log(1.0 / c.p_tilde)
+    live = (cells.u_bar > 0) & (cells.p_tilde > 0)
+    u_bar, p_tilde = cells.u_bar[live], cells.p_tilde[live]
+    moment = cells.mean_d2[live] > 0
+    ub_m, d2_m = u_bar[moment], cells.mean_d2[live][moment]
+    l_dis = np.sum(ub_m * np.log(ub_m / d2_m))
+    u_mix = np.sum(ub_m * np.log(d2_m / ub_m**2))
+    u_dis = np.sum(u_bar * np.log(p_tilde / u_bar))
+    l_mix = np.sum(u_bar * np.log(1.0 / p_tilde))
 
     dis = LawReport(
         name="dispersion_bounds",
@@ -314,14 +349,9 @@ def dispersion_mixing_bounds(p: Process, part_a: Partition | None = None,
                              part_b: Partition | None = None) -> tuple[LawReport, LawReport]:
     """Four-link chains pinning S_dis and S_mix between per-cell moment bounds
     and the environmental entropy."""
-    if part_a is None:
-        part_a = Partition.singletons(p.source.types)
-    if part_b is None:
-        part_b = Partition.singletons(p.target.types)
-    prof = environmental_profile(p, part_a, part_b)
+    prof = environmental_profile(p, *_partitions(p, part_a, part_b))
     return bounds_reports_from_cells(
-        prof.per_cell.values(), prof.s_dis, prof.s_mix, prof.s_ec,
-        equilibrium_class(p),
+        prof.cells, prof.s_dis, prof.s_mix, prof.s_ec, equilibrium_class(p)
     )
 
 
@@ -329,28 +359,24 @@ def dispersion_mixing_bounds(p: Process, part_a: Partition | None = None,
 # Third law: selective change of the environmental entropies
 
 
-def third_law_from_cells(cells, eq: str, tag: str = "") -> dict[str, LawReport]:
-    lhs_ec = lhs_dis = lhs_mix = 0.0
-    lo_dis = hi_dis = lo_mix = hi_mix = 0.0
-    skipped = 0
-    for c in cells:
-        lhs_ec += c.cov_ec
-        lhs_dis += c.cov_dis
-        lhs_mix += c.cov_mix
-        if c.u_bar <= 0 or c.p_tilde <= 0:
-            continue
-        if min(c.phi, c.lam, c.gamma, c.mean_d2) <= 0:
-            # Noncommuting cell coefficients can leave the log domain; the
-            # windows are only derived where they are positive.
-            skipped += 1
-            continue
-        core = c.p_tilde * c.lam
-        lo_dis += core * np.log(c.lam / c.gamma) - c.u_bar * np.log(c.p_tilde / c.u_bar)
-        hi_dis += core * np.log(c.phi / c.lam) - c.u_bar * np.log(c.u_bar / c.mean_d2)
-        lo_mix += (core * np.log(c.lam / (c.phi * c.u_bar))
-                   - c.u_bar * np.log(c.mean_d2 / c.u_bar**2))
-        hi_mix += (core * np.log(c.gamma / (c.lam * c.u_bar))
-                   - c.u_bar * np.log(1.0 / c.p_tilde))
+def third_law_from_cells(cells: CellArrays, eq: str, tag: str = "") -> dict[str, LawReport]:
+    lhs_ec = float(cells.cov_ec.sum())
+    lhs_dis = float(cells.cov_dis.sum())
+    lhs_mix = float(cells.cov_mix.sum())
+    live = (cells.u_bar > 0) & (cells.p_tilde > 0)
+    # Noncommuting cell coefficients can leave the log domain; the windows
+    # are only derived where they are positive.
+    domain = live & (np.minimum.reduce([cells.phi, cells.lam, cells.gamma, cells.mean_d2]) > 0)
+    skipped = int(np.count_nonzero(live & ~domain))
+    ub, pt, phi, lam, gamma, d2 = (
+        v[domain] for v in (cells.u_bar, cells.p_tilde, cells.phi, cells.lam,
+                            cells.gamma, cells.mean_d2)
+    )
+    core = pt * lam
+    lo_dis = np.sum(core * np.log(lam / gamma) - ub * np.log(pt / ub))
+    hi_dis = np.sum(core * np.log(phi / lam) - ub * np.log(ub / d2))
+    lo_mix = np.sum(core * np.log(lam / (phi * ub)) - ub * np.log(d2 / ub**2))
+    hi_mix = np.sum(core * np.log(gamma / (lam * ub)) - ub * np.log(1.0 / pt))
 
     if abs(lhs_ec - (lhs_dis + lhs_mix)) > EPS_REL * max(1.0, abs(lhs_ec)):
         raise AssertionError("selective changes of the entropy split disagree")
@@ -386,12 +412,8 @@ def third_law(p: Process, part_a: Partition | None = None,
     lhs whenever the dispersion coefficient is constant per cell (always,
     at singleton partitions of a finite discrete process).
     """
-    if part_a is None:
-        part_a = Partition.singletons(p.source.types)
-    if part_b is None:
-        part_b = Partition.singletons(p.target.types)
-    prof = environmental_profile(p, part_a, part_b)
-    return third_law_from_cells(prof.per_cell.values(), equilibrium_class(p))
+    prof = environmental_profile(p, *_partitions(p, part_a, part_b))
+    return third_law_from_cells(prof.cells, equilibrium_class(p))
 
 
 # ---------------------------------------------------------------------------
@@ -426,30 +448,22 @@ def intergenerational_ec_change(p: Process, q: Process) -> IntergenerationalChan
     prob = p.source.weights / p.source.size
 
     # Source observable X(i) = sum over cells of -U_cell(i) log u_bar_cell;
-    # its mean is S_EC.
-    k, k_child = p.kernel.shape
-    u_bar_matrix = p.kernel * p.source.weights[:, None] / p.target.size
-    x = np.zeros(k)
-    for i in range(k):
-        for j in range(k_child):
-            ub = u_bar_matrix[i, j]
-            if ub > EPS_ZERO:
-                x[i] += -(p.kernel[i, j] / fd.wbar) * np.log(ub)
+    # its mean is S_EC.  Singleton cells are (parent, child) pairs.
+    u_bar = prof.cells.u_bar
+    live = u_bar > EPS_ZERO
+    log_ubar = np.log(u_bar, out=np.zeros_like(u_bar), where=live)
+    u_cell = p.kernel / fd.wbar
+    x = np.sum(-u_cell * log_ubar, axis=1)
     ns = float(prob @ (x * (u - 1.0)))
-    delta = prof_next.s_ec - prof.s_ec
-    price_route = delta - ns
+    price_route = (prof_next.s_ec - prof.s_ec) - ns
 
+    # sum over cells ij and next cells c of -alpha_ij u'_c log(u'_c / u_ij)
+    # factors into (sum alpha)(sum -u' log u') + (sum u')(sum alpha log u).
     m2 = float(prob @ u**2)
-    next_cells = [c.u_bar for c in prof_next.per_cell.values() if c.u_bar > EPS_ZERO]
-    formula = 0.0
-    for i in range(k):
-        for j in range(k_child):
-            ub = u_bar_matrix[i, j]
-            if ub <= EPS_ZERO:
-                continue
-            alpha = float(prob[i] * u[i] * p.kernel[i, j] / fd.wbar) / m2
-            for ub_next in next_cells:
-                formula += -alpha * ub_next * np.log(ub_next / ub)
+    alpha = np.where(live, (prob * u)[:, None] * u_cell, 0.0) / m2
+    next_cells = prof_next.cells.u_bar[prof_next.cells.u_bar > EPS_ZERO]
+    formula = (alpha.sum() * np.sum(-xlogx(next_cells))
+               + next_cells.sum() * np.sum(alpha * log_ubar))
 
     return IntergenerationalChange(
         price_route=float(price_route),

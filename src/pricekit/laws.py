@@ -155,6 +155,22 @@ def zeroth_report(ins: FitnessSummary, eq: str) -> LawReport:
     )
 
 
+def gibbs_report_from_summary(ins: FitnessSummary, eq: str) -> LawReport:
+    """-log(1 + var(U)) <= S_NS <= log p_* <= 0."""
+    return LawReport(
+        name="gibbs",
+        lhs=ins.s_ns,
+        bounds=(float(np.log(ins.p_star)), 0.0),
+        direction="le",
+        equilibrium_class=eq,
+        extras={
+            "lower_bound": float(-np.log1p(ins.var_u)),
+            "lower_slack": float(ins.s_ns + np.log1p(ins.var_u)),
+            "var_u": ins.var_u,
+        },
+    )
+
+
 def zeroth_law(p: Process) -> LawReport:
     ins = _summary(p)
     return zeroth_report(ins, classify_equilibrium(ins))

@@ -13,7 +13,7 @@ import numpy as np
 from .config import EPS_REL, EPS_ZERO
 from .measure import Observable, Population, covariance, expectation
 from .price import PriceDecomposition, price
-from .process import Process, fitness, local_average
+from .process import Process
 
 
 @dataclass(frozen=True)
@@ -94,20 +94,13 @@ def kgs(p: OpenProcess, x: Observable, y: Observable) -> KgsComponents:
     share = p.parented_share
     if share <= EPS_ZERO:
         raise ValueError("all children are orphans: the orphan term is undefined")
-    closed = p.closed
-    fd = fitness(closed)
-    sel = covariance(closed.source, x, fd.U)
-    avg = local_average(closed, y)
-    env = expectation(
-        closed.source,
-        Observable(closed.source.types, (avg.values - x.values) * fd.U.values),
-    )
+    two_term = price(p.closed, x, y)
     nu_term = covariance(p.full_target, y, p.orphan_density) / share
     pi_term = -covariance(p.full_target, y, p.parented_density) / share
-    delta = expectation(p.full_target, y) - expectation(closed.source, x)
+    delta = expectation(p.full_target, y) - expectation(p.closed.source, x)
     return KgsComponents(
-        selective=sel,
-        environmental=env,
+        selective=two_term.ns,
+        environmental=two_term.ec,
         orphan_nu=nu_term,
         orphan_pi=pi_term,
         delta=delta,

@@ -17,9 +17,9 @@ import numpy as np
 
 from .config import EPS_HERM, EPS_PSD, EPS_REL, EPS_ZERO
 from .entropy import (
-    CellStats,
+    CELL_FIELDS,
+    CellArrays,
     EntropyProfile,
-    _profile_from_cells,
     bounds_reports_from_cells,
     third_law_from_cells,
 )
@@ -29,6 +29,7 @@ from .laws import (
     acceleration_report,
     classify_equilibrium,
     first_report,
+    gibbs_report_from_summary,
     second_report,
     summarize_fitness,
     zeroth_report,
@@ -381,22 +382,10 @@ def q_laws(w: QuantumProcess) -> dict[str, LawReport]:
     fd = q_fitness(w)
     ins = spectral_summary(fd.U.matrix, w.source)
     eq = classify_equilibrium(ins)
-    gibbs = LawReport(
-        name="gibbs",
-        lhs=ins.s_ns,
-        bounds=(float(np.log(ins.p_star)), 0.0),
-        direction="le",
-        equilibrium_class=eq,
-        extras={
-            "lower_bound": float(-np.log1p(ins.var_u)),
-            "lower_slack": float(ins.s_ns + np.log1p(ins.var_u)),
-            "var_u": ins.var_u,
-        },
-    )
     return {
         "zeroth": zeroth_report(ins, eq),
         "first": first_report(ins, eq),
-        "gibbs": gibbs,
+        "gibbs": gibbs_report_from_summary(ins, eq),
         "second": second_report(ins, eq),
         "acceleration": acceleration_report(ins, eq, with_lower=False),
     }
@@ -454,12 +443,13 @@ def q_partition_entropy(w: QuantumProcess, projs_a, projs_b) -> QPartitionResult
     u_inv_half = matrix_function(u_op, lambda v: 1.0 / np.sqrt(v), support_only=True)
     inter = u_half @ rho @ u_half            # intermediate state, trace N
 
-    per_cell = {}
+    stats = np.zeros((len(projs_a), len(projs_b), len(CELL_FIELDS)))
     comm_residual = 0.0
     inter_scale = max(float(np.abs(inter).max()), EPS_ZERO)
+    centered = u_op - np.eye(d_in)
+    pulled_b = [apply_adjoint(w, pb) for pb in projs_b]
     for a, pa in enumerate(projs_a):
-        for b, pb in enumerate(projs_b):
-            pulled = apply_adjoint(w, pb)
+        for b, pulled in enumerate(pulled_b):
             u_cell = pa @ pulled @ pa / fd.wbar
             u_cell = 0.5 * (u_cell + u_cell.conj().T)
             u_bar = float(np.real(np.trace(u_cell @ rho))) / n
@@ -472,9 +462,8 @@ def q_partition_entropy(w: QuantumProcess, projs_a, projs_b) -> QPartitionResult
             )
 
             s_ec = float(-xlogx(max(u_bar, 0.0)))
-            eta = matrix_function(d_hat, lambda v: -v * np.log(v), support_only=True)
-            s_dis = float(np.real(np.trace(eta @ inter))) / n
-            s_mix = s_ec - s_dis
+            d_log_d = matrix_function(d_hat, lambda v: v * np.log(v), support_only=True)
+            s_dis = -float(np.real(np.trace(d_log_d @ inter))) / n
 
             p_cell = support_projector(d_hat, rcond=1e-10)
             p_tilde = float(np.real(np.trace(p_cell @ inter))) / n
@@ -488,26 +477,22 @@ def q_partition_entropy(w: QuantumProcess, projs_a, projs_b) -> QPartitionResult
                 phi = lam = gamma = 0.0
             mean_d2 = float(np.real(np.trace(d_hat @ d_hat @ inter))) / n
 
-            centered = u_op - np.eye(d_in)
             log_ubar = np.log(u_bar) if u_bar > EPS_ZERO else 0.0
             cov_ec = float(np.real(np.trace((-u_cell * log_ubar) @ centered @ rho))) / n
-            x_dis = -u_half @ matrix_function(
-                d_hat, lambda v: v * np.log(v), support_only=True
-            ) @ u_half
+            x_dis = -u_half @ d_log_d @ u_half
             cov_dis = float(np.real(np.trace(x_dis @ centered @ rho))) / n
-            per_cell[(a, b)] = CellStats(
-                u_bar=u_bar, s_ec=s_ec, s_dis=s_dis, s_mix=s_mix,
-                p_tilde=p_tilde, phi=phi, lam=lam, gamma=gamma, mean_d2=mean_d2,
-                cov_ec=cov_ec, cov_dis=cov_dis, cov_mix=cov_ec - cov_dis,
-            )
+            stats[a, b] = (u_bar, s_ec, s_dis, s_ec - s_dis, p_tilde, phi, lam, gamma,
+                           mean_d2, cov_ec, cov_dis, cov_ec - cov_dis)
 
+    cells = CellArrays(tuple(range(len(projs_a))), tuple(range(len(projs_b))),
+                       *np.moveaxis(stats, -1, 0))
     summary = spectral_summary(u_op, w.source)
     eq = classify_equilibrium(summary)
-    profile = _profile_from_cells(summary.s_ns, per_cell)
+    profile = EntropyProfile.from_cells(summary.s_ns, cells)
     dis, mix = bounds_reports_from_cells(
-        per_cell.values(), profile.s_dis, profile.s_mix, profile.s_ec, eq
+        cells, profile.s_dis, profile.s_mix, profile.s_ec, eq
     )
-    windows = third_law_from_cells(per_cell.values(), eq, tag="_partition")
+    windows = third_law_from_cells(cells, eq, tag="_partition")
     return QPartitionResult(
         profile=profile, dispersion_bounds=dis, mixing_bounds=mix,
         third_law=windows, commutation_residual=comm_residual,
@@ -570,19 +555,11 @@ def q_kgs(op: OpenQuantumProcess, x: QuantumObservable, y: QuantumObservable) ->
     n = w.source.trace
     full = op.full_target
     n_full = full.trace
-    fd = q_fitness(w)
-    u = fd.U.matrix
-    proj = support_projector(fd.W.matrix)
-    pulled = apply_adjoint(w, y.matrix)
+    sides = q_price(w, x, y)
 
     e_x = float(np.real(np.trace(x.matrix @ rho))) / n
     e_y = q_expectation(full, y)
     delta = e_y - e_x
-
-    t_xu = complex(np.trace(x.matrix @ u @ rho)) / n
-    t_ux = complex(np.trace(u @ x.matrix @ rho)) / n
-    tower_l = complex(np.trace(pulled @ proj @ rho)) / (n * fd.wbar)
-    tower_r = complex(np.trace(proj @ pulled @ rho)) / (n * fd.wbar)
 
     pi = op.parented_operator
     nu = op.orphan_operator
@@ -598,12 +575,10 @@ def q_kgs(op: OpenQuantumProcess, x: QuantumObservable, y: QuantumObservable) ->
         ("right", "nu"): cov_full(nu, y.matrix) / share,
         ("right", "pi"): -cov_full(pi, y.matrix) / share,
     }
-    forms = {}
-    for (side, density), t in third.items():
-        if side == "left":
-            forms[(side, density)] = (t_xu - e_x) + (tower_l - t_xu) + t
-        else:
-            forms[(side, density)] = (t_ux - e_x) + (tower_r - t_ux) + t
+    forms = {
+        (side, density): getattr(sides, side).total + t
+        for (side, density), t in third.items()
+    }
     return QKgsResult(delta=delta, forms=forms, parented_share=share)
 
 
@@ -616,13 +591,8 @@ def embed_process(p: Process) -> QuantumProcess:
     transfer map.  Every classical functional is reproduced exactly."""
     k, k_out = p.kernel.shape
     s = np.zeros((k_out * k_out, k * k), dtype=complex)
-    for i in range(k):
-        for j in range(k_out):
-            if p.kernel[i, j] == 0.0:
-                continue
-            a = np.zeros((k_out, k), dtype=complex)
-            a[j, i] = 1.0
-            s += p.kernel[i, j] * np.kron(a.conj(), a)
+    ii, jj = np.nonzero(p.kernel)
+    s[jj + jj * k_out, ii + ii * k] = p.kernel[ii, jj]
     rho = DensityOperator(np.diag(p.source.weights.astype(complex)))
     target = DensityOperator(np.diag(p.target.weights.astype(complex)))
     return QuantumProcess(s, rho, target)

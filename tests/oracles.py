@@ -1,4 +1,9 @@
-"""Independent brute-force oracles used by the unit and acceptance tests."""
+"""Independent brute-force oracles used by the unit and acceptance tests.
+
+Besides enumerations and direct constructions, this holds per-cell loops
+over partition cells, the reference that the differential tests compare
+the array-valued cell kernel against.
+"""
 
 import itertools
 
@@ -95,3 +100,104 @@ def set_partitions(items):
         yield ((first,),) + sub
         for k, block in enumerate(sub):
             yield sub[:k] + ((first,) + block,) + sub[k + 1:]
+
+
+def cell_stats_by_loop(p, part_a, part_b) -> dict:
+    """Per-cell statistics of a joint partition, one cell at a time.
+
+    The reference for ``pricekit.entropy.cell_arrays``: each cell is
+    computed from its own O(K) arrays with flow shares normalized by
+    n * wbar.  Returns {(block_a, block_b): {field: value}}.
+    """
+    from pricekit import fitness
+    from pricekit.measure import xlogx
+
+    fd = fitness(p)
+    mu = p.source.weights
+    n = p.source.size
+    n_child = n * fd.wbar
+    w_row = fd.W.values
+    u = fd.U.values
+    src_idx = {c: k for k, c in enumerate(p.source.types.labels)}
+    tgt_idx = {c: k for k, c in enumerate(p.target.types.labels)}
+    out = {}
+    for block_a in part_a.blocks:
+        rows = np.array([src_idx[c] for c in block_a], dtype=int)
+        for block_b in part_b.blocks:
+            cols = np.array([tgt_idx[c] for c in block_b], dtype=int)
+            w_ab = np.zeros(len(mu))
+            w_ab[rows] = p.kernel[np.ix_(rows, cols)].sum(axis=1)
+            flow = w_ab * mu
+            u_bar = float(flow.sum()) / n_child
+            support = (flow / n_child > 1e-12) & (w_row / fd.wbar > 1e-12)
+            d = np.zeros(len(mu))
+            d[support] = w_ab[support] / w_row[support]
+            u_cell = w_ab / fd.wbar
+            prob = mu / n
+
+            s_ec = float(-xlogx(u_bar)) if u_bar > 0 else 0.0
+            log_d = np.zeros(len(mu))
+            log_d[support] = np.log(d[support])
+            s_dis = float(prob @ (-u_cell * log_d))
+            if u_bar > 0:
+                log_m = np.where(support, log_d - np.log(u_bar), 0.0)
+                s_mix = float(prob @ (u_cell * log_m))
+            else:
+                s_mix = 0.0
+
+            p_tilde = float((w_row * mu)[support].sum()) / n_child
+            if p_tilde > 0:
+                tilde_w = (w_row * mu)[support] / (p_tilde * n_child)
+                phi = float(tilde_w @ u[support])
+                lam = float(tilde_w @ (u[support] * d[support]))
+                gamma = float(tilde_w @ (u[support] * d[support] ** 2))
+            else:
+                phi = lam = gamma = 0.0
+            mean_d2 = float(prob[support] @ (u[support] * d[support] ** 2))
+
+            centered = u - 1.0
+            log_ubar = np.log(u_bar) if u_bar > 0 else 0.0
+            cov_ec = float(prob @ ((-u_cell * log_ubar) * centered))
+            cov_dis = float(prob @ ((-u_cell * log_d) * centered))
+            out[(block_a, block_b)] = dict(
+                u_bar=u_bar, s_ec=s_ec, s_dis=s_dis, s_mix=s_mix,
+                p_tilde=p_tilde, phi=phi, lam=lam, gamma=gamma, mean_d2=mean_d2,
+                cov_ec=cov_ec, cov_dis=cov_dis, cov_mix=cov_ec - cov_dis,
+            )
+    return out
+
+
+def intergenerational_by_loops(p, q) -> tuple[float, float]:
+    """(ns_s_ec, formula_route) of ``intergenerational_ec_change`` summed
+    term by term over parent-child cells and next-generation cells."""
+    from pricekit import Partition, fitness
+
+    def singleton_cells(r):
+        return cell_stats_by_loop(r, Partition.singletons(r.source.types),
+                                  Partition.singletons(r.target.types))
+
+    fd = fitness(p)
+    u = fd.U.values
+    prob = p.source.weights / p.source.size
+    k, k_child = p.kernel.shape
+    u_bar_matrix = p.kernel * p.source.weights[:, None] / p.target.size
+    x = np.zeros(k)
+    for i in range(k):
+        for j in range(k_child):
+            ub = u_bar_matrix[i, j]
+            if ub > 1e-12:
+                x[i] += -(p.kernel[i, j] / fd.wbar) * np.log(ub)
+    ns = float(prob @ (x * (u - 1.0)))
+
+    m2 = float(prob @ u**2)
+    next_cells = [c["u_bar"] for c in singleton_cells(q).values() if c["u_bar"] > 1e-12]
+    formula = 0.0
+    for i in range(k):
+        for j in range(k_child):
+            ub = u_bar_matrix[i, j]
+            if ub <= 1e-12:
+                continue
+            alpha = float(prob[i] * u[i] * p.kernel[i, j] / fd.wbar) / m2
+            for ub_next in next_cells:
+                formula += -alpha * ub_next * np.log(ub_next / ub)
+    return ns, formula
