@@ -40,7 +40,6 @@ from .laws import (
     StationarityClass,
     ec_selective_entropy_bound,
     ec_variance_bound,
-    equilibrium_class,
     exp_first_law,
     first_law,
     higher_order_first_law,

@@ -28,7 +28,6 @@ from .entropy import (
 from .laws import (
     ec_selective_entropy_bound,
     ec_variance_bound,
-    equilibrium_class,
     exp_first_law,
     higher_order_first_law,
     multilevel_second_law,
@@ -159,7 +158,7 @@ def _law_section(p: Process, q: Process | None) -> dict:
 
 def _entropy_section(p: Process, doc: dict) -> dict:
     prof = generating_profile(p)
-    eq = equilibrium_class(p)
+    eq = fitness(p).summary.equilibrium_class
     dis, mix = bounds_reports_from_cells(prof.cells, prof.s_dis, prof.s_mix, prof.s_ec, eq)
     windows = third_law_from_cells(prof.cells, eq)
     verdict = reversibility(p)

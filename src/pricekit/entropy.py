@@ -17,21 +17,9 @@ from functools import cached_property
 import numpy as np
 
 from .config import EPS_REL, EPS_SAT, EPS_ZERO
-from .laws import (
-    LawReport,
-    _summary,
-    classify_equilibrium,
-    equilibrium_class,
-    gibbs_report_from_summary,
-)
+from .laws import LawReport, gibbs_report_from_summary
 from .measure import Population, TypeSet, xlogx
-from .process import (
-    Process,
-    check_composable,
-    fitness,
-    price_factorize,
-    support_mask,
-)
+from .process import Process, check_composable, fitness, price_factorize
 
 
 # ---------------------------------------------------------------------------
@@ -77,15 +65,12 @@ class Partition:
 
 def selective_entropy(p: Process) -> float:
     """Mean of -U log U; nonpositive, zero only for constant fitness."""
-    u = fitness(p).U.values
-    prob = p.source.weights / p.source.size
-    return float(prob @ (-xlogx(u)))
+    return fitness(p).summary.s_ns
 
 
 def gibbs_report(p: Process) -> LawReport:
     """-log(1 + var(U)) <= S_NS <= log p_* <= 0."""
-    ins = _summary(p)
-    return gibbs_report_from_summary(ins, classify_equilibrium(ins))
+    return gibbs_report_from_summary(fitness(p).summary)
 
 
 def local_selective_entropy(p: Process, block_a, block_b,
@@ -202,7 +187,7 @@ def cell_arrays(p: Process, part_a: Partition, part_b: Partition) -> CellArrays:
     u_bar = sum_a @ flow / n_child
 
     # Support decisions run on normalized mass shares so they are scale-free.
-    support = (flow / n_child > EPS_ZERO) & (w_row / fd.wbar > EPS_ZERO)[:, None]
+    support = (flow / n_child > EPS_ZERO) & fd.support[:, None]
     d = np.divide(w_b, w_row[:, None], out=np.zeros_like(w_b), where=support)
     log_d = np.log(d, out=np.zeros_like(d), where=support)
     log_ubar = np.log(u_bar, out=np.zeros_like(u_bar), where=u_bar > 0)
@@ -351,7 +336,7 @@ def dispersion_mixing_bounds(p: Process, part_a: Partition | None = None,
     and the environmental entropy."""
     prof = environmental_profile(p, *_partitions(p, part_a, part_b))
     return bounds_reports_from_cells(
-        prof.cells, prof.s_dis, prof.s_mix, prof.s_ec, equilibrium_class(p)
+        prof.cells, prof.s_dis, prof.s_mix, prof.s_ec, fitness(p).summary.equilibrium_class
     )
 
 
@@ -413,7 +398,7 @@ def third_law(p: Process, part_a: Partition | None = None,
     at singleton partitions of a finite discrete process).
     """
     prof = environmental_profile(p, *_partitions(p, part_a, part_b))
-    return third_law_from_cells(prof.cells, equilibrium_class(p))
+    return third_law_from_cells(prof.cells, fitness(p).summary.equilibrium_class)
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +509,8 @@ def reversibility(p: Process) -> ReversibilityVerdict:
     factors = price_factorize(p)
     mid = factors.environmental.source
     env_kernel = factors.environmental.kernel
-    support_rows = np.nonzero(support_mask(p))[0]
+    fd = fitness(p)
+    support_rows = np.nonzero(fd.support)[0]
     n_mid = len(mid.types)
     k_child = len(p.target.types)
 
@@ -532,14 +518,10 @@ def reversibility(p: Process) -> ReversibilityVerdict:
     section = None
     inverse = None
     if left:
+        # Each child goes to its lowest-index maximal parent; a zero-mass
+        # child has argmax 0, and column 0 carries no mass for it.
         r = np.zeros((k_child, n_mid))
-        for j in range(k_child):
-            parents = np.nonzero(flow[:, j] > 0)[0]
-            if len(parents):
-                best = parents[np.argmax(flow[parents, j])]
-                r[j, np.searchsorted(support_rows, best)] = 1.0
-            else:
-                r[j, 0] = 1.0  # zero-mass child; row choice carries no mass
+        r[np.arange(k_child), np.searchsorted(support_rows, flow.argmax(axis=0))] = 1.0
         retraction = Process(p.target, mid, r, _check=False)
         composite = env_kernel @ r
         live = mid.weights > 0
@@ -547,12 +529,12 @@ def reversibility(p: Process) -> ReversibilityVerdict:
         if np.max(np.abs(gap)) > 1e-10:
             raise AssertionError("retraction fails to undo the redistribution stage")
     if right:
+        # Parents with exactly one child pull back onto it.
+        fed = flow[support_rows] > 0
+        rows = np.nonzero(fed.sum(axis=1) == 1)[0]
+        only = fed[rows].argmax(axis=1)
         s = np.zeros((k_child, n_mid))
-        for local_i, i in enumerate(support_rows):
-            children = np.nonzero(flow[i] > 0)[0]
-            if len(children) == 1:
-                j = children[0]
-                s[j, local_i] = mid.weights[local_i] / p.target.weights[j]
+        s[only, rows] = mid.weights[rows] / p.target.weights[only]
         section = Process(p.target, mid, s, _check=False)
         composite = s @ env_kernel
         live_child = p.target.weights > 0
@@ -561,12 +543,11 @@ def reversibility(p: Process) -> ReversibilityVerdict:
         if np.max(np.abs(gap)) > 1e-10:
             raise AssertionError("section fails to undo the redistribution stage")
     if invertible:
-        w_support = p.fitness_values[support_rows]
+        w_support = fd.W.values[support_rows]
         inv_kernel = retraction.kernel / w_support[None, :]
         restricted = Population(mid.types, p.source.weights[support_rows])
         inverse = Process(p.target, restricted, inv_kernel, _check=False)
 
-    p_star = fitness(p).p_star
     return ReversibilityVerdict(
         left_invertible=left,
         right_invertible=right,
@@ -575,7 +556,7 @@ def reversibility(p: Process) -> ReversibilityVerdict:
         section=section,
         inverse=inverse,
         dollo_childbearing=invertible,
-        dollo_full=invertible and abs(p_star - 1.0) <= EPS_ZERO,
+        dollo_full=invertible and abs(fd.p_star - 1.0) <= EPS_ZERO,
         dis_obstruction=dis_obstruction,
         mix_obstruction=mix_obstruction,
     )

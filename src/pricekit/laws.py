@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import EPS_REL, EPS_SAT, EPS_ZERO
 from .measure import Observable, xlogx
-from .process import Process, check_composable, fitness, local_average
+from .process import FitnessSummary, Process, check_composable, fitness, local_average
 
 
 # ---------------------------------------------------------------------------
@@ -88,61 +88,10 @@ class LawReport:
 
 
 # ---------------------------------------------------------------------------
-# Fitness summaries: values of U with their probability weights
-
-
-@dataclass(frozen=True)
-class FitnessSummary:
-    u: np.ndarray
-    prob: np.ndarray
-    p_star: float
-    var_u: float
-    s_ns: float
-
-    def mean(self, values: np.ndarray) -> float:
-        return float(self.prob @ values)
-
-    def moment(self, k: float) -> float:
-        return self.mean(self.u**k)
-
-
-def summarize_fitness(u_values: np.ndarray, prob: np.ndarray) -> FitnessSummary:
-    u = np.array(u_values, dtype=float)
-    u[np.abs(u) <= EPS_ZERO] = 0.0
-    prob = np.asarray(prob, dtype=float)
-    p_star = float(prob[u > EPS_ZERO].sum())
-    var_u = float(prob @ (u - 1.0) ** 2)
-    s_ns = float(prob @ (-xlogx(u)))
-    return FitnessSummary(u=u, prob=prob, p_star=p_star, var_u=var_u, s_ns=s_ns)
-
-
-def _summary(p: Process) -> FitnessSummary:
-    return summarize_fitness(fitness(p).U.values, p.source.weights / p.source.size)
-
-
-def classify_equilibrium(ins: FitnessSummary) -> str:
-    """purely_environmental, selective_equilibrium, or generic."""
-    carried = ins.prob > 0
-    u = ins.u[carried]
-    if np.all(np.abs(u - 1.0) <= EPS_SAT):
-        return "purely_environmental"
-    alive = u > EPS_ZERO
-    if alive.any():
-        live = u[alive]
-        if live.max() - live.min() <= EPS_SAT * max(1.0, live.max()):
-            return "selective_equilibrium"
-    return "generic"
-
-
-def equilibrium_class(p: Process) -> str:
-    return classify_equilibrium(_summary(p))
-
-
-# ---------------------------------------------------------------------------
 # Zeroth / First / Second Laws
 
 
-def zeroth_report(ins: FitnessSummary, eq: str) -> LawReport:
+def zeroth_report(ins: FitnessSummary) -> LawReport:
     """var(U) >= exp(-S_NS) - 1 >= 1/p_* - 1 >= 0."""
     bounds = (float(np.exp(-ins.s_ns) - 1.0), 1.0 / ins.p_star - 1.0, 0.0)
     return LawReport(
@@ -150,19 +99,19 @@ def zeroth_report(ins: FitnessSummary, eq: str) -> LawReport:
         lhs=ins.var_u,
         bounds=bounds,
         direction="ge",
-        equilibrium_class=eq,
+        equilibrium_class=ins.equilibrium_class,
         extras={"p_star": ins.p_star, "s_ns": ins.s_ns},
     )
 
 
-def gibbs_report_from_summary(ins: FitnessSummary, eq: str) -> LawReport:
+def gibbs_report_from_summary(ins: FitnessSummary) -> LawReport:
     """-log(1 + var(U)) <= S_NS <= log p_* <= 0."""
     return LawReport(
         name="gibbs",
         lhs=ins.s_ns,
         bounds=(float(np.log(ins.p_star)), 0.0),
         direction="le",
-        equilibrium_class=eq,
+        equilibrium_class=ins.equilibrium_class,
         extras={
             "lower_bound": float(-np.log1p(ins.var_u)),
             "lower_slack": float(ins.s_ns + np.log1p(ins.var_u)),
@@ -172,11 +121,10 @@ def gibbs_report_from_summary(ins: FitnessSummary, eq: str) -> LawReport:
 
 
 def zeroth_law(p: Process) -> LawReport:
-    ins = _summary(p)
-    return zeroth_report(ins, classify_equilibrium(ins))
+    return zeroth_report(fitness(p).summary)
 
 
-def first_report(ins: FitnessSummary, eq: str) -> LawReport:
+def first_report(ins: FitnessSummary) -> LawReport:
     """Selective change of var(U): cov(U^2,U) >= var(1+var) >= var^2/2 >= 0."""
     lhs = ins.mean(ins.u**2 * (ins.u - 1.0))
     lhs_alt = ins.mean((ins.u + 1.0) * (ins.u - 1.0) ** 2)
@@ -187,7 +135,7 @@ def first_report(ins: FitnessSummary, eq: str) -> LawReport:
         lhs=lhs,
         bounds=(strong, weak, 0.0),
         direction="ge",
-        equilibrium_class=eq,
+        equilibrium_class=ins.equilibrium_class,
         extras={
             "lhs_alt_route": lhs_alt,
             "tighter_bound": "strong" if strong >= weak else "weak",
@@ -198,8 +146,7 @@ def first_report(ins: FitnessSummary, eq: str) -> LawReport:
 
 
 def first_law(p: Process) -> LawReport:
-    ins = _summary(p)
-    return first_report(ins, classify_equilibrium(ins))
+    return first_report(fitness(p).summary)
 
 
 def higher_order_first_law(p: Process, n: int) -> LawReport:
@@ -212,7 +159,7 @@ def higher_order_first_law(p: Process, n: int) -> LawReport:
     """
     if not 1 <= n <= 8:
         raise ValueError("order n must be between 1 and 8")
-    ins = _summary(p)
+    ins = fitness(p).summary
     moment = ins.mean(ins.u * (ins.u - 1.0) ** n)
     if n % 2 == 0:
         lhs = moment
@@ -226,14 +173,14 @@ def higher_order_first_law(p: Process, n: int) -> LawReport:
         lhs=lhs,
         bounds=(bound, 0.0),
         direction="ge",
-        equilibrium_class=classify_equilibrium(ins),
+        equilibrium_class=ins.equilibrium_class,
         extras={"n": n, "raw_moment": moment},
     )
 
 
 def exp_first_law(p: Process) -> LawReport:
     """cov(e^U, U) >= (1 - p_*)(e^(1/p_*) - 1) >= 0."""
-    ins = _summary(p)
+    ins = fitness(p).summary
     if ins.u.max() > 700.0 or 1.0 / ins.p_star > 700.0:
         raise ValueError("exponential of relative fitness overflows double precision")
     lhs = ins.mean(np.exp(ins.u) * (ins.u - 1.0))
@@ -243,11 +190,11 @@ def exp_first_law(p: Process) -> LawReport:
         lhs=lhs,
         bounds=(float(bound), 0.0),
         direction="ge",
-        equilibrium_class=classify_equilibrium(ins),
+        equilibrium_class=ins.equilibrium_class,
     )
 
 
-def second_report(ins: FitnessSummary, eq: str) -> LawReport:
+def second_report(ins: FitnessSummary) -> LawReport:
     """Selective change of selective entropy, bounded through five links."""
     lhs = ins.mean(-xlogx(ins.u) * (ins.u - 1.0))
     v = ins.var_u
@@ -260,14 +207,13 @@ def second_report(ins: FitnessSummary, eq: str) -> LawReport:
         lhs=lhs,
         bounds=(float(b1), float(b2), float(b3), float(b4), 0.0),
         direction="le",
-        equilibrium_class=eq,
+        equilibrium_class=ins.equilibrium_class,
         extras={"s_ns": ins.s_ns, "var_u": v},
     )
 
 
 def second_law(p: Process) -> LawReport:
-    ins = _summary(p)
-    return second_report(ins, classify_equilibrium(ins))
+    return second_report(fitness(p).summary)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +244,7 @@ def speed_limits(p: Process, c_grid=None) -> LawReport:
     exponent is solved by bisection only when the grid brackets a sign
     change of the stationarity gap; otherwise none is reported.
     """
-    ins = _summary(p)
+    ins = fitness(p).summary
     if c_grid is None:
         c_grid = sorted(set(DEFAULT_SPEED_GRID) | {round(ins.moment(2.0), 12)})
     c_grid = [float(c) for c in c_grid if c > 0]
@@ -352,7 +298,7 @@ def speed_limits(p: Process, c_grid=None) -> LawReport:
         lhs=lhs,
         bounds=tuple(sorted(finite_bounds, reverse=True)),
         direction="ge",
-        equilibrium_class=classify_equilibrium(ins),
+        equilibrium_class=ins.equilibrium_class,
         extras={
             "basic_bound": None if basic is None else float(basic),
             "infinitary_bound": float(infinitary),
@@ -363,7 +309,7 @@ def speed_limits(p: Process, c_grid=None) -> LawReport:
     )
 
 
-def acceleration_report(ins: FitnessSummary, eq: str, with_lower: bool = True) -> LawReport:
+def acceleration_report(ins: FitnessSummary, with_lower: bool = True) -> LawReport:
     """Second selective change of selective entropy, E[-(U-1)^2 U log U].
 
     Upper bound -m log(m / var) with m = E[(U-1)^2 U] (one concavity step
@@ -380,7 +326,7 @@ def acceleration_report(ins: FitnessSummary, eq: str, with_lower: bool = True) -
             lhs=lhs,
             bounds=(0.0,),
             direction="le",
-            equilibrium_class=eq,
+            equilibrium_class=ins.equilibrium_class,
             extras={"lower_bound": 0.0, "lower_slack": lhs, "trivial": True},
         )
     m = ins.mean(u * (u - 1.0) ** 2)
@@ -404,14 +350,13 @@ def acceleration_report(ins: FitnessSummary, eq: str, with_lower: bool = True) -
         lhs=lhs,
         bounds=(float(upper),),
         direction="le",
-        equilibrium_class=eq,
+        equilibrium_class=ins.equilibrium_class,
         extras=extras,
     )
 
 
 def selective_acceleration(p: Process) -> LawReport:
-    ins = _summary(p)
-    return acceleration_report(ins, classify_equilibrium(ins))
+    return acceleration_report(fitness(p).summary)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +366,7 @@ def selective_acceleration(p: Process) -> LawReport:
 def ec_variance_bound(p: Process, q: Process) -> LawReport:
     """Lower bound for the environmental change of relative-fitness variance."""
     check_composable(p, q)
-    ins = _summary(p)
+    ins = fitness(p).summary
     u_next = fitness(q).U
     m3 = ins.moment(3.0)
     if m3 <= EPS_ZERO:
@@ -437,7 +382,7 @@ def ec_variance_bound(p: Process, q: Process) -> LawReport:
         lhs=lhs,
         bounds=(float(bound),),
         direction="ge",
-        equilibrium_class=classify_equilibrium(ins),
+        equilibrium_class=ins.equilibrium_class,
         extras={"strongly_stationary": strong, "third_moment": m3},
     )
 
@@ -452,7 +397,7 @@ def ec_selective_entropy_bound(p: Process, q: Process) -> LawReport:
     log E[U^2] + log E[U^3] is reported alongside; it can be exceeded.
     """
     check_composable(p, q)
-    ins = _summary(p)
+    ins = fitness(p).summary
     m2, m3 = ins.moment(2.0), ins.moment(3.0)
     if m2 <= EPS_ZERO or m3 <= EPS_ZERO:
         raise ValueError("degenerate fitness moments")
@@ -467,7 +412,7 @@ def ec_selective_entropy_bound(p: Process, q: Process) -> LawReport:
         lhs=lhs,
         bounds=(bound,),
         direction="le",
-        equilibrium_class=classify_equilibrium(ins),
+        equilibrium_class=ins.equilibrium_class,
         extras={
             "strongly_stationary": stationarity(p, q).strong,
             "log_moment_bound": float(np.log(m2) + np.log(m3)),
@@ -481,7 +426,7 @@ def multilevel_second_law(p: Process, q: Process) -> LawReport:
     from .price import multilevel_variance
 
     check_composable(p, q)
-    ins_q = _summary(q)
+    ins_q = fitness(q).summary
     lhs = ins_q.mean(-xlogx(ins_q.u) * (ins_q.u - 1.0))
     direct = -ins_q.var_u * np.log1p(ins_q.var_u)
     var_u2, mean_cond = multilevel_variance(p, q)
@@ -494,7 +439,7 @@ def multilevel_second_law(p: Process, q: Process) -> LawReport:
         lhs=lhs,
         bounds=(float(direct), 0.0),
         direction="le",
-        equilibrium_class=classify_equilibrium(ins_q),
+        equilibrium_class=ins_q.equilibrium_class,
         extras={
             "bound_via_split": float(via_split),
             "var_composed": float(var_u2),
@@ -522,33 +467,28 @@ def stationarity(p: Process, q: Process, tol: float = EPS_SAT) -> StationarityCl
     parent relative fitness positive, kernel entry positive.
     """
     check_composable(p, q)
-    u = fitness(p).U.values
-    u_next = fitness(q).U.values
-    rows = (p.source.weights > 0) & (u > EPS_ZERO)
+    fd = fitness(p)
+    u = fd.U.values
+    u_next = fitness(q).U
+    rows = (p.source.weights > 0) & fd.support
     # cell membership decided on the scale-free per-row brood shares
-    w_rows = np.where(p.fitness_values > 0, p.fitness_values, 1.0)
+    w_rows = np.where(fd.W.values > 0, fd.W.values, 1.0)
     cells = (p.kernel / w_rows[:, None] > EPS_ZERO) & rows[:, None]
 
     if not cells.any():
         return StationarityClass(True, True, True, True)
 
     ii, jj = np.nonzero(cells)
-    ratios = u_next[jj] / u[ii]
-    strong = bool(np.all(np.abs(u_next[jj] - u[ii]) <= tol))
+    ratios = u_next.values[jj] / u[ii]
+    strong = bool(np.all(np.abs(u_next.values[jj] - u[ii]) <= tol))
     homogeneous = bool(ratios.max() - ratios.min() <= tol * max(1.0, abs(ratios.max())))
 
-    rbar = local_average(p, fitness(q).U).values
-    weak = True
-    constant = True
-    for i in np.nonzero(rows)[0]:
-        row_support = cells[i]
-        if not row_support.any():
-            continue
-        if abs(rbar[i] / u[i] - 1.0) > tol:
-            weak = False
-        vals = u_next[row_support]
-        if vals.max() - vals.min() > tol * max(1.0, abs(vals.max())):
-            constant = False
+    live = cells.any(axis=1)
+    rbar = local_average(p, u_next).values[live]
+    weak = not np.any(np.abs(rbar / u[live] - 1.0) > tol)
+    v_max = np.where(cells, u_next.values, -np.inf).max(axis=1)[live]
+    v_min = np.where(cells, u_next.values, np.inf).min(axis=1)[live]
+    constant = not np.any(v_max - v_min > tol * np.maximum(1.0, np.abs(v_max)))
     return StationarityClass(
         strong=strong,
         weak=weak,

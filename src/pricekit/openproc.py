@@ -7,6 +7,7 @@ change identity through a covariance against the parented density.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +31,7 @@ class OpenProcess:
         object.__setattr__(self, "closed", closed)
         object.__setattr__(self, "full_target", full_target)
 
-    @property
+    @cached_property
     def parented_density(self) -> Observable:
         """pi: the parented fraction of each child type (0 on empty types)."""
         full = self.full_target.weights

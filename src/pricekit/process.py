@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .config import EPS_REL, EPS_ZERO
-from .measure import Observable, Population, TypeSet, expectation
+from .config import EPS_REL, EPS_SAT, EPS_ZERO
+from .measure import Observable, Population, TypeSet, expectation, xlogx
 
 
 @dataclass(frozen=True)
@@ -34,6 +35,67 @@ def _relative_residuals(predicted: np.ndarray, stated: np.ndarray) -> np.ndarray
     res = np.abs(predicted - stated) / scale
     res[(predicted == 0) & (stated == 0)] = 0.0
     return res
+
+
+@dataclass(frozen=True)
+class FitnessSummary:
+    """Values of U (zero within EPS_ZERO) with their probabilities, and the
+    p_star, var(U), S_NS and equilibrium class read off them; the operator
+    version builds one from the spectrum of U."""
+
+    u: np.ndarray
+    prob: np.ndarray
+    p_star: float
+    var_u: float
+    s_ns: float
+    equilibrium_class: str
+
+    def mean(self, values: np.ndarray) -> float:
+        return float(self.prob @ values)
+
+    def moment(self, k: float) -> float:
+        return self.mean(self.u**k)
+
+
+def summarize_fitness(u_values: np.ndarray, prob: np.ndarray) -> FitnessSummary:
+    u = np.array(u_values, dtype=float)
+    u[np.abs(u) <= EPS_ZERO] = 0.0
+    prob = np.array(prob, dtype=float)
+    u.setflags(write=False)
+    prob.setflags(write=False)
+    # equilibrium class: purely_environmental, selective_equilibrium or generic
+    carried = u[prob > 0]
+    live = carried[carried > EPS_ZERO]
+    if np.all(np.abs(carried - 1.0) <= EPS_SAT):
+        eq = "purely_environmental"
+    elif len(live) and live.max() - live.min() <= EPS_SAT * max(1.0, live.max()):
+        eq = "selective_equilibrium"
+    else:
+        eq = "generic"
+    return FitnessSummary(
+        u=u,
+        prob=prob,
+        p_star=float(prob[u > EPS_ZERO].sum()),
+        var_u=float(prob @ (u - 1.0) ** 2),
+        s_ns=float(prob @ (-xlogx(u))),
+        equilibrium_class=eq,
+    )
+
+
+@dataclass(frozen=True)
+class FitnessData:
+    """Row sums W, wbar = N'/N and U = W/wbar; ``support`` marks the
+    childbearing rows, decided on the scale-free U > EPS_ZERO."""
+
+    W: Observable
+    wbar: float
+    U: Observable
+    support: np.ndarray = field(repr=False)
+    summary: FitnessSummary = field(repr=False)
+
+    @property
+    def p_star(self) -> float:
+        return self.summary.p_star
 
 
 @dataclass(frozen=True)
@@ -65,6 +127,26 @@ class Process:
     def fitness_values(self) -> np.ndarray:
         return self.kernel.sum(axis=1)
 
+    @cached_property
+    def fitness_data(self) -> FitnessData:
+        # Built on first use and kept: kernel and weights are read-only.
+        w_values = self.fitness_values
+        wbar = self.target.size / self.source.size
+        u_values = w_values / wbar
+        U = Observable(self.source.types, u_values)
+        support = U.values > EPS_ZERO
+        support.setflags(write=False)
+        mean_u = expectation(self.source, U)
+        if abs(mean_u - 1.0) > 1e-6:
+            raise AssertionError(f"relative fitness has mean {mean_u}, expected 1")
+        return FitnessData(
+            W=Observable(self.source.types, w_values),
+            wbar=wbar,
+            U=U,
+            support=support,
+            summary=summarize_fitness(u_values, self.source.weights / self.source.size),
+        )
+
 
 def process(source: Population, kernel, target: Population | None = None) -> Process:
     """Build a process; when no target is given, derive it from the kernel."""
@@ -75,42 +157,17 @@ def process(source: Population, kernel, target: Population | None = None) -> Pro
     return Process(source, target, k)
 
 
+def fitness(p: Process) -> FitnessData:
+    """The process's fitness data, computed once per process."""
+    return p.fitness_data
+
+
 def validate(p: Process) -> Diagnostics:
     """Report how well the kernel image of the source matches the target."""
     predicted = p.kernel.T @ p.source.weights
     residuals = _relative_residuals(predicted, p.target.weights)
     mx = float(residuals.max()) if len(residuals) else 0.0
     return Diagnostics(residuals=residuals, max_residual=mx, passed=mx <= EPS_REL)
-
-
-@dataclass(frozen=True)
-class FitnessData:
-    W: Observable
-    wbar: float
-    U: Observable
-    p_star: float
-
-
-def fitness(p: Process) -> FitnessData:
-    """Total fitness (row sums), the ratio of population sizes, and U = W/Wbar."""
-    w_values = p.fitness_values
-    wbar = p.target.size / p.source.size
-    u_values = w_values / wbar
-    W = Observable(p.source.types, w_values)
-    U = Observable(p.source.types, u_values)
-    mean_u = expectation(p.source, U)
-    if abs(mean_u - 1.0) > 1e-6:
-        raise AssertionError(f"relative fitness has mean {mean_u}, expected 1")
-    alive = (u_values > EPS_ZERO) & (p.source.weights > 0)
-    p_star = float(p.source.weights[alive].sum()) / p.source.size
-    return FitnessData(W=W, wbar=wbar, U=U, p_star=p_star)
-
-
-def support_mask(p: Process) -> np.ndarray:
-    """Childbearing rows, decided on the scale-free relative fitness."""
-    w = p.fitness_values
-    wbar = p.target.size / p.source.size
-    return w / wbar > EPS_ZERO
 
 
 def local_average(p: Process, y: Observable) -> Observable:
@@ -121,11 +178,11 @@ def local_average(p: Process, y: Observable) -> Observable:
     """
     if y.types != p.target.types:
         raise ValueError("observable must live on the target type set")
-    w = p.fitness_values
+    fd = fitness(p)
     raw = p.kernel @ y.values
     out = np.zeros_like(raw)
-    live = support_mask(p)
-    out[live] = raw[live] / w[live]
+    live = fd.support
+    out[live] = raw[live] / fd.W.values[live]
     return Observable(p.source.types, out)
 
 
@@ -174,8 +231,9 @@ class Factorization:
 
 
 def price_factorize(p: Process) -> Factorization:
-    w = p.fitness_values
-    support = support_mask(p)
+    fd = fitness(p)
+    w = fd.W.values
+    support = fd.support
     if not support.any():
         raise ValueError("process has no childbearing types to factor")
     labels = np.asarray(p.source.types.labels)

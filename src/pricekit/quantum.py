@@ -12,6 +12,7 @@ eigenvalue distribution unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -24,18 +25,15 @@ from .entropy import (
     third_law_from_cells,
 )
 from .laws import (
-    FitnessSummary,
     LawReport,
     acceleration_report,
-    classify_equilibrium,
     first_report,
     gibbs_report_from_summary,
     second_report,
-    summarize_fitness,
     zeroth_report,
 )
 from .measure import xlogx
-from .process import Process
+from .process import FitnessSummary, Process, summarize_fitness
 
 
 # ---------------------------------------------------------------------------
@@ -59,33 +57,29 @@ def hermitize(a: np.ndarray, tol: float = EPS_HERM, what: str = "operator") -> n
     return 0.5 * (a + a.conj().T)
 
 
-def _eigh_support(h: np.ndarray, rcond: float = 1e-10):
-    """Eigendecomposition with a support cutoff relative to the top eigenvalue."""
-    vals, vecs = np.linalg.eigh(h)
-    cutoff = rcond * max(float(np.abs(vals).max()), EPS_ZERO)
-    keep = vals > cutoff
-    return vals, vecs, keep
+def _support(vals: np.ndarray, rcond: float = 1e-10) -> np.ndarray:
+    """Eigenvalues above a cutoff relative to the top eigenvalue."""
+    return vals > rcond * max(float(np.abs(vals).max()), EPS_ZERO)
 
 
-def pinv_h(h: np.ndarray, rcond: float = 1e-10) -> np.ndarray:
-    vals, vecs, keep = _eigh_support(h, rcond)
-    return (vecs[:, keep] / vals[keep]) @ vecs[:, keep].conj().T
-
-
-def support_projector(h: np.ndarray, rcond: float = 1e-10) -> np.ndarray:
-    vals, vecs, keep = _eigh_support(h, rcond)
+def _projector(vecs: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return vecs[:, keep] @ vecs[:, keep].conj().T
 
 
-def matrix_function(h: np.ndarray, f, support_only: bool = False) -> np.ndarray:
-    """Apply a scalar function to a Hermitian matrix through its spectrum."""
-    vals, vecs = np.linalg.eigh(h)
+def _spectral(vals: np.ndarray, vecs: np.ndarray, f, support_only: bool = False) -> np.ndarray:
+    """Apply a scalar function through a given eigendecomposition; with
+    ``support_only`` eigenvalues at or below 1e-12 of the top one map to 0."""
     if support_only:
         cutoff = 1e-12 * max(float(np.abs(vals).max()), EPS_ZERO)
         fv = np.where(vals > cutoff, f(np.maximum(vals, cutoff)), 0.0)
     else:
         fv = f(vals)
     return (vecs * fv) @ vecs.conj().T
+
+
+def matrix_function(h: np.ndarray, f, support_only: bool = False) -> np.ndarray:
+    """Apply a scalar function to a Hermitian matrix through its spectrum."""
+    return _spectral(*np.linalg.eigh(h), f, support_only)
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +172,34 @@ class QuantumProcess:
     def dims(self) -> tuple[int, int]:
         return self.source.dim, self.target.dim
 
+    @cached_property
+    def fitness_data(self) -> QFitness:
+        # Built on first use and kept: the superoperator and states are read-only.
+        w_op = apply_adjoint(self, np.eye(self.target.dim, dtype=complex))
+        w_op = hermitize(w_op, tol=1e-8, what="fitness operator")
+        wbar = self.target.trace / self.source.trace
+        u_op = w_op / wbar
+        vals, vecs = np.linalg.eigh(u_op)
+        if vals.min() * wbar < -1e-8 * max(float(vals.max()) * wbar, 1.0):
+            raise ValueError("fitness operator is not positive: non-positive map")
+        rho = self.source.matrix
+        weights = np.clip(np.real(np.einsum("ij,jk,ki->i", vecs.conj().T, rho, vecs)), 0.0, None)
+        summary = summarize_fitness(vals, weights / weights.sum())
+        if abs(summary.mean(summary.u) - 1.0) > 1e-8:
+            raise AssertionError("relative-fitness operator does not have unit mean")
+        support = _support(vals)
+        for a in (vals, vecs, support):
+            a.setflags(write=False)
+        return QFitness(
+            W=QuantumObservable(w_op),
+            wbar=wbar,
+            U=QuantumObservable(u_op),
+            eigvals=vals,
+            eigvecs=vecs,
+            support=support,
+            summary=summary,
+        )
+
 
 def _sample_check_positive(s: np.ndarray, d_in: int, d_out: int, probes: int) -> None:
     """Positivity of a general map is not decidable at desk scale; sample it.
@@ -222,38 +244,26 @@ def apply_adjoint(w: QuantumProcess, y: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QFitness:
+    """W = W-dagger(1), wbar = N'/N and U = W/wbar, with the one eigh of U
+    that every spectral functional reads: ``summary`` holds its eigenvalues
+    weighted by the state, ``support`` those above 1e-10 of the top one."""
+
     W: QuantumObservable
     wbar: float
     U: QuantumObservable
-    p_star: float
+    eigvals: np.ndarray = field(repr=False)
+    eigvecs: np.ndarray = field(repr=False)
+    support: np.ndarray = field(repr=False)
+    summary: FitnessSummary = field(repr=False)
+
+    @property
+    def p_star(self) -> float:
+        return self.summary.p_star
 
 
 def q_fitness(w: QuantumProcess) -> QFitness:
-    d_in, d_out = w.dims
-    w_op = apply_adjoint(w, np.eye(d_out, dtype=complex))
-    w_op = hermitize(w_op, tol=1e-8, what="fitness operator")
-    vals = np.linalg.eigvalsh(w_op)
-    if vals.min() < -1e-8 * max(float(vals.max()), 1.0):
-        raise ValueError("fitness operator is not positive: non-positive map")
-    wbar = w.target.trace / w.source.trace
-    u_op = w_op / wbar
-    summary = spectral_summary(u_op, w.source)
-    if abs(summary.mean(summary.u) - 1.0) > 1e-8:
-        raise AssertionError("relative-fitness operator does not have unit mean")
-    return QFitness(
-        W=QuantumObservable(w_op),
-        wbar=wbar,
-        U=QuantumObservable(u_op),
-        p_star=summary.p_star,
-    )
-
-
-def spectral_summary(u_op: np.ndarray, rho: DensityOperator) -> FitnessSummary:
-    """Eigenvalues of U with their state weights, as a classical summary."""
-    vals, vecs = np.linalg.eigh(hermitize(np.asarray(u_op, complex), tol=1e-8))
-    weights = np.real(np.einsum("ij,jk,ki->i", vecs.conj().T, rho.matrix, vecs))
-    weights = np.clip(weights, 0.0, None)
-    return summarize_fitness(vals, weights / weights.sum())
+    """The process's fitness data, computed once per process."""
+    return w.fitness_data
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +312,7 @@ def q_price(w: QuantumProcess, x: QuantumObservable, y: QuantumObservable) -> QP
     fd = q_fitness(w)
     u = fd.U.matrix
     pulled = apply_adjoint(w, y.matrix)           # W-dagger applied to Y
-    proj = support_projector(fd.W.matrix, rcond=1e-10)
+    proj = _projector(fd.eigvecs, fd.support)
 
     e_x = float(np.real(np.trace(x.matrix @ rho))) / n
     e_y_next = q_expectation(w.target, y)
@@ -345,16 +355,16 @@ def q_factorize(w: QuantumProcess) -> QFactorization:
     d_in, d_out = w.dims
     fd = q_fitness(w)
     w_op = fd.W.matrix
+    proj = _projector(fd.eigvecs, fd.support)
+    vals, vecs = fd.eigvals[fd.support] * fd.wbar, fd.eigvecs[:, fd.support]
     eye = np.eye(d_in, dtype=complex)
     sel = np.kron(eye, w_op)
-    env = w.superoperator @ np.kron(eye, pinv_h(w_op))
-    proj = support_projector(w_op)
+    env = w.superoperator @ np.kron(eye, (vecs / vals) @ vecs.conj().T)
 
     # Verification error grows with the spread of the kept spectrum: an
     # eigenvalue just above the support cutoff is inverted with relative
     # error eps * cond.
-    vals, _, keep = _eigh_support(w_op)
-    cond = float(vals[keep].max() / vals[keep].min()) if keep.any() else 1.0
+    cond = float(vals.max() / vals.min()) if len(vals) else 1.0
     tol = max(1e-10, 1e-13 * cond)
 
     composite = env @ sel
@@ -379,15 +389,13 @@ def q_factorize(w: QuantumProcess) -> QFactorization:
 def q_laws(w: QuantumProcess) -> dict[str, LawReport]:
     """Zeroth, first, Gibbs, second, and acceleration chains, evaluated on
     the eigenvalue distribution of the relative-fitness operator."""
-    fd = q_fitness(w)
-    ins = spectral_summary(fd.U.matrix, w.source)
-    eq = classify_equilibrium(ins)
+    ins = q_fitness(w).summary
     return {
-        "zeroth": zeroth_report(ins, eq),
-        "first": first_report(ins, eq),
-        "gibbs": gibbs_report_from_summary(ins, eq),
-        "second": second_report(ins, eq),
-        "acceleration": acceleration_report(ins, eq, with_lower=False),
+        "zeroth": zeroth_report(ins),
+        "first": first_report(ins),
+        "gibbs": gibbs_report_from_summary(ins),
+        "second": second_report(ins),
+        "acceleration": acceleration_report(ins, with_lower=False),
     }
 
 
@@ -439,8 +447,9 @@ def q_partition_entropy(w: QuantumProcess, projs_a, projs_b) -> QPartitionResult
     rho = w.source.matrix
     n = w.source.trace
     u_op = fd.U.matrix
-    u_half = matrix_function(u_op, np.sqrt, support_only=True)
-    u_inv_half = matrix_function(u_op, lambda v: 1.0 / np.sqrt(v), support_only=True)
+    u_half = _spectral(fd.eigvals, fd.eigvecs, np.sqrt, support_only=True)
+    u_inv_half = _spectral(fd.eigvals, fd.eigvecs, lambda v: 1.0 / np.sqrt(v),
+                           support_only=True)
     inter = u_half @ rho @ u_half            # intermediate state, trace N
 
     stats = np.zeros((len(projs_a), len(projs_b), len(CELL_FIELDS)))
@@ -462,10 +471,11 @@ def q_partition_entropy(w: QuantumProcess, projs_a, projs_b) -> QPartitionResult
             )
 
             s_ec = float(-xlogx(max(u_bar, 0.0)))
-            d_log_d = matrix_function(d_hat, lambda v: v * np.log(v), support_only=True)
+            d_vals, d_vecs = np.linalg.eigh(d_hat)
+            d_log_d = _spectral(d_vals, d_vecs, lambda v: v * np.log(v), support_only=True)
             s_dis = -float(np.real(np.trace(d_log_d @ inter))) / n
 
-            p_cell = support_projector(d_hat, rcond=1e-10)
+            p_cell = _projector(d_vecs, _support(d_vals))
             p_tilde = float(np.real(np.trace(p_cell @ inter))) / n
             if p_tilde > EPS_ZERO:
                 sigma = p_cell @ inter @ p_cell / (n * p_tilde)
@@ -486,9 +496,8 @@ def q_partition_entropy(w: QuantumProcess, projs_a, projs_b) -> QPartitionResult
 
     cells = CellArrays(tuple(range(len(projs_a))), tuple(range(len(projs_b))),
                        *np.moveaxis(stats, -1, 0))
-    summary = spectral_summary(u_op, w.source)
-    eq = classify_equilibrium(summary)
-    profile = EntropyProfile.from_cells(summary.s_ns, cells)
+    eq = fd.summary.equilibrium_class
+    profile = EntropyProfile.from_cells(fd.summary.s_ns, cells)
     dis, mix = bounds_reports_from_cells(
         cells, profile.s_dis, profile.s_mix, profile.s_ec, eq
     )
@@ -518,13 +527,15 @@ class OpenQuantumProcess:
         object.__setattr__(self, "closed", closed)
         object.__setattr__(self, "full_target", full_target)
 
-    @property
+    @cached_property
     def parented_operator(self) -> np.ndarray:
         inv_half = matrix_function(
             self.full_target.matrix, lambda v: 1.0 / np.sqrt(v), support_only=True
         )
         pi = inv_half @ self.closed.target.matrix @ inv_half
-        return 0.5 * (pi + pi.conj().T)
+        pi = 0.5 * (pi + pi.conj().T)
+        pi.setflags(write=False)
+        return pi
 
     @property
     def orphan_operator(self) -> np.ndarray:

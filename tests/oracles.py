@@ -2,7 +2,8 @@
 
 Besides enumerations and direct constructions, this holds per-cell loops
 over partition cells, the reference that the differential tests compare
-the array-valued cell kernel against.
+the array-valued cell kernel against, and per-row loops for the
+stationarity classes and the reversibility inverses.
 """
 
 import itertools
@@ -201,3 +202,72 @@ def intergenerational_by_loops(p, q) -> tuple[float, float]:
             for ub_next in next_cells:
                 formula += -alpha * ub_next * np.log(ub_next / ub)
     return ns, formula
+
+
+def stationarity_by_loop(p, q, tol: float = 1e-9):
+    """``pricekit.laws.stationarity`` with weak and locally-constant decided
+    one parent row at a time."""
+    from pricekit import fitness, local_average
+    from pricekit.laws import StationarityClass
+
+    u = fitness(p).U.values
+    u_next = fitness(q).U.values
+    rows = (p.source.weights > 0) & (u > 1e-12)
+    w_rows = np.where(p.fitness_values > 0, p.fitness_values, 1.0)
+    cells = (p.kernel / w_rows[:, None] > 1e-12) & rows[:, None]
+    if not cells.any():
+        return StationarityClass(True, True, True, True)
+
+    ii, jj = np.nonzero(cells)
+    ratios = u_next[jj] / u[ii]
+    strong = bool(np.all(np.abs(u_next[jj] - u[ii]) <= tol))
+    homogeneous = bool(ratios.max() - ratios.min() <= tol * max(1.0, abs(ratios.max())))
+
+    rbar = local_average(p, fitness(q).U).values
+    weak = True
+    constant = True
+    for i in np.nonzero(rows)[0]:
+        row_support = cells[i]
+        if not row_support.any():
+            continue
+        if abs(rbar[i] / u[i] - 1.0) > tol:
+            weak = False
+        vals = u_next[row_support]
+        if vals.max() - vals.min() > tol * max(1.0, abs(vals.max())):
+            constant = False
+    return StationarityClass(strong, weak, homogeneous, constant)
+
+
+def reversibility_kernels_by_loop(p) -> tuple[np.ndarray, np.ndarray]:
+    """The retraction and section kernels that ``pricekit.reversibility``
+    builds, child by child and parent by parent, whether or not the
+    redistribution stage is one-sided invertible.
+
+    Each child maps to its lowest-index parent of largest flow (a zero-mass
+    child to column 0); each childbearing parent with exactly one child
+    pulls back onto it with weight (its intermediate mass) / (child mass).
+    """
+    w = p.kernel.sum(axis=1)
+    wbar = p.target.size / p.source.size
+    flow = p.kernel * p.source.weights[:, None] / p.target.size
+    flow[flow <= 1e-12] = 0.0
+    support_rows = np.nonzero(w / wbar > 1e-12)[0]
+    mid_weights = (w * p.source.weights)[support_rows]
+    k_child = p.kernel.shape[1]
+    n_mid = len(support_rows)
+
+    retraction = np.zeros((k_child, n_mid))
+    for j in range(k_child):
+        parents = np.nonzero(flow[:, j] > 0)[0]
+        if len(parents):
+            best = parents[np.argmax(flow[parents, j])]
+            retraction[j, np.searchsorted(support_rows, best)] = 1.0
+        else:
+            retraction[j, 0] = 1.0
+    section = np.zeros((k_child, n_mid))
+    for local_i, i in enumerate(support_rows):
+        children = np.nonzero(flow[i] > 0)[0]
+        if len(children) == 1:
+            j = children[0]
+            section[j, local_i] = mid_weights[local_i] / p.target.weights[j]
+    return retraction, section

@@ -1,0 +1,320 @@
+"""The fitness summary is computed once per process and read by every law,
+entropy and quantum function; the vectorized stationarity classes and
+reversibility inverses match their per-row loops exactly."""
+
+import functools
+import json
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from pricekit import (
+    Population,
+    Process,
+    QuantumProcess,
+    TypeSet,
+    embed_observable,
+    embed_process,
+    fitness,
+    generating_profile,
+    process,
+    q_factorize,
+    q_fitness,
+    q_laws,
+    q_partition_entropy,
+    q_price,
+    reversibility,
+    selective_entropy,
+    stationarity,
+    zeroth_law,
+)
+from pricekit.cli import main
+from pricekit.config import EPS_ZERO
+from pricekit.quantum import apply_adjoint, hermitize
+
+from conftest import random_composable_pair, random_process
+from oracles import reversibility_kernels_by_loop, stationarity_by_loop
+
+
+# ---------------------------------------------------------------------------
+# Compute once
+
+
+def count_fitness_builds(monkeypatch) -> Counter:
+    """Count FitnessData builds per Process; the processes are kept alive so
+    that no id is reused."""
+    counts, seen = Counter(), []
+    build = Process.__dict__["fitness_data"].func
+
+    def counting(self):
+        counts[id(self)] += 1
+        seen.append(self)
+        return build(self)
+
+    prop = functools.cached_property(counting)
+    prop.__set_name__(Process, "fitness_data")
+    monkeypatch.setattr(Process, "fitness_data", prop)
+    return counts
+
+
+def record_eigendecompositions(monkeypatch) -> list:
+    """Copies of every matrix handed to eigh / eigvalsh."""
+    seen = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def recording(a, *args, _original=original, **kwargs):
+            seen.append(np.array(a, copy=True))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    return seen
+
+
+def fitness_decompositions(w: QuantumProcess, seen: list) -> int:
+    """How many recorded matrices are w's fitness operator W or U = W/wbar."""
+    w_op = hermitize(apply_adjoint(w, np.eye(w.target.dim, dtype=complex)), tol=1e-8)
+    u_op = w_op / (w.target.trace / w.source.trace)
+    return sum(
+        m.shape == w_op.shape and any(np.allclose(m, op, rtol=1e-12, atol=1e-12)
+                                      for op in (w_op, u_op))
+        for m in seen
+    )
+
+
+def test_report_computes_fitness_once_per_process(tmp_path, monkeypatch):
+    doc = {
+        "types": ["a", "b", "c"],
+        "weights": [1.0, 2.0, 0.5],
+        "kernel": [[1.0, 0.5, 0.0], [0.2, 0.0, 0.9], [0.0, 0.0, 0.0]],
+        "observables": {"trait": [1.0, 0.0, 2.0]},
+        "partitions": {"source": [["a", "b"], ["c"]], "target": [["c0"], ["c1", "c2"]]},
+        "open": {"orphan_weights": [0.5, 0.25, 0.0]},
+        "quantum": {
+            "rho": [[1.0, 0.2], [0.2, 0.5]],
+            "kraus": [[[1.0, 0.5], [0.0, 0.3]], [[0.2, 0.0], [0.4, 1.0]]],
+        },
+    }
+    nxt = {
+        "types": ["c0", "c1", "c2"],
+        "weights": list(np.array(doc["kernel"]).T @ doc["weights"]),
+        "kernel": [[0.5, 1.0], [1.5, 0.0], [0.3, 0.3]],
+    }
+    path, path_next = tmp_path / "p.json", tmp_path / "q.json"
+    path.write_text(json.dumps(doc))
+    path_next.write_text(json.dumps(nxt))
+
+    builds = count_fitness_builds(monkeypatch)
+    quantum = []
+    init = QuantumProcess.__init__
+
+    def recording_init(self, *args, **kwargs):
+        quantum.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(QuantumProcess, "__init__", recording_init)
+    seen = record_eigendecompositions(monkeypatch)
+    out = tmp_path / "out.json"
+    assert main(["report", str(path), "--next", str(path_next), "--json", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert {"laws", "entropy", "quantum", "kgs", "stationarity"} <= set(report)
+    assert "block_third_law" in report["entropy"]
+
+    assert len(builds) >= 2  # p and q at least
+    assert max(builds.values()) == 1
+    assert len(quantum) == 1
+    assert fitness_decompositions(quantum[0], seen) == 1
+
+
+def test_quantum_functions_share_one_decomposition(monkeypatch):
+    rng = np.random.default_rng(401)
+    p = random_process(rng, kmax=4, kmin=3)
+    k, k2 = p.kernel.shape
+    w = embed_process(p)
+    seen = record_eigendecompositions(monkeypatch)
+    x = embed_observable(rng.normal(size=k))
+    y = embed_observable(rng.normal(size=k2))
+    q_laws(w)
+    q_price(w, x, y)
+    q_factorize(w)
+    q_partition_entropy(w, [np.diag(r) for r in np.eye(k)], [np.diag(r) for r in np.eye(k2)])
+    assert fitness_decompositions(w, seen) == 1
+
+
+def test_fitness_is_cached():
+    rng = np.random.default_rng(402)
+    p = random_process(rng)
+    assert fitness(p) is fitness(p)
+    assert fitness(p).p_star == fitness(p).summary.p_star
+    w = embed_process(p)
+    assert q_fitness(w) is q_fitness(w)
+    assert q_fitness(w).p_star == q_fitness(w).summary.p_star
+
+
+@pytest.mark.parametrize("scale", [0.5, 1.0, 2.0])
+def test_selective_entropy_is_the_summary_value(scale):
+    """One S_NS: rows whose relative fitness sits at the zero threshold count
+    the same way in selective_entropy, the profile and the law chains."""
+    weights = np.array([1.0, 0.7, 1.3, 0.4])
+    kernel = np.array([[1.0, 0.0, 0.0], [0.5, 0.2, 0.0], [0.0, 1.1, 0.6], [0.3, 0.0, 0.8]])
+    n = weights.sum()
+    wbar = float(weights[1:] @ kernel[1:].sum(axis=1)) / n
+    kernel[0] *= scale * EPS_ZERO * wbar
+    p = process(Population(TypeSet.range(4), weights), kernel)
+    assert fitness(p).U.values[0] == pytest.approx(scale * EPS_ZERO, rel=1e-3)
+    s_ns = fitness(p).summary.s_ns
+    assert selective_entropy(p) == s_ns
+    assert generating_profile(p).s_ns == s_ns
+    assert zeroth_law(p).extras["s_ns"] == s_ns
+
+
+# ---------------------------------------------------------------------------
+# Stationarity against the per-row loop
+
+
+def markov_kernel(rng, k: int, k2: int, c: float = 1.0) -> np.ndarray:
+    kernel = rng.uniform(0.1, 1.0, (k, k2)) * (rng.random((k, k2)) < 0.7)
+    kernel[np.arange(k), rng.integers(0, k2, k)] += 0.5
+    return c * kernel / kernel.sum(axis=1, keepdims=True)
+
+
+def disjoint_broods(rng, k: int, brood: int):
+    """Each parent feeds its own `brood` children with equal shares."""
+    kernel = np.zeros((k, k * brood))
+    for i in range(k):
+        kernel[i, i * brood:(i + 1) * brood] = rng.uniform(0.5, 2.0)
+    return kernel
+
+
+def stationarity_pairs(rng):
+    for _ in range(150):
+        yield random_composable_pair(rng)
+    for _ in range(20):
+        # childless rows, a zero-weight parent and rows at the zero threshold
+        k, k2 = int(rng.integers(4, 8)), int(rng.integers(1, 7))
+        weights = rng.uniform(0.1, 2.0, k)
+        weights[1] = 0.0
+        kernel = rng.uniform(0.05, 1.5, (k, k2))
+        kernel[0] = 0.0
+        n = weights.sum()
+        wbar = float(weights[3:] @ kernel[3:].sum(axis=1)) / n
+        kernel[2] *= rng.choice([0.5, 1.0, 2.0]) * EPS_ZERO * wbar / kernel[2].sum()
+        p = process(Population(TypeSet.range(k), weights), kernel)
+        yield p, process(p.target, rng.uniform(0.05, 1.5, (k2, int(rng.integers(1, 5)))))
+    for _ in range(20):
+        # strongly stationary: both stages purely environmental
+        k, k2 = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        p = process(Population(TypeSet.range(k), rng.uniform(0.1, 2.0, k)),
+                    markov_kernel(rng, k, k2, rng.uniform(0.5, 2.0)))
+        yield p, process(p.target, markov_kernel(rng, k2, int(rng.integers(1, 6))))
+    for _ in range(20):
+        # weakly but not strongly stationary: U = 1, and each parent's two
+        # equal-share children have U' = 1 +- delta
+        k = int(rng.integers(1, 5))
+        kernel = np.zeros((k, 2 * k))
+        for i in range(k):
+            kernel[i, 2 * i:2 * i + 2] = 0.5
+        p = process(Population(TypeSet.range(k), rng.uniform(0.1, 2.0, k)), kernel)
+        delta = rng.uniform(0.1, 0.9, k)
+        fit = np.stack([1.0 + delta, 1.0 - delta], axis=1).ravel()
+        yield p, process(p.target, fit[:, None] * markov_kernel(rng, 2 * k, 3))
+    for _ in range(20):
+        # locally constant: disjoint broods, one continuation fitness per brood
+        k, brood = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        p = process(Population(TypeSet.range(k), rng.uniform(0.1, 2.0, k)),
+                    disjoint_broods(rng, k, brood))
+        fit = np.repeat(rng.uniform(0.2, 2.0, k), brood)
+        yield p, process(p.target, fit[:, None] * markov_kernel(rng, k * brood, 3))
+    for _ in range(10):
+        # injective first stage
+        k = int(rng.integers(1, 6))
+        kernel = np.zeros((k, k + 2))
+        kernel[np.arange(k), rng.permutation(k + 2)[:k]] = rng.uniform(0.2, 2.0, k)
+        p = process(Population(TypeSet.range(k), rng.uniform(0.1, 2.0, k)), kernel)
+        yield p, process(p.target, rng.uniform(0.05, 1.5, (k + 2, 3)))
+
+
+def test_stationarity_matches_loop():
+    rng = np.random.default_rng(403)
+    outcomes = Counter()
+    for p, q in stationarity_pairs(rng):
+        for tol in (1e-9, 1e-2, 0.1, 0.5):
+            got = stationarity(p, q, tol)
+            assert got == stationarity_by_loop(p, q, tol)
+            outcomes.update((name, getattr(got, name)) for name in
+                            ("strong", "weak", "locally_homogeneous", "locally_constant"))
+    # every class is seen both holding and failing
+    assert all(outcomes[(name, flag)] > 0 for name, _ in outcomes for flag in (True, False))
+
+
+# ---------------------------------------------------------------------------
+# Reversibility inverses against the per-child and per-parent loops
+
+
+def tied_flows(rng, k: int):
+    """An injective kernel plus child k, fed by several parents with the same
+    tiny flow (small enough that the process stays left-invertible).  Parent
+    0 is childless, so its child and child k+1 get no mass; the last parent
+    also feeds child k+2, so the process is not right-invertible."""
+    kernel = np.zeros((k, k + 3))
+    kernel[np.arange(k), rng.permutation(k)] = rng.uniform(0.5, 1.0, k)
+    kernel[0] = 0.0
+    kernel[-1, k + 2] = 0.5
+    shared = rng.choice(np.arange(1, k), size=int(rng.integers(2, k)), replace=False)
+    kernel[shared, k] = 4e-11
+    weights = rng.uniform(0.5, 1.0, k)
+    weights[shared] = 1.0
+    return process(Population(TypeSet.range(k), weights), kernel)
+
+
+def reversibility_processes(rng):
+    for _ in range(100):
+        yield random_process(rng)
+    for k in range(3, 8):
+        for _ in range(6):
+            yield tied_flows(rng, k)
+    for _ in range(30):
+        # injective, K != K', zero-mass children, a childless parent
+        k = int(rng.integers(1, 6))
+        kernel = np.zeros((k, k + 3))
+        kernel[np.arange(k), rng.permutation(k + 3)[:k]] = rng.uniform(0.2, 2.0, k)
+        if k > 1:
+            kernel[rng.integers(k)] = 0.0
+        yield process(Population(TypeSet.range(k), rng.uniform(0.1, 2.0, k)), kernel)
+    for _ in range(30):
+        # one child per parent, several parents per child, a childless parent
+        k, k2 = int(rng.integers(2, 7)), int(rng.integers(1, 4))
+        kernel = np.zeros((k, k2))
+        kernel[np.arange(k), rng.integers(0, k2, k)] = rng.uniform(0.2, 2.0, k)
+        kernel[rng.integers(k)] = 0.0
+        if not kernel.any():
+            kernel[0, 0] = 1.0
+        yield process(Population(TypeSet.range(k), rng.uniform(0.1, 2.0, k)), kernel)
+
+
+def test_reversibility_inverses_match_loop():
+    rng = np.random.default_rng(404)
+    built = Counter()
+    for p in reversibility_processes(rng):
+        v = reversibility(p)
+        retraction, section = reversibility_kernels_by_loop(p)
+        if v.retraction is not None:
+            assert np.array_equal(v.retraction.kernel, retraction)
+            built["retraction"] += 1
+        if v.section is not None:
+            assert np.array_equal(v.section.kernel, section)
+            built["section"] += 1
+    assert built["retraction"] >= 60 and built["section"] >= 30
+
+
+def test_tied_flows_go_to_the_lowest_index_parent():
+    rng = np.random.default_rng(405)
+    for k in range(3, 8):
+        p = tied_flows(rng, k)
+        v = reversibility(p)
+        assert v.left_invertible and not v.right_invertible
+        shared = np.nonzero(p.kernel[:, k] > 0)[0]
+        support_rows = list(np.nonzero(fitness(p).support)[0])
+        assert v.retraction.kernel[k, support_rows.index(shared.min())] == 1.0
+        assert v.retraction.kernel[k + 1, 0] == 1.0  # the zero-mass child
