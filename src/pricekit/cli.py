@@ -17,14 +17,7 @@ import sys
 import numpy as np
 
 from . import config
-from .entropy import (
-    Partition,
-    bounds_reports_from_cells,
-    generating_profile,
-    reversibility,
-    third_law,
-    third_law_from_cells,
-)
+from .entropy import Partition, generating_profile, reversibility, third_law
 from .laws import (
     ec_selective_entropy_bound,
     ec_variance_bound,
@@ -158,9 +151,7 @@ def _law_section(p: Process, q: Process | None) -> dict:
 
 def _entropy_section(p: Process, doc: dict) -> dict:
     prof = generating_profile(p)
-    eq = fitness(p).summary.equilibrium_class
-    dis, mix = bounds_reports_from_cells(prof.cells, prof.s_dis, prof.s_mix, prof.s_ec, eq)
-    windows = third_law_from_cells(prof.cells, eq)
+    dis, mix = prof.bounds
     verdict = reversibility(p)
     section = {
         "s_ns": prof.s_ns,
@@ -170,7 +161,7 @@ def _entropy_section(p: Process, doc: dict) -> dict:
         "s_tot": prof.s_tot,
         "dispersion_bounds": dis.to_dict(),
         "mixing_bounds": mix.to_dict(),
-        "third_law": {k: r.to_dict() for k, r in windows.items()},
+        "third_law": {k: r.to_dict() for k, r in prof.third_law.items()},
         "reversibility": {
             "left_invertible": verdict.left_invertible,
             "right_invertible": verdict.right_invertible,

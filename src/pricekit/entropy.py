@@ -19,7 +19,7 @@ import numpy as np
 from .config import EPS_REL, EPS_SAT, EPS_ZERO
 from .laws import LawReport, gibbs_report_from_summary
 from .measure import Population, TypeSet, xlogx
-from .process import Process, check_composable, fitness, price_factorize
+from .process import FitnessSummary, Process, check_composable, fitness, price_factorize
 
 
 # ---------------------------------------------------------------------------
@@ -220,16 +220,23 @@ def cell_arrays(p: Process, part_a: Partition, part_b: Partition) -> CellArrays:
 
 @dataclass(frozen=True)
 class EntropyProfile:
+    """Totals of one joint partition's cells, and every chain derived from
+    them.  ``equilibrium_class`` is that of the fitness summary the profile
+    was built from; ``suffix`` ends each third-law window name."""
+
     s_ns: float
     s_ec: float
     s_dis: float
     s_mix: float
     cells: CellArrays = field(repr=False)
+    equilibrium_class: str
+    suffix: str = ""
 
     @classmethod
-    def from_cells(cls, s_ns: float, cells: CellArrays) -> "EntropyProfile":
-        return cls(s_ns, float(cells.s_ec.sum()), float(cells.s_dis.sum()),
-                   float(cells.s_mix.sum()), cells)
+    def from_cells(cls, ins: FitnessSummary, cells: CellArrays,
+                   suffix: str = "") -> "EntropyProfile":
+        return cls(ins.s_ns, float(cells.s_ec.sum()), float(cells.s_dis.sum()),
+                   float(cells.s_mix.sum()), cells, ins.equilibrium_class, suffix)
 
     @property
     def s_tot(self) -> float:
@@ -245,10 +252,87 @@ class EntropyProfile:
             for a, ka in enumerate(c.keys_a) for b, kb in enumerate(c.keys_b)
         }
 
+    @cached_property
+    def bounds(self) -> tuple[LawReport, LawReport]:
+        """Chains 0 <= lower <= S <= upper <= S_EC for dispersion and mixing."""
+        cells, s_dis, s_mix, s_ec = self.cells, self.s_dis, self.s_mix, self.s_ec
+        live = (cells.u_bar > 0) & (cells.p_tilde > 0)
+        u_bar, p_tilde = cells.u_bar[live], cells.p_tilde[live]
+        moment = cells.mean_d2[live] > 0
+        ub_m, d2_m = u_bar[moment], cells.mean_d2[live][moment]
+        l_dis = np.sum(ub_m * np.log(ub_m / d2_m))
+        u_mix = np.sum(ub_m * np.log(d2_m / ub_m**2))
+        u_dis = np.sum(u_bar * np.log(p_tilde / u_bar))
+        l_mix = np.sum(u_bar * np.log(1.0 / p_tilde))
+
+        dis = LawReport(
+            name="dispersion_bounds",
+            lhs=s_ec,
+            bounds=(float(u_dis), s_dis, float(l_dis), 0.0),
+            direction="ge",
+            equilibrium_class=self.equilibrium_class,
+            extras={"s_dis": s_dis, "s_ec": s_ec},
+        )
+        mix = LawReport(
+            name="mixing_bounds",
+            lhs=s_ec,
+            bounds=(float(u_mix), s_mix, float(l_mix), 0.0),
+            direction="ge",
+            equilibrium_class=self.equilibrium_class,
+            extras={"s_mix": s_mix, "s_ec": s_ec},
+        )
+        return dis, mix
+
+    @cached_property
+    def third_law(self) -> dict[str, LawReport]:
+        """Selective changes of S_EC, S_dis, S_mix with their fluctuation windows."""
+        cells = self.cells
+        lhs_ec = float(cells.cov_ec.sum())
+        lhs_dis = float(cells.cov_dis.sum())
+        lhs_mix = float(cells.cov_mix.sum())
+        live = (cells.u_bar > 0) & (cells.p_tilde > 0)
+        # Noncommuting cell coefficients can leave the log domain; the windows
+        # are only derived where they are positive.
+        domain = live & (np.minimum.reduce([cells.phi, cells.lam, cells.gamma, cells.mean_d2]) > 0)
+        skipped = int(np.count_nonzero(live & ~domain))
+        ub, pt, phi, lam, gamma, d2 = (
+            v[domain] for v in (cells.u_bar, cells.p_tilde, cells.phi, cells.lam,
+                                cells.gamma, cells.mean_d2)
+        )
+        core = pt * lam
+        lo_dis = np.sum(core * np.log(lam / gamma) - ub * np.log(pt / ub))
+        hi_dis = np.sum(core * np.log(phi / lam) - ub * np.log(ub / d2))
+        lo_mix = np.sum(core * np.log(lam / (phi * ub)) - ub * np.log(d2 / ub**2))
+        hi_mix = np.sum(core * np.log(gamma / (lam * ub)) - ub * np.log(1.0 / pt))
+
+        if abs(lhs_ec - (lhs_dis + lhs_mix)) > EPS_REL * max(1.0, abs(lhs_ec)):
+            raise AssertionError("selective changes of the entropy split disagree")
+
+        def window(name, lhs, lo, hi):
+            return LawReport(
+                name=name + self.suffix,
+                lhs=float(lhs),
+                bounds=(float(hi),),
+                direction="le",
+                equilibrium_class=self.equilibrium_class,
+                extras={
+                    "lower_bound": float(lo),
+                    "lower_slack": float(lhs - lo),
+                    "window_width": float(hi - lo),
+                    "cells_outside_log_domain": skipped,
+                },
+            )
+
+        return {
+            "ns_s_ec": window("third_law_ec", lhs_ec, lo_dis + lo_mix, hi_dis + hi_mix),
+            "ns_s_dis": window("third_law_dis", lhs_dis, lo_dis, hi_dis),
+            "ns_s_mix": window("third_law_mix", lhs_mix, lo_mix, hi_mix),
+        }
+
 
 def environmental_profile(p: Process, part_a: Partition, part_b: Partition) -> EntropyProfile:
     """Per-cell and total environmental, dispersion, and mixing entropies."""
-    return EntropyProfile.from_cells(selective_entropy(p), cell_arrays(p, part_a, part_b))
+    return EntropyProfile.from_cells(fitness(p).summary, cell_arrays(p, part_a, part_b))
 
 
 def _partitions(p: Process, part_a: Partition | None, part_b: Partition | None):
@@ -299,93 +383,15 @@ def environmental_equilibrium(p: Process, part_a: Partition | None = None,
 # Strong bounds on dispersion and mixing entropies
 
 
-def bounds_reports_from_cells(cells: CellArrays, s_dis: float, s_mix: float, s_ec: float,
-                              eq: str) -> tuple[LawReport, LawReport]:
-    """Chains 0 <= lower <= S <= upper <= S_EC for dispersion and mixing."""
-    live = (cells.u_bar > 0) & (cells.p_tilde > 0)
-    u_bar, p_tilde = cells.u_bar[live], cells.p_tilde[live]
-    moment = cells.mean_d2[live] > 0
-    ub_m, d2_m = u_bar[moment], cells.mean_d2[live][moment]
-    l_dis = np.sum(ub_m * np.log(ub_m / d2_m))
-    u_mix = np.sum(ub_m * np.log(d2_m / ub_m**2))
-    u_dis = np.sum(u_bar * np.log(p_tilde / u_bar))
-    l_mix = np.sum(u_bar * np.log(1.0 / p_tilde))
-
-    dis = LawReport(
-        name="dispersion_bounds",
-        lhs=s_ec,
-        bounds=(float(u_dis), s_dis, float(l_dis), 0.0),
-        direction="ge",
-        equilibrium_class=eq,
-        extras={"s_dis": s_dis, "s_ec": s_ec},
-    )
-    mix = LawReport(
-        name="mixing_bounds",
-        lhs=s_ec,
-        bounds=(float(u_mix), s_mix, float(l_mix), 0.0),
-        direction="ge",
-        equilibrium_class=eq,
-        extras={"s_mix": s_mix, "s_ec": s_ec},
-    )
-    return dis, mix
-
-
 def dispersion_mixing_bounds(p: Process, part_a: Partition | None = None,
                              part_b: Partition | None = None) -> tuple[LawReport, LawReport]:
     """Four-link chains pinning S_dis and S_mix between per-cell moment bounds
     and the environmental entropy."""
-    prof = environmental_profile(p, *_partitions(p, part_a, part_b))
-    return bounds_reports_from_cells(
-        prof.cells, prof.s_dis, prof.s_mix, prof.s_ec, fitness(p).summary.equilibrium_class
-    )
+    return environmental_profile(p, *_partitions(p, part_a, part_b)).bounds
 
 
 # ---------------------------------------------------------------------------
 # Third law: selective change of the environmental entropies
-
-
-def third_law_from_cells(cells: CellArrays, eq: str, tag: str = "") -> dict[str, LawReport]:
-    lhs_ec = float(cells.cov_ec.sum())
-    lhs_dis = float(cells.cov_dis.sum())
-    lhs_mix = float(cells.cov_mix.sum())
-    live = (cells.u_bar > 0) & (cells.p_tilde > 0)
-    # Noncommuting cell coefficients can leave the log domain; the windows
-    # are only derived where they are positive.
-    domain = live & (np.minimum.reduce([cells.phi, cells.lam, cells.gamma, cells.mean_d2]) > 0)
-    skipped = int(np.count_nonzero(live & ~domain))
-    ub, pt, phi, lam, gamma, d2 = (
-        v[domain] for v in (cells.u_bar, cells.p_tilde, cells.phi, cells.lam,
-                            cells.gamma, cells.mean_d2)
-    )
-    core = pt * lam
-    lo_dis = np.sum(core * np.log(lam / gamma) - ub * np.log(pt / ub))
-    hi_dis = np.sum(core * np.log(phi / lam) - ub * np.log(ub / d2))
-    lo_mix = np.sum(core * np.log(lam / (phi * ub)) - ub * np.log(d2 / ub**2))
-    hi_mix = np.sum(core * np.log(gamma / (lam * ub)) - ub * np.log(1.0 / pt))
-
-    if abs(lhs_ec - (lhs_dis + lhs_mix)) > EPS_REL * max(1.0, abs(lhs_ec)):
-        raise AssertionError("selective changes of the entropy split disagree")
-
-    def window(name, lhs, lo, hi):
-        return LawReport(
-            name=name + tag,
-            lhs=float(lhs),
-            bounds=(float(hi),),
-            direction="le",
-            equilibrium_class=eq,
-            extras={
-                "lower_bound": float(lo),
-                "lower_slack": float(lhs - lo),
-                "window_width": float(hi - lo),
-                "cells_outside_log_domain": skipped,
-            },
-        )
-
-    return {
-        "ns_s_ec": window("third_law_ec", lhs_ec, lo_dis + lo_mix, hi_dis + hi_mix),
-        "ns_s_dis": window("third_law_dis", lhs_dis, lo_dis, hi_dis),
-        "ns_s_mix": window("third_law_mix", lhs_mix, lo_mix, hi_mix),
-    }
 
 
 def third_law(p: Process, part_a: Partition | None = None,
@@ -397,8 +403,7 @@ def third_law(p: Process, part_a: Partition | None = None,
     lhs whenever the dispersion coefficient is constant per cell (always,
     at singleton partitions of a finite discrete process).
     """
-    prof = environmental_profile(p, *_partitions(p, part_a, part_b))
-    return third_law_from_cells(prof.cells, fitness(p).summary.equilibrium_class)
+    return environmental_profile(p, *_partitions(p, part_a, part_b)).third_law
 
 
 # ---------------------------------------------------------------------------
@@ -427,25 +432,20 @@ def intergenerational_ec_change(p: Process, q: Process) -> IntergenerationalChan
     check_composable(p, q)
     prof = generating_profile(p)
     prof_next = generating_profile(q)
+    ins = fitness(p).summary
 
-    fd = fitness(p)
-    u = fd.U.values
-    prob = p.source.weights / p.source.size
+    # The selective change is the sum of the singleton cells' covariances
+    # cov(-U_cell log u_bar, U); singleton cells are (parent, child) pairs.
+    ns = float(prof.cells.cov_ec.sum())
+    price_route = (prof_next.s_ec - prof.s_ec) - ns
 
-    # Source observable X(i) = sum over cells of -U_cell(i) log u_bar_cell;
-    # its mean is S_EC.  Singleton cells are (parent, child) pairs.
+    # sum over cells ij and next cells c of -alpha_ij u'_c log(u'_c / u_ij),
+    # alpha_ij = U_i u_ij / E[U^2], factors into
+    # (sum alpha)(sum -u' log u') + (sum u')(sum alpha log u).
     u_bar = prof.cells.u_bar
     live = u_bar > EPS_ZERO
     log_ubar = np.log(u_bar, out=np.zeros_like(u_bar), where=live)
-    u_cell = p.kernel / fd.wbar
-    x = np.sum(-u_cell * log_ubar, axis=1)
-    ns = float(prob @ (x * (u - 1.0)))
-    price_route = (prof_next.s_ec - prof.s_ec) - ns
-
-    # sum over cells ij and next cells c of -alpha_ij u'_c log(u'_c / u_ij)
-    # factors into (sum alpha)(sum -u' log u') + (sum u')(sum alpha log u).
-    m2 = float(prob @ u**2)
-    alpha = np.where(live, (prob * u)[:, None] * u_cell, 0.0) / m2
+    alpha = np.where(live, ins.u[:, None] * u_bar, 0.0) / ins.moment(2)
     next_cells = prof_next.cells.u_bar[prof_next.cells.u_bar > EPS_ZERO]
     formula = (alpha.sum() * np.sum(-xlogx(next_cells))
                + next_cells.sum() * np.sum(alpha * log_ubar))
@@ -492,7 +492,7 @@ def reversibility(p: Process) -> ReversibilityVerdict:
     zero.  A section (undo before) exists iff no parent splits mass over
     two children: the child-given-parent conditional entropy (the
     dispersion entropy) is zero.  Constructed inverses are verified by
-    composition.
+    composition; one that fails the check leaves its side not invertible.
     """
     flow = _flow_matrix(p)
     rowm = flow.sum(axis=1)
@@ -502,10 +502,6 @@ def reversibility(p: Process) -> ReversibilityVerdict:
     dis_obstruction = float(np.sum(flow[pos] * np.log(rowm[ii] / flow[pos])))
     mix_obstruction = float(np.sum(flow[pos] * np.log(colm[jj] / flow[pos])))
 
-    left = mix_obstruction <= EPS_SAT
-    right = dis_obstruction <= EPS_SAT
-    invertible = left and right
-
     factors = price_factorize(p)
     mid = factors.environmental.source
     env_kernel = factors.environmental.kernel
@@ -514,34 +510,39 @@ def reversibility(p: Process) -> ReversibilityVerdict:
     n_mid = len(mid.types)
     k_child = len(p.target.types)
 
+    # A side is invertible when its obstruction is within EPS_SAT and the
+    # inverse built for it passes the composition check; a flow share
+    # between EPS_ZERO and about EPS_SAT can pass the first and fail the
+    # second, and then that side has no inverse.
     retraction = None
     section = None
     inverse = None
-    if left:
+    if mix_obstruction <= EPS_SAT:
         # Each child goes to its lowest-index maximal parent; a zero-mass
         # child has argmax 0, and column 0 carries no mass for it.
         r = np.zeros((k_child, n_mid))
         r[np.arange(k_child), np.searchsorted(support_rows, flow.argmax(axis=0))] = 1.0
-        retraction = Process(p.target, mid, r, _check=False)
         composite = env_kernel @ r
         live = mid.weights > 0
         gap = composite[live][:, live] - np.eye(n_mid)[live][:, live]
-        if np.max(np.abs(gap)) > 1e-10:
-            raise AssertionError("retraction fails to undo the redistribution stage")
-    if right:
+        if np.max(np.abs(gap)) <= 1e-10:
+            retraction = Process(p.target, mid, r, _check=False)
+    if dis_obstruction <= EPS_SAT:
         # Parents with exactly one child pull back onto it.
         fed = flow[support_rows] > 0
         rows = np.nonzero(fed.sum(axis=1) == 1)[0]
         only = fed[rows].argmax(axis=1)
         s = np.zeros((k_child, n_mid))
         s[only, rows] = mid.weights[rows] / p.target.weights[only]
-        section = Process(p.target, mid, s, _check=False)
         composite = s @ env_kernel
         live_child = p.target.weights > 0
         eye = np.eye(k_child)
         gap = composite[live_child][:, live_child] - eye[live_child][:, live_child]
-        if np.max(np.abs(gap)) > 1e-10:
-            raise AssertionError("section fails to undo the redistribution stage")
+        if np.max(np.abs(gap)) <= 1e-10:
+            section = Process(p.target, mid, s, _check=False)
+    left = retraction is not None
+    right = section is not None
+    invertible = left and right
     if invertible:
         w_support = fd.W.values[support_rows]
         inv_kernel = retraction.kernel / w_support[None, :]

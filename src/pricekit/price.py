@@ -32,9 +32,9 @@ class PriceDecomposition:
     def residual(self) -> float:
         return self.delta - (self.ns + self.ec)
 
-    def check(self, tol: float = EPS_REL) -> bool:
+    def check(self) -> bool:
         scale = max(abs(self.delta), abs(self.ns), abs(self.ec), 1.0)
-        return abs(self.residual) <= tol * scale
+        return abs(self.residual) <= EPS_REL * scale
 
 
 def selective_change(p: Process, x: Observable) -> float:

@@ -26,8 +26,8 @@ class Diagnostics:
     max_residual: float
     passed: bool
 
-    def failing_types(self, types: TypeSet, tol: float = EPS_REL):
-        return [c for c, r in zip(types.labels, self.residuals) if r > tol]
+    def failing_types(self, types: TypeSet):
+        return [c for c, r in zip(types.labels, self.residuals) if r > EPS_REL]
 
 
 def _relative_residuals(predicted: np.ndarray, stated: np.ndarray) -> np.ndarray:
@@ -265,9 +265,7 @@ class Purity(enum.Enum):
 def classify_purity(p: Process) -> Purity:
     """Constant relative fitness means a Markov chain; a diagonal kernel on a
     shared type set means a pure density scaling; anything else is mixed."""
-    u = fitness(p).U.values
-    carried = p.source.weights > 0
-    if np.all(np.abs(u[carried] - 1.0) <= EPS_REL):
+    if fitness(p).summary.equilibrium_class == "purely_environmental":
         return Purity.PURELY_ENVIRONMENTAL
     if p.source.types == p.target.types:
         off_diag = p.kernel - np.diag(np.diag(p.kernel))

@@ -17,13 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import EPS_HERM, EPS_PSD, EPS_REL, EPS_ZERO
-from .entropy import (
-    CELL_FIELDS,
-    CellArrays,
-    EntropyProfile,
-    bounds_reports_from_cells,
-    third_law_from_cells,
-)
+from .entropy import CELL_FIELDS, CellArrays, EntropyProfile
 from .laws import (
     LawReport,
     acceleration_report,
@@ -57,9 +51,9 @@ def hermitize(a: np.ndarray, tol: float = EPS_HERM, what: str = "operator") -> n
     return 0.5 * (a + a.conj().T)
 
 
-def _support(vals: np.ndarray, rcond: float = 1e-10) -> np.ndarray:
-    """Eigenvalues above a cutoff relative to the top eigenvalue."""
-    return vals > rcond * max(float(np.abs(vals).max()), EPS_ZERO)
+def _support(vals: np.ndarray) -> np.ndarray:
+    """Eigenvalues above 1e-10 of the top eigenvalue."""
+    return vals > 1e-10 * max(float(np.abs(vals).max()), EPS_ZERO)
 
 
 def _projector(vecs: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -147,7 +141,7 @@ class QuantumProcess:
     target: DensityOperator
 
     def __init__(self, superoperator, source: DensityOperator,
-                 target: DensityOperator | None = None, probes: int = 64):
+                 target: DensityOperator | None = None):
         s = np.array(superoperator, dtype=complex)
         d_in = source.dim
         if s.shape[1] != d_in * d_in:
@@ -162,7 +156,7 @@ class QuantumProcess:
             gap = float(np.abs(image - target.matrix).max())
             if gap > EPS_REL * max(target.trace, 1.0):
                 raise ValueError(f"target is not the image of the source ({gap:.3e})")
-        _sample_check_positive(s, d_in, d_out, probes)
+        _sample_check_positive(s, d_in, d_out)
         s.setflags(write=False)
         object.__setattr__(self, "superoperator", s)
         object.__setattr__(self, "source", source)
@@ -201,13 +195,13 @@ class QuantumProcess:
         )
 
 
-def _sample_check_positive(s: np.ndarray, d_in: int, d_out: int, probes: int) -> None:
+def _sample_check_positive(s: np.ndarray, d_in: int, d_out: int) -> None:
     """Positivity of a general map is not decidable at desk scale; sample it.
 
-    Random PSD probes must map to Hermitian, nearly-PSD outputs.
+    64 random PSD probes must map to Hermitian, nearly-PSD outputs.
     """
     rng = np.random.default_rng(20240317)
-    for _ in range(probes):
+    for _ in range(64):
         g = rng.normal(size=(d_in, d_in)) + 1j * rng.normal(size=(d_in, d_in))
         probe = g @ g.conj().T
         probe /= np.trace(probe).real
@@ -496,15 +490,11 @@ def q_partition_entropy(w: QuantumProcess, projs_a, projs_b) -> QPartitionResult
 
     cells = CellArrays(tuple(range(len(projs_a))), tuple(range(len(projs_b))),
                        *np.moveaxis(stats, -1, 0))
-    eq = fd.summary.equilibrium_class
-    profile = EntropyProfile.from_cells(fd.summary.s_ns, cells)
-    dis, mix = bounds_reports_from_cells(
-        cells, profile.s_dis, profile.s_mix, profile.s_ec, eq
-    )
-    windows = third_law_from_cells(cells, eq, tag="_partition")
+    profile = EntropyProfile.from_cells(fd.summary, cells, suffix="_partition")
+    dis, mix = profile.bounds
     return QPartitionResult(
         profile=profile, dispersion_bounds=dis, mixing_bounds=mix,
-        third_law=windows, commutation_residual=comm_residual,
+        third_law=profile.third_law, commutation_residual=comm_residual,
     )
 
 

@@ -1,0 +1,144 @@
+"""The entropy profile owns every result derived from its cells.
+
+The dispersion/mixing chains and the third-law windows are the profile's
+own cached properties; `dispersion_mixing_bounds`, `third_law`, the report's
+entropy section and `q_partition_entropy` all read them, and the selective
+change that `intergenerational_ec_change` reports is the profile's own sum
+of cell covariances.  Comparisons here are exact.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from pricekit import (
+    Partition,
+    Population,
+    TypeSet,
+    dispersion_mixing_bounds,
+    embed_process,
+    environmental_profile,
+    fitness,
+    generating_profile,
+    intergenerational_ec_change,
+    process,
+    q_partition_entropy,
+    reversibility,
+    third_law,
+)
+from pricekit.cli import build_unchecked, main
+
+from conftest import random_composable_pair, random_process
+from oracles import search_one_sided_inverses
+
+
+def random_partition(rng, types: TypeSet) -> Partition:
+    ids = rng.integers(0, len(types), len(types))
+    return Partition(types, [tuple(c for c, b in zip(types.labels, ids) if b == k)
+                             for k in np.unique(ids)])
+
+
+def dicts(reports) -> list:
+    """to_dict() of each report, through JSON as the report writes it."""
+    return json.loads(json.dumps([r.to_dict() for r in reports]))
+
+
+def partition_cases(rng, n: int):
+    for _ in range(n):
+        p = random_process(rng)
+        yield p, None, None
+        yield p, random_partition(rng, p.source.types), random_partition(rng, p.target.types)
+
+
+def test_ns_s_ec_is_the_third_law_lhs():
+    rng = np.random.default_rng(7)
+    for _ in range(250):
+        p, q = random_composable_pair(rng)
+        assert intergenerational_ec_change(p, q).ns_s_ec == third_law(p)["ns_s_ec"].lhs
+
+
+def test_library_functions_return_the_profile_chains():
+    rng = np.random.default_rng(70)
+    for p, part_a, part_b in partition_cases(rng, 60):
+        prof = environmental_profile(p, part_a or Partition.singletons(p.source.types),
+                                     part_b or Partition.singletons(p.target.types))
+        assert prof.bounds is prof.bounds and prof.third_law is prof.third_law
+        assert prof.equilibrium_class == fitness(p).summary.equilibrium_class
+        assert dicts(dispersion_mixing_bounds(p, part_a, part_b)) == dicts(prof.bounds)
+        windows = third_law(p, part_a, part_b)
+        assert list(windows) == ["ns_s_ec", "ns_s_dis", "ns_s_mix"]
+        assert dicts(windows.values()) == dicts(prof.third_law.values())
+
+
+def test_report_entropy_section_is_the_generating_profile(tmp_path):
+    rng = np.random.default_rng(71)
+    for n in range(20):
+        p = random_process(rng, kmax=5)
+        doc = {"types": list(p.source.types.labels), "weights": list(p.source.weights),
+               "kernel": p.kernel.tolist()}
+        part_a = random_partition(rng, p.source.types)
+        part_b = random_partition(rng, TypeSet.range(len(p.target.types), prefix="c"))
+        doc["partitions"] = {"source": [list(b) for b in part_a.blocks],
+                             "target": [list(b) for b in part_b.blocks]}
+        path, out = tmp_path / f"p{n}.json", tmp_path / f"r{n}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["report", str(path), "--entropy", "--json", str(out)]) == 0
+        section = json.loads(out.read_text())["entropy"]
+
+        p = build_unchecked(doc)
+        prof = generating_profile(p)
+        assert [section[k] for k in ("s_ns", "s_ec", "s_dis", "s_mix", "s_tot")] == [
+            prof.s_ns, prof.s_ec, prof.s_dis, prof.s_mix, prof.s_tot]
+        assert [section["dispersion_bounds"], section["mixing_bounds"]] == dicts(prof.bounds)
+        assert section["third_law"] == dict(zip(prof.third_law, dicts(prof.third_law.values())))
+        block = environmental_profile(p, Partition(p.source.types, part_a.blocks),
+                                      Partition(p.target.types, part_b.blocks)).third_law
+        assert section["block_third_law"] == dict(zip(block, dicts(block.values())))
+
+
+def test_q_partition_entropy_reports_are_its_profile_chains():
+    rng = np.random.default_rng(72)
+    for _ in range(10):
+        p = random_process(rng, kmax=4)
+        k, k2 = p.kernel.shape
+        res = q_partition_entropy(embed_process(p), [np.diag(e) for e in np.eye(k)],
+                                  [np.diag(e) for e in np.eye(k2)])
+        prof = res.profile
+        assert (res.dispersion_bounds, res.mixing_bounds) == prof.bounds
+        assert res.third_law is prof.third_law
+        assert prof.suffix == "_partition"
+        assert {key: r.name for key, r in res.third_law.items()} == {
+            "ns_s_ec": "third_law_ec_partition",
+            "ns_s_dis": "third_law_dis_partition",
+            "ns_s_mix": "third_law_mix_partition",
+        }
+        assert [r.name for r in third_law(p).values()] == [
+            "third_law_ec", "third_law_dis", "third_law_mix"]
+
+
+# Flow shares between EPS_ZERO and about EPS_SAT: the obstruction stays within
+# EPS_SAT while the inverse built for that side fails its composition check.
+TINY_FLOW = [
+    ([0.7, 1, 1], [[0, 0, 0, 0], [0.8, 0, t, 0], [0, 0.6, 0, 0]])
+    for t in (4e-11, 1e-11, 4e-12, 1e-13)
+] + [([1, m], [[1, 0], [0.5, 0.5]]) for m in (1e-9, 1e-11, 1e-14)]
+
+
+@pytest.mark.parametrize("weights, kernel", TINY_FLOW)
+def test_reversibility_near_the_zero_threshold(weights, kernel, tmp_path, capsys):
+    p = process(Population(TypeSet.range(len(weights)), weights), kernel)
+    v = reversibility(p)
+    assert (v.left_invertible, v.right_invertible) == search_one_sided_inverses(p)
+    assert (v.retraction is not None, v.section is not None) == (
+        v.left_invertible, v.right_invertible)
+    assert v.invertible == (v.inverse is not None)
+    assert 0.0 <= v.dis_obstruction <= 1e-7 and 0.0 <= v.mix_obstruction <= 1e-7
+
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"types": list(p.source.types.labels),
+                                "weights": weights, "kernel": kernel}))
+    assert main(["report", str(path)]) == 0
+    rev = json.loads(capsys.readouterr().out)["entropy"]["reversibility"]
+    assert (rev["left_invertible"], rev["right_invertible"]) == (
+        v.left_invertible, v.right_invertible)
