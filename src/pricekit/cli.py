@@ -100,6 +100,16 @@ def build_unchecked(doc: dict) -> Process:
     return Process(source, target, kernel, _check=False)
 
 
+def _load_valid(path: str) -> tuple[dict, Process]:
+    """The document at ``path`` and its process, which must pass validation."""
+    doc = load_input(path)
+    p = build_unchecked(doc)
+    residual = validate(p).max_residual
+    if residual > _tolerance():
+        raise ValueError(f"{path} fails validation: max residual {residual:.3e}")
+    return doc, p
+
+
 def _observables(doc: dict, p: Process) -> tuple[dict, dict]:
     on_source, on_target = {}, {}
     for name, values in doc.get("observables", {}).items():
@@ -240,25 +250,12 @@ def _kgs_section(doc: dict, p: Process) -> dict:
 
 
 def cmd_report(args) -> int:
-    doc = load_input(args.file)
-    p = build_unchecked(doc)
-    diag = validate(p)
-    tol = _tolerance()
-    if diag.max_residual > tol:
-        print(f"validation failed: max residual {diag.max_residual:.3e}", file=sys.stderr)
-        return 1
-
+    doc, p = _load_valid(args.file)
     want_all = not (args.laws or args.entropy or args.quantum or args.kgs)
     fd = fitness(p)
     on_source, on_target = _observables(doc, p)
 
-    q = None
-    if args.next:
-        q = build_unchecked(load_input(args.next))
-        if validate(q).max_residual > tol:
-            print("validation of the follow-up process failed", file=sys.stderr)
-            return 1
-
+    q = _load_valid(args.next)[1] if args.next else None
     factors = price_factorize(p)
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -309,12 +306,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    doc = load_input(args.file)
-    p = build_unchecked(doc)
-    tol = _tolerance()
-    if validate(p).max_residual > tol:
-        print("validation failed", file=sys.stderr)
-        return 1
+    _, p = _load_valid(args.file)
     if p.source.types != p.target.types:
         print("simulation needs an endomorphic process", file=sys.stderr)
         return 1

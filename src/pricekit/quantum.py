@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import EPS_HERM, EPS_PSD, EPS_REL, EPS_ZERO
-from .entropy import CELL_FIELDS, CellArrays, EntropyProfile
+from .entropy import CELL_FIELDS, CellArrays, EntropyProfile, _ratio
 from .laws import (
     LawReport,
     acceleration_report,
@@ -48,27 +48,37 @@ def hermitize(a: np.ndarray, tol: float = EPS_HERM, what: str = "operator") -> n
     gap = float(np.abs(a - a.conj().T).max())
     if gap > tol * scale:
         raise ValueError(f"{what} is not Hermitian (residual {gap:.3e})")
-    return 0.5 * (a + a.conj().T)
+    return _herm_part(a)
+
+
+def _herm_part(a: np.ndarray) -> np.ndarray:
+    """(A + A-dagger) / 2 of a matrix or of each matrix in a stack."""
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
+
+
+def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re Tr(A B) of each pair in a stack, as an elementwise sum (no product)."""
+    return np.einsum("...ij,...ji->...", a, b).real
 
 
 def _support(vals: np.ndarray) -> np.ndarray:
-    """Eigenvalues above 1e-10 of the top eigenvalue."""
-    return vals > 1e-10 * max(float(np.abs(vals).max()), EPS_ZERO)
+    """Eigenvalues above 1e-10 of the top eigenvalue, per spectrum in a stack."""
+    return vals > 1e-10 * np.maximum(np.abs(vals).max(axis=-1, keepdims=True), EPS_ZERO)
 
 
 def _projector(vecs: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    return vecs[:, keep] @ vecs[:, keep].conj().T
+    return (vecs * keep[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def _spectral(vals: np.ndarray, vecs: np.ndarray, f, support_only: bool = False) -> np.ndarray:
-    """Apply a scalar function through a given eigendecomposition; with
-    ``support_only`` eigenvalues at or below 1e-12 of the top one map to 0."""
+    """Apply a scalar function through an eigendecomposition or a stack of them;
+    with ``support_only`` eigenvalues at or below 1e-12 of the top one map to 0."""
     if support_only:
-        cutoff = 1e-12 * max(float(np.abs(vals).max()), EPS_ZERO)
+        cutoff = 1e-12 * np.maximum(np.abs(vals).max(axis=-1, keepdims=True), EPS_ZERO)
         fv = np.where(vals > cutoff, f(np.maximum(vals, cutoff)), 0.0)
     else:
         fv = f(vals)
-    return (vecs * fv) @ vecs.conj().T
+    return (vecs * fv[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def matrix_function(h: np.ndarray, f, support_only: bool = False) -> np.ndarray:
@@ -343,6 +353,11 @@ class QFactorization:
     support: np.ndarray = field(repr=False)
 
 
+def _times_kron_eye(s: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """s @ kron(1, a), as the product of each of s's column blocks with a."""
+    return (s.reshape(s.shape[0], -1, a.shape[0]) @ a).reshape(s.shape)
+
+
 def q_factorize(w: QuantumProcess) -> QFactorization:
     """Split into left-multiplication by the fitness operator followed by a
     trace-preserving map on its support subspace; verified by composition."""
@@ -351,9 +366,8 @@ def q_factorize(w: QuantumProcess) -> QFactorization:
     w_op = fd.W.matrix
     proj = _projector(fd.eigvecs, fd.support)
     vals, vecs = fd.eigvals[fd.support] * fd.wbar, fd.eigvecs[:, fd.support]
-    eye = np.eye(d_in, dtype=complex)
-    sel = np.kron(eye, w_op)
-    env = w.superoperator @ np.kron(eye, (vecs / vals) @ vecs.conj().T)
+    sel = np.kron(np.eye(d_in, dtype=complex), w_op)
+    env = _times_kron_eye(w.superoperator, (vecs / vals) @ vecs.conj().T)
 
     # Verification error grows with the spread of the kept spectrum: an
     # eigenvalue just above the support cutoff is inverted with relative
@@ -361,8 +375,8 @@ def q_factorize(w: QuantumProcess) -> QFactorization:
     cond = float(vals.max() / vals.min()) if len(vals) else 1.0
     tol = max(1e-10, 1e-13 * cond)
 
-    composite = env @ sel
-    restricted = w.superoperator @ np.kron(eye, proj)
+    composite = _times_kron_eye(env, w_op)
+    restricted = _times_kron_eye(w.superoperator, proj)
     if float(np.abs(composite - restricted).max()) > tol * max(
         1.0, float(np.abs(w.superoperator).max())
     ):
@@ -397,15 +411,14 @@ def q_laws(w: QuantumProcess) -> dict[str, LawReport]:
 # Partition entropies
 
 
-def _check_resolution(projs, dim: int, label: str) -> list[np.ndarray]:
-    mats = [hermitize(np.array(p, dtype=complex), what=f"{label} projection")
-            for p in projs]
-    total = sum(mats)
-    if float(np.abs(total - np.eye(dim)).max()) > EPS_HERM * max(1.0, dim):
+def _check_resolution(projs, dim: int, label: str) -> np.ndarray:
+    """The projections, stacked, once checked Hermitian, idempotent and complete."""
+    mats = np.array([hermitize(np.array(p, dtype=complex), what=f"{label} projection")
+                     for p in projs])
+    if float(np.abs(mats.sum(axis=0) - np.eye(dim)).max()) > EPS_HERM * max(1.0, dim):
         raise ValueError(f"{label} projections do not resolve the identity")
-    for m in mats:
-        if float(np.abs(m @ m - m).max()) > 1e-8:
-            raise ValueError(f"{label} projection is not idempotent")
+    if float(np.abs(mats @ mats - mats).max()) > 1e-8:
+        raise ValueError(f"{label} projection is not idempotent")
     return mats
 
 
@@ -445,48 +458,42 @@ def q_partition_entropy(w: QuantumProcess, projs_a, projs_b) -> QPartitionResult
     u_inv_half = _spectral(fd.eigvals, fd.eigvecs, lambda v: 1.0 / np.sqrt(v),
                            support_only=True)
     inter = u_half @ rho @ u_half            # intermediate state, trace N
+    inter_scale = max(float(np.abs(inter).max()), EPS_ZERO)
+    centered_rho = (u_op - np.eye(d_in)) @ rho
+    centered_inter = u_half @ centered_rho @ u_half
+    # W-dagger of every target projection at once; row b is vec(projection b).
+    vec_b = projs_b.swapaxes(-1, -2).reshape(len(projs_b), -1)
+    pulled_b = (vec_b @ w.superoperator.conj()).reshape(-1, d_in, d_in).swapaxes(-1, -2)
 
+    # One source projection at a time, with its nB target cells stacked.
     stats = np.zeros((len(projs_a), len(projs_b), len(CELL_FIELDS)))
     comm_residual = 0.0
-    inter_scale = max(float(np.abs(inter).max()), EPS_ZERO)
-    centered = u_op - np.eye(d_in)
-    pulled_b = [apply_adjoint(w, pb) for pb in projs_b]
     for a, pa in enumerate(projs_a):
-        for b, pulled in enumerate(pulled_b):
-            u_cell = pa @ pulled @ pa / fd.wbar
-            u_cell = 0.5 * (u_cell + u_cell.conj().T)
-            u_bar = float(np.real(np.trace(u_cell @ rho))) / n
-            d_hat = u_inv_half @ u_cell @ u_inv_half
-            d_hat = 0.5 * (d_hat + d_hat.conj().T)
-            d_scale = max(float(np.abs(d_hat).max()), EPS_ZERO)
-            comm = d_hat @ inter - inter @ d_hat
-            comm_residual = max(
-                comm_residual, float(np.abs(comm).max()) / (d_scale * inter_scale)
-            )
+        u_cell = _herm_part(pa @ pulled_b @ pa / fd.wbar)
+        d_hat = _herm_part(u_inv_half @ u_cell @ u_inv_half)
+        d_inter = d_hat @ inter
+        d_scale = np.maximum(np.abs(d_hat).max(axis=(-2, -1)), EPS_ZERO)
+        comm = np.abs(d_inter - inter @ d_hat).max(axis=(-2, -1))
+        comm_residual = max(comm_residual, float((comm / (d_scale * inter_scale)).max()))
 
-            s_ec = float(-xlogx(max(u_bar, 0.0)))
-            d_vals, d_vecs = np.linalg.eigh(d_hat)
-            d_log_d = _spectral(d_vals, d_vecs, lambda v: v * np.log(v), support_only=True)
-            s_dis = -float(np.real(np.trace(d_log_d @ inter))) / n
-
-            p_cell = _projector(d_vecs, _support(d_vals))
-            p_tilde = float(np.real(np.trace(p_cell @ inter))) / n
-            if p_tilde > EPS_ZERO:
-                sigma = p_cell @ inter @ p_cell / (n * p_tilde)
-                phi = float(np.real(np.trace(u_op @ sigma)))
-                sym_ud = 0.5 * (u_op @ d_hat + d_hat @ u_op)
-                lam = float(np.real(np.trace(sym_ud @ sigma)))
-                gamma = float(np.real(np.trace(d_hat @ u_op @ d_hat @ sigma)))
-            else:
-                phi = lam = gamma = 0.0
-            mean_d2 = float(np.real(np.trace(d_hat @ d_hat @ inter))) / n
-
-            log_ubar = np.log(u_bar) if u_bar > EPS_ZERO else 0.0
-            cov_ec = float(np.real(np.trace((-u_cell * log_ubar) @ centered @ rho))) / n
-            x_dis = -u_half @ d_log_d @ u_half
-            cov_dis = float(np.real(np.trace(x_dis @ centered @ rho))) / n
-            stats[a, b] = (u_bar, s_ec, s_dis, s_ec - s_dis, p_tilde, phi, lam, gamma,
-                           mean_d2, cov_ec, cov_dis, cov_ec - cov_dis)
+        d_vals, d_vecs = np.linalg.eigh(d_hat)
+        d_log_d = _spectral(d_vals, d_vecs, lambda v: v * np.log(v), support_only=True)
+        p_cell = _projector(d_vecs, _support(d_vals))
+        u_bar = _pair(u_cell, rho) / n
+        p_tilde = _pair(p_cell, inter) / n
+        # n * p_tilde * sigma, sigma the intermediate state on the cell support
+        sigma_n = p_cell @ inter @ p_cell
+        norm = np.where(p_tilde > EPS_ZERO, n * p_tilde, 0.0)
+        ud = u_op @ d_hat
+        log_ubar = np.log(u_bar, out=np.zeros_like(u_bar), where=u_bar > EPS_ZERO)
+        s_ec = -xlogx(np.maximum(u_bar, 0.0))
+        s_dis = -_pair(d_log_d, inter) / n
+        cov_ec = -log_ubar * _pair(u_cell, centered_rho) / n
+        cov_dis = -_pair(d_log_d, centered_inter) / n
+        phi, lam, gamma = (_ratio(_pair(x, sigma_n), norm) for x in (u_op, ud, d_hat @ ud))
+        stats[a] = np.stack([u_bar, s_ec, s_dis, s_ec - s_dis, p_tilde, phi, lam, gamma,
+                             _pair(d_hat, d_inter) / n, cov_ec, cov_dis, cov_ec - cov_dis],
+                            axis=-1)
 
     cells = CellArrays(tuple(range(len(projs_a))), tuple(range(len(projs_b))),
                        *np.moveaxis(stats, -1, 0))
@@ -522,8 +529,7 @@ class OpenQuantumProcess:
         inv_half = matrix_function(
             self.full_target.matrix, lambda v: 1.0 / np.sqrt(v), support_only=True
         )
-        pi = inv_half @ self.closed.target.matrix @ inv_half
-        pi = 0.5 * (pi + pi.conj().T)
+        pi = _herm_part(inv_half @ self.closed.target.matrix @ inv_half)
         pi.setflags(write=False)
         return pi
 

@@ -271,3 +271,91 @@ def reversibility_kernels_by_loop(p) -> tuple[np.ndarray, np.ndarray]:
             j = children[0]
             section[j, local_i] = mid_weights[local_i] / p.target.weights[j]
     return retraction, section
+
+
+def q_cell_stats_by_loop(w, projs_a, projs_b):
+    """(stats, commutation_residual) of ``pricekit.q_partition_entropy``,
+    one (source, target) projection cell at a time.
+
+    ``stats`` is an (nA, nB, len(CELL_FIELDS)) array in CELL_FIELDS order.
+    Every trace is taken of a formed product and the p_tilde branch is taken
+    per cell.
+    """
+    from pricekit.config import EPS_ZERO
+    from pricekit.entropy import CELL_FIELDS
+    from pricekit.measure import xlogx
+    from pricekit.quantum import (
+        _check_resolution, _projector, _spectral, _support, apply_adjoint, q_fitness,
+    )
+
+    d_in, d_out = w.dims
+    projs_a = _check_resolution(projs_a, d_in, "source")
+    projs_b = _check_resolution(projs_b, d_out, "target")
+    fd = q_fitness(w)
+    rho = w.source.matrix
+    n = w.source.trace
+    u_op = fd.U.matrix
+    u_half = _spectral(fd.eigvals, fd.eigvecs, np.sqrt, support_only=True)
+    u_inv_half = _spectral(fd.eigvals, fd.eigvecs, lambda v: 1.0 / np.sqrt(v),
+                           support_only=True)
+    inter = u_half @ rho @ u_half            # intermediate state, trace N
+
+    stats = np.zeros((len(projs_a), len(projs_b), len(CELL_FIELDS)))
+    comm_residual = 0.0
+    inter_scale = max(float(np.abs(inter).max()), EPS_ZERO)
+    centered = u_op - np.eye(d_in)
+    pulled_b = [apply_adjoint(w, pb) for pb in projs_b]
+    for a, pa in enumerate(projs_a):
+        for b, pulled in enumerate(pulled_b):
+            u_cell = pa @ pulled @ pa / fd.wbar
+            u_cell = 0.5 * (u_cell + u_cell.conj().T)
+            u_bar = float(np.real(np.trace(u_cell @ rho))) / n
+            d_hat = u_inv_half @ u_cell @ u_inv_half
+            d_hat = 0.5 * (d_hat + d_hat.conj().T)
+            d_scale = max(float(np.abs(d_hat).max()), EPS_ZERO)
+            comm = d_hat @ inter - inter @ d_hat
+            comm_residual = max(
+                comm_residual, float(np.abs(comm).max()) / (d_scale * inter_scale)
+            )
+
+            s_ec = float(-xlogx(max(u_bar, 0.0)))
+            d_vals, d_vecs = np.linalg.eigh(d_hat)
+            d_log_d = _spectral(d_vals, d_vecs, lambda v: v * np.log(v), support_only=True)
+            s_dis = -float(np.real(np.trace(d_log_d @ inter))) / n
+
+            p_cell = _projector(d_vecs, _support(d_vals))
+            p_tilde = float(np.real(np.trace(p_cell @ inter))) / n
+            if p_tilde > EPS_ZERO:
+                sigma = p_cell @ inter @ p_cell / (n * p_tilde)
+                phi = float(np.real(np.trace(u_op @ sigma)))
+                sym_ud = 0.5 * (u_op @ d_hat + d_hat @ u_op)
+                lam = float(np.real(np.trace(sym_ud @ sigma)))
+                gamma = float(np.real(np.trace(d_hat @ u_op @ d_hat @ sigma)))
+            else:
+                phi = lam = gamma = 0.0
+            mean_d2 = float(np.real(np.trace(d_hat @ d_hat @ inter))) / n
+
+            log_ubar = np.log(u_bar) if u_bar > EPS_ZERO else 0.0
+            cov_ec = float(np.real(np.trace((-u_cell * log_ubar) @ centered @ rho))) / n
+            x_dis = -u_half @ d_log_d @ u_half
+            cov_dis = float(np.real(np.trace(x_dis @ centered @ rho))) / n
+            stats[a, b] = (u_bar, s_ec, s_dis, s_ec - s_dis, p_tilde, phi, lam, gamma,
+                           mean_d2, cov_ec, cov_dis, cov_ec - cov_dis)
+    return stats, comm_residual
+
+
+def q_factorize_by_kron(w):
+    """(selective, environmental, fitness_operator, support) of
+    ``pricekit.q_factorize``, with every product against kron(1, A) formed
+    from the Kronecker product itself."""
+    from pricekit.quantum import _projector, q_fitness
+
+    d_in, _ = w.dims
+    fd = q_fitness(w)
+    w_op = fd.W.matrix
+    proj = _projector(fd.eigvecs, fd.support)
+    vals, vecs = fd.eigvals[fd.support] * fd.wbar, fd.eigvecs[:, fd.support]
+    eye = np.eye(d_in, dtype=complex)
+    sel = np.kron(eye, w_op)
+    env = w.superoperator @ np.kron(eye, (vecs / vals) @ vecs.conj().T)
+    return sel, env, w_op, proj

@@ -63,6 +63,39 @@ class TestValidate:
         assert main(["validate", str(path)]) == 0
 
 
+class TestValidationGate:
+    """report, report --next and simulate analyze only documents that pass
+    validation at the tolerance in force."""
+
+    def _write(self, tmp_path, name, **fields):
+        path = tmp_path / name
+        path.write_text(json.dumps(dict(F5_DOC, **fields)))
+        return str(path)
+
+    def test_report_rejects_invalid_document(self, tmp_path, capsys):
+        bad = self._write(tmp_path, "bad.json", target_weights=[2, 5])
+        assert main(["report", bad]) == 1
+        err = capsys.readouterr().err
+        assert bad in err and "residual" in err
+
+    def test_report_rejects_invalid_follow_up(self, f5_file, tmp_path, capsys):
+        bad = self._write(tmp_path, "bad.json", target_weights=[2, 5])
+        assert main(["report", f5_file, "--next", bad]) == 1
+        assert bad in capsys.readouterr().err
+
+    def test_simulate_rejects_invalid_document(self, tmp_path, capsys):
+        bad = self._write(tmp_path, "bad.json", target_types=["a", "b"], target_weights=[2, 5])
+        assert main(["simulate", bad]) == 1
+        assert bad in capsys.readouterr().err
+
+    def test_report_reads_tolerance_env(self, tmp_path, monkeypatch):
+        loose = self._write(tmp_path, "loose.json", target_weights=[2.0, 1.0 + 5e-7])
+        out = str(tmp_path / "out.json")
+        assert main(["report", loose, "--json", out]) == 1
+        monkeypatch.setenv("PRICEKIT_TOLERANCE", "1e-3")
+        assert main(["report", loose, "--json", out]) == 0
+
+
 class TestReport:
     def test_values_match_library(self, f5_file, tmp_path, capsys):
         out_path = tmp_path / "report.json"

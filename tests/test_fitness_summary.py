@@ -142,6 +142,18 @@ def test_quantum_functions_share_one_decomposition(monkeypatch):
     assert fitness_decompositions(w, seen) == 1
 
 
+def test_projection_cells_take_one_eigh_per_source_projection(monkeypatch):
+    """The target cells of a source projection are diagonalized as one stack."""
+    rng = np.random.default_rng(403)
+    p = random_process(rng, kmax=5, kmin=3)
+    k, k2 = p.kernel.shape
+    w = embed_process(p)
+    q_fitness(w)
+    seen = record_eigendecompositions(monkeypatch)
+    q_partition_entropy(w, [np.diag(r) for r in np.eye(k)], [np.diag(r) for r in np.eye(k2)])
+    assert [m.shape for m in seen] == [(k2, k, k)] * k
+
+
 def test_fitness_is_cached():
     rng = np.random.default_rng(402)
     p = random_process(rng)
