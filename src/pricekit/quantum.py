@@ -146,6 +146,28 @@ def kraus_to_super(kraus) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuantumProcess:
+    """A positive map (column-major superoperator) with its source state and
+    the target state it maps the source to.
+
+    Positivity is decided in two steps.  First Choi's test: the Choi matrix
+    J = sum_ij E_ij (x) Phi(E_ij), realigned from the superoperator, must be
+    Hermitian to within 1e-8 * scale and Cholesky-factorizable after a shift
+    by 1e-8 * scale (scale = max(|J|_max, 1)), i.e. lambda_min(J) >
+    -1e-8 * scale; a positive semidefinite J proves complete positivity and
+    so positivity.  Only when that fails do the 64 seeded probes run
+    (``_sample_check_positive``), which accept maps that are positive but not
+    completely positive, such as the transpose.  Both run before the source's
+    image is formed, so a non-positive map fails as one.
+
+    A map is rejected only by the probes.  For a unit-trace state rho,
+    lambda_min(Phi(rho)) >= lambda_min(J), so the two rules differ only in
+    their scales: each probe measures -1e-8 against max(|Phi(rho)|_max, 1),
+    the certificate against max(|J|_max, 1).  Where |J|_max > 1 the
+    certificate accepts maps within 1e-8 * scale of the completely positive
+    cone that a probe with a smaller output would reject, looser by up to
+    the ratio of the two scales.
+    """
+
     superoperator: np.ndarray = field(repr=False)
     source: DensityOperator
     target: DensityOperator
@@ -159,6 +181,8 @@ class QuantumProcess:
         d_out = int(round(np.sqrt(s.shape[0])))
         if d_out * d_out != s.shape[0]:
             raise ValueError("superoperator output dimension is not a square")
+        if not _cp_certified(s, d_in, d_out):
+            _sample_check_positive(s, d_in, d_out)
         image = apply_super(s, source.matrix)
         if target is None:
             target = DensityOperator(image)
@@ -166,7 +190,6 @@ class QuantumProcess:
             gap = float(np.abs(image - target.matrix).max())
             if gap > EPS_REL * max(target.trace, 1.0):
                 raise ValueError(f"target is not the image of the source ({gap:.3e})")
-        _sample_check_positive(s, d_in, d_out)
         s.setflags(write=False)
         object.__setattr__(self, "superoperator", s)
         object.__setattr__(self, "source", source)
@@ -203,6 +226,33 @@ class QuantumProcess:
             support=support,
             summary=summary,
         )
+
+
+def _choi(s: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
+    """The Choi matrix sum_ij E_ij (x) Phi(E_ij), realigned from the superoperator
+    into a new array."""
+    n = d_in * d_out
+    return np.array(s.reshape(d_out, d_out, d_in, d_in, order="F").transpose(2, 0, 3, 1)
+                    ).reshape(n, n)
+
+
+def _cp_certified(s: np.ndarray, d_in: int, d_out: int) -> bool:
+    """Choi's test: J Hermitian and J + 1e-8 * scale * 1 Cholesky-factorizable."""
+    j = _choi(s, d_in, d_out)
+    tol = 1e-8 * max(float(np.abs(j).max()), 1.0)
+    h = j.conj().T
+    h += j
+    h *= 0.5                                  # Hermitian part, built in place
+    j -= h                                    # j is now the anti-Hermitian part
+    if 2.0 * float(np.abs(j).max()) > tol:
+        return False
+    diag = np.arange(len(h))
+    h[diag, diag] += tol
+    try:
+        np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _sample_check_positive(s: np.ndarray, d_in: int, d_out: int) -> None:
@@ -458,7 +508,7 @@ def q_partition_entropy(w: QuantumProcess, projs_a, projs_b) -> QPartitionResult
     u_inv_half = _spectral(fd.eigvals, fd.eigvecs, lambda v: 1.0 / np.sqrt(v),
                            support_only=True)
     inter = u_half @ rho @ u_half            # intermediate state, trace N
-    inter_scale = max(float(np.abs(inter).max()), EPS_ZERO)
+    inter_scale = float(np.abs(inter).max())  # > 0: the trace is N > 0
     centered_rho = (u_op - np.eye(d_in)) @ rho
     centered_inter = u_half @ centered_rho @ u_half
     # W-dagger of every target projection at once; row b is vec(projection b).

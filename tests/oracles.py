@@ -302,7 +302,7 @@ def q_cell_stats_by_loop(w, projs_a, projs_b):
 
     stats = np.zeros((len(projs_a), len(projs_b), len(CELL_FIELDS)))
     comm_residual = 0.0
-    inter_scale = max(float(np.abs(inter).max()), EPS_ZERO)
+    inter_scale = float(np.abs(inter).max())
     centered = u_op - np.eye(d_in)
     pulled_b = [apply_adjoint(w, pb) for pb in projs_b]
     for a, pa in enumerate(projs_a):

@@ -230,9 +230,9 @@ def random_kraus_process(rng, d_in: int, d_out: int, n_kraus: int, rank: int | N
     return QuantumProcess(kraus_to_super(kraus), DensityOperator(g @ g.conj().T))
 
 
-def hadamard_dephasing():
+def hadamard_dephasing(scale: float = 1.0):
     kraus = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
-    rho = DensityOperator(np.array([[0.6, 0.2], [0.2, 0.4]], dtype=complex))
+    rho = DensityOperator(scale * np.array([[0.6, 0.2], [0.2, 0.4]], dtype=complex))
     h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
     projs = [np.outer(h[:, i], h[:, i].conj()).astype(complex) for i in range(2)]
     return QuantumProcess(kraus_to_super(kraus), rho), projs, projs
@@ -290,6 +290,19 @@ def test_projection_cells_of_kraus_maps_match_loop():
         w = random_kraus_process(rng, d_in, d_out, int(rng.integers(1, 4)), rank)
         assert_q_matches_loop(w, random_resolution(rng, d_in), random_resolution(rng, d_out))
     assert_q_matches_loop(*hadamard_dephasing())
+
+
+def test_commutation_residual_does_not_shrink_with_the_weights():
+    """The Hadamard cells of the dephasing channel do not commute with the
+    intermediate state at any weight scale, down to states of trace 1e-150."""
+    base = q_partition_entropy(*hadamard_dephasing())
+    assert not base.chains_apply
+    for scale in (1e-13, 1e-150):
+        res = q_partition_entropy(*hadamard_dephasing(scale))
+        assert abs(res.commutation_residual - base.commutation_residual) \
+            <= CELL_TOL * base.commutation_residual
+        assert not res.chains_apply
+        assert_q_matches_loop(*hadamard_dephasing(scale))
 
 
 def test_factorization_matches_kron_products():

@@ -166,6 +166,26 @@ class TestReport:
         assert report["quantum"]["left_residual"] < 1e-9
         assert report["quantum"]["laws"]["second"]["lhs"] == pytest.approx(-np.log(2))
 
+    def _quantum_report(self, tmp_path, superoperator):
+        doc = dict(F5_DOC)
+        doc["quantum"] = {"rho": [[0.7, 0.1], [0.1, 0.3]], "superoperator": superoperator}
+        path = tmp_path / "quantum.json"
+        path.write_text(json.dumps(doc))
+        return main(["report", str(path), "--quantum"])
+
+    def test_non_positive_superoperator_exits_one(self, tmp_path, capsys):
+        minus_identity = (-np.eye(4)).tolist()
+        assert self._quantum_report(tmp_path, minus_identity) == 1
+        assert "positive cone" in capsys.readouterr().err
+
+    def test_transpose_superoperator_keeps_the_quantum_keys(self, tmp_path, capsys):
+        transpose = [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
+        assert self._quantum_report(tmp_path, transpose) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert set(report["quantum"]) == {
+            "wbar", "p_star", "left_residual", "right_residual", "commutator_gap_imag", "laws",
+        }
+
     def test_bernoulli_entropy_values_in_report(self, tmp_path, capsys):
         doc = {"types": ["o"], "weights": [1.0], "kernel": [[0.3, 0.7]]}
         path = tmp_path / "bern.json"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import pricekit.quantum
 from pricekit import (
     DensityOperator,
     OpenQuantumProcess,
@@ -416,11 +417,16 @@ class TestValidation:
     def test_non_positive_map_rejected(self):
         # a map that flips the sign of the state is not positive
         sup = -kraus_to_super([np.eye(2)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="positive cone"):
             QuantumProcess(sup, DensityOperator(np.eye(2)))
 
-    def test_transpose_map_is_accepted(self):
-        # positive but not completely positive: still a valid process
+    def test_transpose_map_is_accepted(self, monkeypatch):
+        # positive but not completely positive: still a valid process, which
+        # fails the Choi certificate and passes the sampled probes
+        probed = []
+        sampler = pricekit.quantum._sample_check_positive
+        monkeypatch.setattr(pricekit.quantum, "_sample_check_positive",
+                            lambda *args: probed.append(sampler(*args)))
         d = 2
         sup = np.zeros((4, 4), dtype=complex)
         for i in range(d):
@@ -430,6 +436,7 @@ class TestValidation:
                 sup[:, j * d + i] = vec(e_ij.T)
         rho = DensityOperator(np.array([[0.7, 0.1], [0.1, 0.3]], dtype=complex))
         w = QuantumProcess(sup, rho)
+        assert probed == [None]
         fd = q_fitness(w)
         np.testing.assert_allclose(fd.W.matrix, np.eye(2), atol=1e-10)
 
