@@ -30,7 +30,6 @@ from .price import (
     PriceDecomposition,
     aggregate_price,
     fisher,
-    functional_price,
     multilevel_price,
     multilevel_variance,
     price,

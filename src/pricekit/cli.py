@@ -2,8 +2,8 @@
 
 Input files are JSON documents describing a process (types, weights,
 kernel, optional target weights and observables, optional partition /
-quantum / open blocks).  Exit codes: 0 success, 1 semantic failure,
-2 parse or I/O failure.
+quantum / open blocks).  Exit codes: 0 success, 1 semantic failure (any
+ValueError, IdentityViolation included), 2 parse or I/O failure.
 """
 
 from __future__ import annotations
@@ -384,7 +384,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, AssertionError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -21,3 +21,17 @@ EPS_HERM = 1e-10
 # Most-negative eigenvalue allowed on a density operator before rejection;
 # anything within this band is clipped to zero.
 EPS_PSD = 1e-10
+
+
+class IdentityViolation(ValueError):
+    """A cross-checked identity whose residual exceeded its tolerance."""
+
+    def __init__(self, name: str, residual: float, tolerance: float):
+        super().__init__(f"{name}: residual {residual:.3e} exceeds tolerance {tolerance:.3e}")
+        self.name, self.residual, self.tolerance = name, residual, tolerance
+
+    @classmethod
+    def check(cls, name: str, residual: float, tolerance: float) -> None:
+        """Raise one unless residual <= tolerance (a NaN residual passes)."""
+        if residual > tolerance:
+            raise cls(name, float(residual), float(tolerance))

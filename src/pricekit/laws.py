@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import EPS_REL, EPS_SAT, EPS_ZERO
+from .config import EPS_REL, EPS_SAT, EPS_ZERO, IdentityViolation
 from .measure import Observable, xlogx
 from .process import FitnessSummary, Process, check_composable, fitness, local_average
 
@@ -236,20 +236,17 @@ def _speed_stationarity_gap(ins: FitnessSummary, c: float) -> float:
     )
 
 
-def speed_limits(p: Process, c_grid=None) -> LawReport:
+def speed_limits(p: Process) -> LawReport:
     """Lower bounds on the selective change of selective entropy.
 
-    The basic bound optimizes a moment-ratio exponent over the grid; the
-    infinitary bound is its c -> 0 limit.  A stationary point of the
-    exponent is solved by bisection only when the grid brackets a sign
-    change of the stationarity gap; otherwise none is reported.
+    The basic bound optimizes a moment-ratio exponent over the grid
+    DEFAULT_SPEED_GRID plus E[U^2] (>= 1, as E[U] = 1); the infinitary bound
+    is its c -> 0 limit.  A stationary point of the exponent is solved by
+    bisection only when the grid brackets a sign change of the stationarity
+    gap; otherwise none is reported.
     """
     ins = fitness(p).summary
-    if c_grid is None:
-        c_grid = sorted(set(DEFAULT_SPEED_GRID) | {round(ins.moment(2.0), 12)})
-    c_grid = [float(c) for c in c_grid if c > 0]
-    if not c_grid:
-        raise ValueError("speed-limit grid must contain positive exponents")
+    c_grid = sorted(set(DEFAULT_SPEED_GRID) | {round(ins.moment(2.0), 12)})
 
     lhs = ins.mean(-xlogx(ins.u) * (ins.u - 1.0))
     log_inv_pstar = np.log(1.0 / ins.p_star)
@@ -369,8 +366,6 @@ def ec_variance_bound(p: Process, q: Process) -> LawReport:
     ins = fitness(p).summary
     u_next = fitness(q).U
     m3 = ins.moment(3.0)
-    if m3 <= EPS_ZERO:
-        raise ValueError("third moment of U vanishes: all mass is childless")
     avg_sq = local_average(p, Observable(q.source.types, u_next.values**2)).values
     lhs = ins.mean((avg_sq - ins.u**2) * ins.u)
     # E[U^3 Rbar] written as E[U^2 <U'>] so childless rows contribute zero.
@@ -399,8 +394,6 @@ def ec_selective_entropy_bound(p: Process, q: Process) -> LawReport:
     check_composable(p, q)
     ins = fitness(p).summary
     m2, m3 = ins.moment(2.0), ins.moment(3.0)
-    if m2 <= EPS_ZERO or m3 <= EPS_ZERO:
-        raise ValueError("degenerate fitness moments")
     u_next = fitness(q).U
     ent_next = Observable(q.source.types, -xlogx(u_next.values))
     carried = local_average(p, ent_next).values
@@ -432,8 +425,8 @@ def multilevel_second_law(p: Process, q: Process) -> LawReport:
     var_u2, mean_cond = multilevel_variance(p, q)
     split = var_u2 + mean_cond
     via_split = -split * np.log1p(split)
-    if abs(direct - via_split) > EPS_REL * max(1.0, abs(direct)):
-        raise AssertionError("two-level variance routes disagree")
+    IdentityViolation.check("multilevel_variance_routes", abs(direct - via_split),
+                            EPS_REL * max(1.0, abs(direct)))
     return LawReport(
         name="multilevel_second_law",
         lhs=lhs,

@@ -13,7 +13,7 @@ import numpy as np
 
 from .config import EPS_REL, EPS_ZERO
 from .measure import Observable, Population, covariance, expectation
-from .price import PriceDecomposition, price
+from .price import price
 from .process import Process
 
 
@@ -107,11 +107,6 @@ def kgs(p: OpenProcess, x: Observable, y: Observable) -> KgsComponents:
         delta=delta,
         parented_share=share,
     )
-
-
-def closed_reduction(p: OpenProcess, x: Observable, y: Observable) -> PriceDecomposition:
-    """With no orphans the identity is exactly the two-term decomposition."""
-    return price(p.closed, x, y)
 
 
 @dataclass(frozen=True)

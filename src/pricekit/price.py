@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import EPS_REL
+from .config import EPS_REL, IdentityViolation
 from .measure import Observable, covariance, expectation, variance
 from .process import (
     Process,
@@ -64,15 +64,6 @@ def price(p: Process, x: Observable, y: Observable) -> PriceDecomposition:
     )
 
 
-def functional_price(p: Process, f_of_x: Observable, g_of_y: Observable) -> PriceDecomposition:
-    """Price identity applied to pre-evaluated functional observables.
-
-    The caller evaluates f and g pointwise; variance and entropy change
-    identities are all obtained this way.
-    """
-    return price(p, f_of_x, g_of_y)
-
-
 @dataclass(frozen=True)
 class AggregatePrice:
     """Unnormalized three-term split of the aggregate change mu'[y] - mu[x]."""
@@ -116,8 +107,7 @@ def fisher(p: Process, q: Process) -> tuple[float, float]:
     u_next = fitness(q).U
     ns = variance(p.source, u)
     ec = environmental_change(p, u, u_next)
-    if abs(ns + ec) > EPS_REL * max(ns, 1.0):
-        raise AssertionError(f"fitness-change identity violated: {ns} + {ec} != 0")
+    IdentityViolation.check("fisher", abs(ns + ec), EPS_REL * max(ns, 1.0))
     return ns, ec
 
 

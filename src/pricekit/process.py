@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import EPS_REL, EPS_SAT, EPS_ZERO
-from .measure import Observable, Population, TypeSet, expectation, xlogx
+from .measure import Observable, Population, TypeSet, xlogx
 
 
 @dataclass(frozen=True)
@@ -84,8 +84,9 @@ def summarize_fitness(u_values: np.ndarray, prob: np.ndarray) -> FitnessSummary:
 
 @dataclass(frozen=True)
 class FitnessData:
-    """Row sums W, wbar = N'/N and U = W/wbar; ``support`` marks the
-    childbearing rows, decided on the scale-free U > EPS_ZERO."""
+    """Row sums W, their source-weighted mean wbar = mu.W / N and U = W/wbar,
+    which has unit mean by construction; ``support`` marks the childbearing
+    rows, decided on the scale-free U > EPS_ZERO."""
 
     W: Observable
     wbar: float
@@ -131,14 +132,13 @@ class Process:
     def fitness_data(self) -> FitnessData:
         # Built on first use and kept: kernel and weights are read-only.
         w_values = self.fitness_values
-        wbar = self.target.size / self.source.size
+        wbar = float(self.source.weights @ w_values) / self.source.size
+        if wbar <= 0:
+            raise ValueError("kernel carries no child mass")
         u_values = w_values / wbar
         U = Observable(self.source.types, u_values)
         support = U.values > EPS_ZERO
         support.setflags(write=False)
-        mean_u = expectation(self.source, U)
-        if abs(mean_u - 1.0) > 1e-6:
-            raise AssertionError(f"relative fitness has mean {mean_u}, expected 1")
         return FitnessData(
             W=Observable(self.source.types, w_values),
             wbar=wbar,

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import EPS_HERM, EPS_PSD, EPS_REL, EPS_ZERO
+from .config import EPS_HERM, EPS_PSD, EPS_REL, EPS_ZERO, IdentityViolation
 from .entropy import CELL_FIELDS, CellArrays, EntropyProfile, _ratio
 from .laws import (
     LawReport,
@@ -204,16 +204,16 @@ class QuantumProcess:
         # Built on first use and kept: the superoperator and states are read-only.
         w_op = apply_adjoint(self, np.eye(self.target.dim, dtype=complex))
         w_op = hermitize(w_op, tol=1e-8, what="fitness operator")
-        wbar = self.target.trace / self.source.trace
+        rho = self.source.matrix
+        wbar = float(_pair(w_op, rho)) / self.source.trace
+        if wbar <= 0:
+            raise ValueError("map carries no child mass")
         u_op = w_op / wbar
         vals, vecs = np.linalg.eigh(u_op)
         if vals.min() * wbar < -1e-8 * max(float(vals.max()) * wbar, 1.0):
             raise ValueError("fitness operator is not positive: non-positive map")
-        rho = self.source.matrix
         weights = np.clip(np.real(np.einsum("ij,jk,ki->i", vecs.conj().T, rho, vecs)), 0.0, None)
         summary = summarize_fitness(vals, weights / weights.sum())
-        if abs(summary.mean(summary.u) - 1.0) > 1e-8:
-            raise AssertionError("relative-fitness operator does not have unit mean")
         support = _support(vals)
         for a in (vals, vecs, support):
             a.setflags(write=False)
@@ -278,8 +278,8 @@ def q_expectation(rho: DensityOperator, x: QuantumObservable) -> float:
     if rho.dim != x.dim:
         raise ValueError("dimension mismatch")
     val = complex(np.trace(x.matrix @ rho.matrix)) / rho.trace
-    if abs(val.imag) > 1e-8 * max(abs(val.real), 1.0):
-        raise AssertionError(f"expectation has imaginary residual {val.imag:.3e}")
+    IdentityViolation.check("q_expectation_imaginary_part", abs(val.imag),
+                            1e-8 * max(abs(val.real), 1.0))
     return float(val.real)
 
 
@@ -298,9 +298,10 @@ def apply_adjoint(w: QuantumProcess, y: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QFitness:
-    """W = W-dagger(1), wbar = N'/N and U = W/wbar, with the one eigh of U
-    that every spectral functional reads: ``summary`` holds its eigenvalues
-    weighted by the state, ``support`` those above 1e-10 of the top one."""
+    """W = W-dagger(1), wbar = Re Tr(W rho) / Tr rho and U = W/wbar, which has
+    unit mean by construction, with the one eigh of U that every spectral
+    functional reads: ``summary`` holds its eigenvalues weighted by the
+    state, ``support`` those above 1e-10 of the top one."""
 
     W: QuantumObservable
     wbar: float
@@ -427,14 +428,12 @@ def q_factorize(w: QuantumProcess) -> QFactorization:
 
     composite = _times_kron_eye(env, w_op)
     restricted = _times_kron_eye(w.superoperator, proj)
-    if float(np.abs(composite - restricted).max()) > tol * max(
-        1.0, float(np.abs(w.superoperator).max())
-    ):
-        raise AssertionError("factor composition fails on the support subspace")
+    IdentityViolation.check("q_factorize_composition", float(np.abs(composite - restricted).max()),
+                            tol * max(1.0, float(np.abs(w.superoperator).max())))
     # Trace preservation of the environmental factor on the support subspace.
     env_fitness = unvec(env.conj().T @ vec(np.eye(d_out, dtype=complex)), d_in)
-    if float(np.abs(env_fitness - proj).max()) > tol:
-        raise AssertionError("environmental factor is not trace-preserving")
+    IdentityViolation.check("q_factorize_trace_preservation",
+                            float(np.abs(env_fitness - proj).max()), tol)
     return QFactorization(
         selective=sel, environmental=env, fitness_operator=w_op, support=proj
     )

@@ -1,20 +1,28 @@
+import ast
 import csv
+import importlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pricekit
 from pricekit import (
     Observable,
     Population,
     TypeSet,
     generating_profile,
+    multilevel_second_law,
     price,
     process,
     second_law,
     selective_entropy,
 )
 from pricekit.cli import main
+from pricekit.config import IdentityViolation
+
+PRICE_MODULE = importlib.import_module("pricekit.price")  # pricekit.price is the function
 
 F5_DOC = {
     "types": ["a", "b"],
@@ -94,6 +102,48 @@ class TestValidationGate:
         assert main(["report", loose, "--json", out]) == 1
         monkeypatch.setenv("PRICEKIT_TOLERANCE", "1e-3")
         assert main(["report", loose, "--json", out]) == 0
+        # Stated child mass 1e-4 off the kernel image: report analyzes what
+        # validate accepts, since U has unit mean whatever N' is stated.
+        looser = self._write(tmp_path, "looser.json", target_weights=[2.0002, 1.0])
+        assert main(["validate", looser]) == 0
+        assert main(["report", looser, "--json", out]) == 0
+
+    def test_kernel_without_child_mass_exits_one(self, tmp_path, monkeypatch, capsys):
+        empty = self._write(tmp_path, "empty.json", kernel=[[0, 0], [0, 0]],
+                            target_weights=[2, 1])
+        monkeypatch.setenv("PRICEKIT_TOLERANCE", "10")
+        assert main(["validate", empty]) == 0
+        assert main(["report", empty]) == 1
+        assert "no child mass" in capsys.readouterr().err
+
+
+class TestErrorMapping:
+    def test_source_has_no_asserts(self):
+        """Failures are typed: no assert statement or AssertionError in src."""
+        for path in sorted(Path(pricekit.__file__).parent.glob("*.py")):
+            text = path.read_text()
+            assert "AssertionError" not in text, path.name
+            assert not any(isinstance(n, ast.Assert) for n in ast.walk(ast.parse(text))), path.name
+
+    def test_identity_violation_exits_one_with_its_residual(self, f5_file, tmp_path,
+                                                            monkeypatch, capsys):
+        # A two-level variance split off by 1e-3 breaks multilevel_second_law's
+        # check that both variance routes give the same bound.
+        follow = tmp_path / "follow.json"
+        follow.write_text(json.dumps(
+            {"types": ["c0", "c1"], "weights": [2, 1], "kernel": [[0.5, 1.5], [1.0, 0.0]]}))
+        true_split = PRICE_MODULE.multilevel_variance
+        monkeypatch.setattr(PRICE_MODULE, "multilevel_variance",
+                            lambda p, q: np.add(true_split(p, q), (1e-3, 0.0)))
+        p = process(Population(TypeSet(["a", "b"]), [1, 2]), [[1, 1], [0.5, 0]])
+        with pytest.raises(IdentityViolation) as info:
+            multilevel_second_law(p, process(p.target, [[0.5, 1.5], [1.0, 0.0]]))
+        exc = info.value
+        assert exc.name == "multilevel_variance_routes" and exc.residual > exc.tolerance
+        assert main(["report", f5_file, "--laws", "--next", str(follow)]) == 1
+        err = capsys.readouterr().err
+        for part in (exc.name, f"{exc.residual:.3e}", f"{exc.tolerance:.3e}"):
+            assert part in err
 
 
 class TestReport:

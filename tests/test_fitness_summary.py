@@ -8,6 +8,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pricekit import (
     Population,
@@ -179,6 +181,36 @@ def test_selective_entropy_is_the_summary_value(scale):
     assert selective_entropy(p) == s_ns
     assert generating_profile(p).s_ns == s_ns
     assert zeroth_law(p).extras["s_ns"] == s_ns
+
+
+def _summary_fields(p: Process) -> dict:
+    ins = fitness(p).summary
+    return {"u": ins.u, "prob": ins.prob, "p_star": ins.p_star, "var_u": ins.var_u,
+            "s_ns": ins.s_ns}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.floats(0.01, 10), min_size=1, max_size=6),
+    st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 10)), min_size=36, max_size=36),
+    st.integers(1, 6),
+)
+def test_summary_is_invariant_under_weight_scaling(weights, entries, k2):
+    """U = W/wbar with wbar the source-weighted mean of W: scaling the parent
+    weights changes no summary value, and E[U] = 1 at every scale.  Kernel
+    entries are 0 or at least 1e-3, away from the EPS_ZERO support cut."""
+    k = len(weights)
+    kernel = np.reshape(entries[: k * k2], (k, k2))
+    assume(kernel.sum(axis=1) @ weights > 0)
+    base = process(Population(TypeSet.range(k), weights), kernel)
+    expected = _summary_fields(base)
+    for s in (-150, -60, 60, 150):
+        p = process(Population(TypeSet.range(k), np.multiply(weights, 10.0**s)), kernel)
+        for name, value in _summary_fields(p).items():
+            np.testing.assert_allclose(value, expected[name], rtol=1e-12, atol=1e-15,
+                                       err_msg=f"{name} at weights x 1e{s}")
+        assert fitness(p).summary.prob @ fitness(p).summary.u == pytest.approx(1.0, abs=1e-14)
+        assert fitness(p).summary.equilibrium_class == fitness(base).summary.equilibrium_class
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ from pricekit import (
     kgs,
     local_average,
     open_process,
+    price,
 )
-from pricekit.openproc import OpenProcess, closed_reduction
+from pricekit.openproc import OpenProcess
 
 from conftest import random_observable, random_process
 
@@ -55,7 +56,7 @@ class TestKgs:
             x = random_observable(rng, p.source.types)
             y = random_observable(rng, p.target.types)
             comp = kgs(op, x, y)
-            d = closed_reduction(op, x, y)
+            d = price(op.closed, x, y)
             assert comp.orphan_nu == pytest.approx(0.0, abs=1e-12)
             assert comp.selective == pytest.approx(d.ns, rel=1e-12, abs=1e-12)
             assert comp.environmental == pytest.approx(d.ec, rel=1e-12, abs=1e-12)

@@ -10,7 +10,6 @@ from pricekit import (
     expectation,
     fisher,
     fitness,
-    functional_price,
     multilevel_price,
     multilevel_variance,
     price,
@@ -134,7 +133,7 @@ class TestFunctionalPrice:
         u = fitness(f5).U
         ident = Process(f5.target, f5.target, np.eye(2))
         u_next = fitness(ident).U
-        d = functional_price(
+        d = price(
             f5,
             Observable(f5.source.types, u.values**2),
             Observable(f5.target.types, u_next.values**2),
@@ -146,7 +145,7 @@ class TestFunctionalPrice:
     def test_constant_functional(self, f5):
         one_s = Observable.constant(f5.source.types, 1.0)
         one_t = Observable.constant(f5.target.types, 1.0)
-        d = functional_price(f5, one_s, one_t)
+        d = price(f5, one_s, one_t)
         assert (abs(d.delta), abs(d.ns), abs(d.ec)) == (0.0, 0.0, 0.0)
 
     def test_entropy_functional_matches_second_law(self):
@@ -156,7 +155,7 @@ class TestFunctionalPrice:
             p, q = random_composable_pair(rng)
             f_x = Observable(p.source.types, -xlogx(fitness(p).U.values))
             g_y = Observable(q.source.types, -xlogx(fitness(q).U.values))
-            d = functional_price(p, f_x, g_y)
+            d = price(p, f_x, g_y)
             rep = second_law(p)
             assert d.ns == pytest.approx(rep.lhs, rel=1e-12, abs=1e-12)
 

@@ -107,6 +107,23 @@ class TestFitness:
         assert fd.wbar == pytest.approx(1.0)
         assert fd.p_star == pytest.approx(0.5)
 
+    def test_wbar_is_the_state_weighted_mean_of_w(self):
+        # The stated target's entries sit 9e-10 above the image's, inside the
+        # constructor's EPS_REL * max(Tr, 1); wbar is Tr(W rho) / Tr rho, not
+        # the ratio of the stated traces, so U keeps unit mean.
+        w = QuantumProcess(kraus_to_super([np.eye(2)]), DensityOperator(5e-4 * np.eye(2)),
+                           DensityOperator((5e-4 + 9e-10) * np.eye(2)))
+        fd = q_fitness(w)
+        assert fd.wbar == pytest.approx(1.0, abs=1e-15)
+        assert fd.summary.mean(fd.summary.u) == pytest.approx(1.0, abs=1e-15)
+
+    def test_map_without_child_mass_rejected(self):
+        # The stated target passes the constructor's absolute 1e-9 gap.
+        w = QuantumProcess(np.zeros((4, 4)), DensityOperator(1e-10 * np.eye(2)),
+                           DensityOperator(1e-10 * np.eye(2)))
+        with pytest.raises(ValueError, match="no child mass"):
+            q_fitness(w)
+
     def test_trace_preserving_map_unit_fitness(self):
         rng = np.random.default_rng(81)
         # random unitary conjugation is trace preserving
