@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import EPS_SAT, EPS_ZERO
+from .config import EPS_INVERSE, EPS_SAT, EPS_ZERO
 from .laws import LawReport, gibbs_report_from_summary
 from .measure import Population, TypeSet, xlogx
 from .process import FitnessSummary, Process, check_composable, fitness, price_factorize
@@ -439,11 +439,10 @@ def intergenerational_ec_change(p: Process, q: Process) -> IntergenerationalChan
     # sum over cells ij and next cells c of -alpha_ij u'_c log(u'_c / u_ij),
     # alpha_ij = U_i u_ij / E[U^2], factors into
     # (sum alpha)(sum -u' log u') + (sum u')(sum alpha log u).
-    u_bar = prof.cells.u_bar
-    live = u_bar > EPS_ZERO
+    u_bar, live = prof.cells.u_bar, prof.cells.support
     log_ubar = np.log(u_bar, out=np.zeros_like(u_bar), where=live)
     alpha = np.where(live, ins.u[:, None] * u_bar, 0.0) / ins.moment(2)
-    next_cells = prof_next.cells.u_bar[prof_next.cells.u_bar > EPS_ZERO]
+    next_cells = prof_next.cells.u_bar[prof_next.cells.support]
     formula = (alpha.sum() * np.sum(-xlogx(next_cells))
                + next_cells.sum() * np.sum(alpha * log_ubar))
 
@@ -475,8 +474,9 @@ class ReversibilityVerdict:
 
 
 def _flow_matrix(p: Process) -> np.ndarray:
-    """Normalized parent-child mass flow; entries sum to one."""
-    flow = p.kernel * p.source.weights[:, None] / p.target.size
+    """Parent-child mass flow as shares of the child mass n * wbar, which sum
+    to one; a share within EPS_ZERO is zero, as in ``cell_arrays``."""
+    flow = p.kernel * p.source.weights[:, None] / (p.source.size * fitness(p).wbar)
     flow[flow <= EPS_ZERO] = 0.0
     return flow
 
@@ -522,7 +522,7 @@ def reversibility(p: Process) -> ReversibilityVerdict:
         composite = env_kernel @ r
         live = mid.weights > 0
         gap = composite[live][:, live] - np.eye(n_mid)[live][:, live]
-        if np.max(np.abs(gap)) <= 1e-10:
+        if np.max(np.abs(gap)) <= EPS_INVERSE:
             retraction = Process(p.target, mid, r, _check=False)
     if dis_obstruction <= EPS_SAT:
         # Parents with exactly one child pull back onto it.
@@ -535,7 +535,7 @@ def reversibility(p: Process) -> ReversibilityVerdict:
         live_child = p.target.weights > 0
         eye = np.eye(k_child)
         gap = composite[live_child][:, live_child] - eye[live_child][:, live_child]
-        if np.max(np.abs(gap)) <= 1e-10:
+        if np.max(np.abs(gap)) <= EPS_INVERSE:
             section = Process(p.target, mid, s, _check=False)
     left = retraction is not None
     right = section is not None

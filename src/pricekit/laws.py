@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import EPS_REL, EPS_SAT, EPS_ZERO, IdentityViolation
+from .config import EPS_BISECT, EPS_REL, EPS_ROOT, EPS_SAT, EPS_ZERO, IdentityViolation
 from .measure import Observable, xlogx
 from .process import FitnessSummary, Process, check_composable, fitness, local_average
 
@@ -272,15 +272,15 @@ def speed_limits(p: Process) -> LawReport:
         ga, gb = gaps[k], gaps[k + 1]
         if not (np.isfinite(ga) and np.isfinite(gb)):
             continue
-        if abs(ga) <= 1e-12:
+        if abs(ga) <= EPS_ROOT:
             c_star = a
             break
-        if abs(gb) <= 1e-12:
+        if abs(gb) <= EPS_ROOT:
             c_star = b
             break
         if ga * gb < 0:
             lo, hi = a, b
-            while hi - lo > 1e-8:
+            while hi - lo > EPS_BISECT:
                 mid = 0.5 * (lo + hi)
                 if _speed_stationarity_gap(ins, mid) * ga <= 0:
                     hi = mid

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import EPS_HERM, EPS_PSD, EPS_REL, EPS_ZERO, IdentityViolation
+from .config import EPS_COND, EPS_INVERSE, EPS_OP, EPS_REL, EPS_SUPPORT, EPS_ZERO, IdentityViolation
 from .entropy import CELL_FIELDS, CellArrays, EntropyProfile, _ratio
 from .laws import (
     LawReport,
@@ -43,10 +43,10 @@ def unvec(v: np.ndarray, rows: int, cols: int | None = None) -> np.ndarray:
     return np.asarray(v).reshape((rows, cols), order="F")
 
 
-def hermitize(a: np.ndarray, tol: float = EPS_HERM, what: str = "operator") -> np.ndarray:
+def hermitize(a: np.ndarray, what: str = "operator") -> np.ndarray:
     scale = max(float(np.abs(a).max()), 1.0)
     gap = float(np.abs(a - a.conj().T).max())
-    if gap > tol * scale:
+    if gap > EPS_OP * scale:
         raise ValueError(f"{what} is not Hermitian (residual {gap:.3e})")
     return _herm_part(a)
 
@@ -62,8 +62,8 @@ def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _support(vals: np.ndarray) -> np.ndarray:
-    """Eigenvalues above 1e-10 of the top eigenvalue, per spectrum in a stack."""
-    return vals > 1e-10 * np.maximum(np.abs(vals).max(axis=-1, keepdims=True), EPS_ZERO)
+    """Eigenvalues above EPS_SUPPORT of the top eigenvalue, per spectrum in a stack."""
+    return vals > EPS_SUPPORT * np.maximum(np.abs(vals).max(axis=-1, keepdims=True), EPS_ZERO)
 
 
 def _projector(vecs: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -72,10 +72,10 @@ def _projector(vecs: np.ndarray, keep: np.ndarray) -> np.ndarray:
 
 def _spectral(vals: np.ndarray, vecs: np.ndarray, f, support_only: bool = False) -> np.ndarray:
     """Apply a scalar function through an eigendecomposition or a stack of them;
-    with ``support_only`` eigenvalues at or below 1e-12 of the top one map to 0."""
+    with ``support_only`` eigenvalues outside ``_support`` map to 0."""
     if support_only:
-        cutoff = 1e-12 * np.maximum(np.abs(vals).max(axis=-1, keepdims=True), EPS_ZERO)
-        fv = np.where(vals > cutoff, f(np.maximum(vals, cutoff)), 0.0)
+        keep = _support(vals)
+        fv = np.where(keep, f(np.where(keep, vals, 1.0)), 0.0)
     else:
         fv = f(vals)
     return (vecs * fv[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
@@ -98,7 +98,7 @@ class DensityOperator:
         m = hermitize(np.array(matrix, dtype=complex), what="density operator")
         vals, vecs = np.linalg.eigh(m)
         scale = max(float(vals.max()), EPS_ZERO)
-        if vals.min() < -EPS_PSD * max(scale, 1.0):
+        if vals.min() < -EPS_OP * max(scale, 1.0):
             raise ValueError(f"density operator has eigenvalue {vals.min():.3e}")
         m = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
         if np.real(np.trace(m)) <= 0:
@@ -151,9 +151,9 @@ class QuantumProcess:
 
     Positivity is decided in two steps.  First Choi's test: the Choi matrix
     J = sum_ij E_ij (x) Phi(E_ij), realigned from the superoperator, must be
-    Hermitian to within 1e-8 * scale and Cholesky-factorizable after a shift
-    by 1e-8 * scale (scale = max(|J|_max, 1)), i.e. lambda_min(J) >
-    -1e-8 * scale; a positive semidefinite J proves complete positivity and
+    Hermitian to within EPS_OP * scale and Cholesky-factorizable after a shift
+    by EPS_OP * scale (scale = max(|J|_max, 1)), i.e. lambda_min(J) >
+    -EPS_OP * scale; a positive semidefinite J proves complete positivity and
     so positivity.  Only when that fails do the 64 seeded probes run
     (``_sample_check_positive``), which accept maps that are positive but not
     completely positive, such as the transpose.  Both run before the source's
@@ -161,9 +161,9 @@ class QuantumProcess:
 
     A map is rejected only by the probes.  For a unit-trace state rho,
     lambda_min(Phi(rho)) >= lambda_min(J), so the two rules differ only in
-    their scales: each probe measures -1e-8 against max(|Phi(rho)|_max, 1),
+    their scales: each probe measures -EPS_OP against max(|Phi(rho)|_max, 1),
     the certificate against max(|J|_max, 1).  Where |J|_max > 1 the
-    certificate accepts maps within 1e-8 * scale of the completely positive
+    certificate accepts maps within EPS_OP * scale of the completely positive
     cone that a probe with a smaller output would reject, looser by up to
     the ratio of the two scales.
     """
@@ -203,14 +203,14 @@ class QuantumProcess:
     def fitness_data(self) -> QFitness:
         # Built on first use and kept: the superoperator and states are read-only.
         w_op = apply_adjoint(self, np.eye(self.target.dim, dtype=complex))
-        w_op = hermitize(w_op, tol=1e-8, what="fitness operator")
+        w_op = hermitize(w_op, what="fitness operator")
         rho = self.source.matrix
         wbar = float(_pair(w_op, rho)) / self.source.trace
         if wbar <= 0:
             raise ValueError("map carries no child mass")
         u_op = w_op / wbar
         vals, vecs = np.linalg.eigh(u_op)
-        if vals.min() * wbar < -1e-8 * max(float(vals.max()) * wbar, 1.0):
+        if vals.min() * wbar < -EPS_OP * max(float(vals.max()) * wbar, 1.0):
             raise ValueError("fitness operator is not positive: non-positive map")
         weights = np.clip(np.real(np.einsum("ij,jk,ki->i", vecs.conj().T, rho, vecs)), 0.0, None)
         summary = summarize_fitness(vals, weights / weights.sum())
@@ -237,9 +237,9 @@ def _choi(s: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
 
 
 def _cp_certified(s: np.ndarray, d_in: int, d_out: int) -> bool:
-    """Choi's test: J Hermitian and J + 1e-8 * scale * 1 Cholesky-factorizable."""
+    """Choi's test: J Hermitian and J + EPS_OP * scale * 1 Cholesky-factorizable."""
     j = _choi(s, d_in, d_out)
-    tol = 1e-8 * max(float(np.abs(j).max()), 1.0)
+    tol = EPS_OP * max(float(np.abs(j).max()), 1.0)
     h = j.conj().T
     h += j
     h *= 0.5                                  # Hermitian part, built in place
@@ -267,9 +267,9 @@ def _sample_check_positive(s: np.ndarray, d_in: int, d_out: int) -> None:
         probe /= np.trace(probe).real
         out = apply_super(s, probe)
         scale = max(float(np.abs(out).max()), 1.0)
-        if float(np.abs(out - out.conj().T).max()) > 1e-8 * scale:
+        if float(np.abs(out - out.conj().T).max()) > EPS_OP * scale:
             raise ValueError("map does not preserve Hermiticity on sampled states")
-        if float(np.linalg.eigvalsh(0.5 * (out + out.conj().T)).min()) < -1e-8 * scale:
+        if float(np.linalg.eigvalsh(0.5 * (out + out.conj().T)).min()) < -EPS_OP * scale:
             raise ValueError("map sends a sampled state outside the positive cone")
 
 
@@ -279,7 +279,7 @@ def q_expectation(rho: DensityOperator, x: QuantumObservable) -> float:
         raise ValueError("dimension mismatch")
     val = complex(np.trace(x.matrix @ rho.matrix)) / rho.trace
     IdentityViolation.check("q_expectation_imaginary_part", abs(val.imag),
-                            1e-8 * max(abs(val.real), 1.0))
+                            EPS_OP * max(abs(val.real), 1.0))
     return float(val.real)
 
 
@@ -301,7 +301,7 @@ class QFitness:
     """W = W-dagger(1), wbar = Re Tr(W rho) / Tr rho and U = W/wbar, which has
     unit mean by construction, with the one eigh of U that every spectral
     functional reads: ``summary`` holds its eigenvalues weighted by the
-    state, ``support`` those above 1e-10 of the top one."""
+    state, ``support`` those above EPS_SUPPORT of the top one."""
 
     W: QuantumObservable
     wbar: float
@@ -421,10 +421,9 @@ def q_factorize(w: QuantumProcess) -> QFactorization:
     env = _times_kron_eye(w.superoperator, (vecs / vals) @ vecs.conj().T)
 
     # Verification error grows with the spread of the kept spectrum: an
-    # eigenvalue just above the support cutoff is inverted with relative
-    # error eps * cond.
+    # eigenvalue just above the support cutoff inverts with error ~ EPS_COND * cond.
     cond = float(vals.max() / vals.min()) if len(vals) else 1.0
-    tol = max(1e-10, 1e-13 * cond)
+    tol = max(EPS_INVERSE, EPS_COND * cond)
 
     composite = _times_kron_eye(env, w_op)
     restricted = _times_kron_eye(w.superoperator, proj)
@@ -464,9 +463,9 @@ def _check_resolution(projs, dim: int, label: str) -> np.ndarray:
     """The projections, stacked, once checked Hermitian, idempotent and complete."""
     mats = np.array([hermitize(np.array(p, dtype=complex), what=f"{label} projection")
                      for p in projs])
-    if float(np.abs(mats.sum(axis=0) - np.eye(dim)).max()) > EPS_HERM * max(1.0, dim):
+    if float(np.abs(mats.sum(axis=0) - np.eye(dim)).max()) > EPS_OP * max(1.0, dim):
         raise ValueError(f"{label} projections do not resolve the identity")
-    if float(np.abs(mats @ mats - mats).max()) > 1e-8:
+    if float(np.abs(mats @ mats - mats).max()) > EPS_OP:
         raise ValueError(f"{label} projection is not idempotent")
     return mats
 
@@ -484,7 +483,7 @@ class QPartitionResult:
         """The moment chains are derived for cells that commute with the
         intermediate state; outside that domain they are reported but make
         no claim."""
-        return self.commutation_residual <= 1e-8
+        return self.commutation_residual <= EPS_OP
 
 
 def q_partition_entropy(w: QuantumProcess, projs_a, projs_b) -> QPartitionResult:
@@ -568,7 +567,7 @@ class OpenQuantumProcess:
             raise ValueError("full target dimension mismatch")
         gap = closed.target.matrix @ full_target.matrix \
             - full_target.matrix @ closed.target.matrix
-        if float(np.abs(gap).max()) > 1e-8 * max(1.0, full_target.trace):
+        if float(np.abs(gap).max()) > EPS_OP * max(1.0, full_target.trace):
             raise ValueError("parented component must commute with the full target")
         object.__setattr__(self, "closed", closed)
         object.__setattr__(self, "full_target", full_target)

@@ -22,6 +22,8 @@ from pricekit import (
     third_law,
     total_entropy,
 )
+from pricekit.config import EPS_ZERO
+from pricekit.entropy import _flow_matrix
 from pricekit.process import Process
 
 from conftest import (
@@ -388,6 +390,20 @@ class TestReversibility:
             v = reversibility(p)
             left, right = search_one_sided_inverses(p)
             assert (v.left_invertible, v.right_invertible) == (left, right)
+
+    @pytest.mark.parametrize("factor", [0.5, 1 + 5e-10, 2.0])
+    def test_flow_cells_agree_with_profile_cells_at_the_zero_threshold(self, factor):
+        """Both decide a (parent, child) cell on its share of the child mass
+        n * wbar; a stated target 0.9e-9 above the kernel image passes
+        validation and must not move the decision."""
+        share = EPS_ZERO * factor
+        k = 2.0 * share / (1.0 - share)             # k / (2 + k) = share
+        image = np.array([1.0, 1.0 + k])
+        p = Process(Population(TypeSet(["a", "b"]), [1, 1]),
+                    Population(TypeSet(["c0", "c1"]), image + 0.9e-9), [[1.0, k], [0.0, 1.0]])
+        support = generating_profile(p).cells.support
+        np.testing.assert_array_equal(support, _flow_matrix(p) > 0)
+        assert support[0, 1] == (factor > 1)
 
 
 class TestPathEntropy:

@@ -76,7 +76,7 @@ def record_eigendecompositions(monkeypatch) -> list:
 
 def fitness_decompositions(w: QuantumProcess, seen: list) -> int:
     """How many recorded matrices are w's fitness operator W or U = W/wbar."""
-    w_op = hermitize(apply_adjoint(w, np.eye(w.target.dim, dtype=complex)), tol=1e-8)
+    w_op = hermitize(apply_adjoint(w, np.eye(w.target.dim, dtype=complex)))
     u_op = w_op / (w.target.trace / w.source.trace)
     return sum(
         m.shape == w_op.shape and any(np.allclose(m, op, rtol=1e-12, atol=1e-12)

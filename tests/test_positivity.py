@@ -2,6 +2,7 @@
 and the sampled probes agree."""
 
 import numpy as np
+import pytest
 
 import pricekit.quantum
 from pricekit import DensityOperator, QuantumProcess, embed_process, kraus_to_super
@@ -75,13 +76,19 @@ def test_kraus_and_embedded_maps_are_certified_without_probes(monkeypatch):
 
 def test_certificate_and_probes_agree_on_each_side_of_the_threshold():
     """lambda_min(J) = -t on the perturbed identity, so the shifted Cholesky
-    certifies it on the side of t = 1e-8 where the probes accept it."""
+    certifies it on the side of t = 1e-8 where the probes accept it.  The
+    image of a certified map passes DensityOperator, which holds the same
+    operator band, and is clipped onto the cone."""
     for d in (1, 2, 3):
         below, above = threshold_super(d, 0.5e-8), threshold_super(d, 2e-8)
         assert _cp_certified(below, d, d + 1)
         assert outcome(below, d, d + 1) is None
         assert not _cp_certified(above, d, d + 1)
         assert outcome(above, d, d + 1) == OUTSIDE_CONE
+        rho = DensityOperator(np.eye(d) / d)
+        assert np.linalg.eigvalsh(QuantumProcess(below, rho).target.matrix).min() == 0.0
+        with pytest.raises(ValueError, match="positive cone"):
+            QuantumProcess(above, rho)
 
 
 def test_scaled_maps_are_certified_where_probes_reject_them():

@@ -28,7 +28,8 @@ from pricekit import (
     zeroth_law,
 )
 from pricekit.openproc import OpenProcess
-from pricekit.quantum import apply_adjoint, apply_super, matrix_function, vec
+from pricekit.quantum import (_spectral, _support, apply_adjoint, apply_super,
+                             matrix_function, vec)
 
 from conftest import random_observable, random_process
 
@@ -340,6 +341,15 @@ class TestPartitionEntropy:
         assert result.profile.s_ec == pytest.approx(
             result.profile.s_dis + result.profile.s_mix, rel=1e-9
         )
+
+    def test_spectral_functions_vanish_exactly_off_the_support(self):
+        """Eigenvalues at 1e-11 and 1e-9 of the top one straddle the support
+        cutoff; a support-only function is zero on exactly the rejected ones."""
+        vals = np.array([[1e-11, 1e-9, 1.0], [3e-17, 3e-15, 3e-6], [-2e-11, 2e-9, 2.0]])
+        vecs = np.broadcast_to(np.eye(3, dtype=complex), (3, 3, 3))
+        out = _spectral(vals, vecs, np.sqrt, support_only=True)
+        np.testing.assert_array_equal(np.diagonal(out, axis1=-2, axis2=-1) == 0, ~_support(vals))
+        assert _support(vals)[:, 1:].all() and not _support(vals)[:, 0].any()
 
     def test_bad_resolution_rejected(self):
         rng = np.random.default_rng(95)
