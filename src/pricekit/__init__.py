@@ -57,6 +57,7 @@ from .entropy import (
     ReversibilityVerdict,
     cell_arrays,
     dispersion_mixing_bounds,
+    environmental_entropy,
     environmental_equilibrium,
     environmental_profile,
     generating_profile,

@@ -17,7 +17,8 @@ import sys
 import numpy as np
 
 from . import config
-from .entropy import Partition, generating_profile, reversibility, third_law
+from .entropy import (Partition, environmental_entropy, generating_profile, reversibility,
+                      third_law)
 from .laws import (
     ec_selective_entropy_bound,
     ec_variance_bound,
@@ -325,14 +326,13 @@ def cmd_simulate(args) -> int:
         )
         sec = second_law(step)
         spd = speed_limits(step)
-        prof = generating_profile(step)
         rows.append(
             [
                 t,
                 current.size,
                 sec.extras["var_u"],
-                prof.s_ns,
-                prof.s_ec,
+                fitness(step).summary.s_ns,
+                environmental_entropy(step),
                 min(sec.slacks),
                 min(spd.slacks),
             ]

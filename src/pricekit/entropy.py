@@ -19,7 +19,8 @@ import numpy as np
 from .config import EPS_INVERSE, EPS_SAT, EPS_ZERO
 from .laws import LawReport, gibbs_report_from_summary
 from .measure import Population, TypeSet, xlogx
-from .process import FitnessSummary, Process, check_composable, fitness, price_factorize
+from .process import (FitnessSummary, Process, check_composable, fitness, flow_shares,
+                      price_factorize)
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +345,15 @@ def generating_profile(p: Process) -> EntropyProfile:
     return environmental_profile(p, *_partitions(p, None, None))
 
 
+def environmental_entropy(p: Process) -> float:
+    """S_EC at the singleton joint partition: the entropy of the flow shares,
+    whose identity-indicator cell sums in ``cell_arrays`` are exact, so this
+    equals ``generating_profile(p).s_ec`` bit for bit."""
+    return float(np.sum(-xlogx(flow_shares(p))))
+
+
 def total_entropy(p: Process) -> float:
-    return generating_profile(p).s_tot
+    return selective_entropy(p) + environmental_entropy(p)
 
 
 # ---------------------------------------------------------------------------
@@ -474,9 +482,8 @@ class ReversibilityVerdict:
 
 
 def _flow_matrix(p: Process) -> np.ndarray:
-    """Parent-child mass flow as shares of the child mass n * wbar, which sum
-    to one; a share within EPS_ZERO is zero, as in ``cell_arrays``."""
-    flow = p.kernel * p.source.weights[:, None] / (p.source.size * fitness(p).wbar)
+    """The flow shares, a share within EPS_ZERO set to zero as in ``cell_arrays``."""
+    flow = flow_shares(p)
     flow[flow <= EPS_ZERO] = 0.0
     return flow
 

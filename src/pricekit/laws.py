@@ -17,7 +17,8 @@ import numpy as np
 
 from .config import EPS_BISECT, EPS_REL, EPS_ROOT, EPS_SAT, EPS_ZERO, IdentityViolation
 from .measure import Observable, xlogx
-from .process import FitnessSummary, Process, check_composable, fitness, local_average
+from .process import (FitnessSummary, Process, check_composable, fitness, flow_shares,
+                      local_average)
 
 
 # ---------------------------------------------------------------------------
@@ -223,17 +224,19 @@ def second_law(p: Process) -> LawReport:
 DEFAULT_SPEED_GRID = (0.125, 0.25, 0.5, 1.0, 2.0)
 
 
-def _speed_stationarity_gap(ins: FitnessSummary, c: float) -> float:
+def _gap_from_moments(c: float, m1c: float, m2c: float, m2: float) -> float:
     # log of E[U^(1+c)]^c / (E[U^2]^(c-1) E[U^(2+c)]); a root is a stationary
     # point of the basic-bound exponent in c.
+    if not (np.isfinite(m1c) and np.isfinite(m2c)):
+        return float("nan")
+    return float(c * np.log(m1c) - (c - 1.0) * np.log(m2) - np.log(m2c))
+
+
+def _speed_stationarity_gap(ins: FitnessSummary, c: float) -> float:
     with np.errstate(over="ignore"):
         m1c = ins.moment(1.0 + c)
         m2c = ins.moment(2.0 + c)
-    if not (np.isfinite(m1c) and np.isfinite(m2c)):
-        return float("nan")
-    return float(
-        c * np.log(m1c) - (c - 1.0) * np.log(ins.moment(2.0)) - np.log(m2c)
-    )
+    return _gap_from_moments(c, m1c, m2c, ins.moment(2.0))
 
 
 def speed_limits(p: Process) -> LawReport:
@@ -246,27 +249,31 @@ def speed_limits(p: Process) -> LawReport:
     gap; otherwise none is reported.
     """
     ins = fitness(p).summary
-    c_grid = sorted(set(DEFAULT_SPEED_GRID) | {round(ins.moment(2.0), 12)})
-
-    lhs = ins.mean(-xlogx(ins.u) * (ins.u - 1.0))
-    log_inv_pstar = np.log(1.0 / ins.p_star)
-    m2 = ins.moment(2.0)
-
-    def bracket(c: float) -> float:
-        with np.errstate(over="ignore"):
-            m = ins.moment(2.0 + c)
-        # a diverging moment makes the bound vacuous at this exponent
-        return -(m2 / c) * np.log(m / m2) if np.isfinite(m) else -np.inf
-
-    best_bracket = max(bracket(c) for c in c_grid)
-    basic = log_inv_pstar + best_bracket if np.isfinite(best_bracket) else None
     u = ins.u
+    m2 = ins.moment(2.0)
+    c_grid = sorted(set(DEFAULT_SPEED_GRID) | {round(m2, 12)})
+
+    lhs = ins.mean(-xlogx(u) * (u - 1.0))
+    log_inv_pstar = np.log(1.0 / ins.p_star)
+
+    # E[U^(1+c)] and E[U^(2+c)] over the grid: one array power, one dot per
+    # row (a single matrix-vector product would round differently).
+    cs = np.array(c_grid)
+    with np.errstate(over="ignore"):
+        powers = u ** np.concatenate([1.0 + cs, 2.0 + cs])[:, None]
+        m1c, m2c = np.array([ins.prob @ row for row in powers]).reshape(2, -1)
+    m1c[cs == 1.0] = m2  # E[U^2] as ins.moment squares it, not through pow
+
+    # a diverging moment makes the bound vacuous at this exponent
+    best_bracket = max(-(m2 / c) * np.log(m / m2) if np.isfinite(m) else -np.inf
+                       for c, m in zip(c_grid, m2c))
+    basic = log_inv_pstar + best_bracket if np.isfinite(best_bracket) else None
     u2logu = np.zeros_like(u)
     pos = u > 0
     u2logu[pos] = u[pos] ** 2 * np.log(u[pos])
     infinitary = log_inv_pstar - ins.mean(u2logu)
 
-    gaps = [_speed_stationarity_gap(ins, c) for c in c_grid]
+    gaps = [_gap_from_moments(c, a, b, m2) for c, a, b in zip(c_grid, m1c, m2c)]
     c_star = None
     for k, (a, b) in enumerate(zip(c_grid, c_grid[1:])):
         ga, gb = gaps[k], gaps[k + 1]
@@ -456,17 +463,14 @@ class StationarityClass:
 def stationarity(p: Process, q: Process, tol: float = EPS_SAT) -> StationarityClass:
     """Classify the joint pair through the child/parent fitness ratio.
 
-    All conditions are read off the support cells: parent weight positive,
-    parent relative fitness positive, kernel entry positive.
+    All conditions are read off the support cells of ``cell_arrays``: flow
+    share of the child mass above EPS_ZERO, on childbearing rows.
     """
     check_composable(p, q)
     fd = fitness(p)
     u = fd.U.values
     u_next = fitness(q).U
-    rows = (p.source.weights > 0) & fd.support
-    # cell membership decided on the scale-free per-row brood shares
-    w_rows = np.where(fd.W.values > 0, fd.W.values, 1.0)
-    cells = (p.kernel / w_rows[:, None] > EPS_ZERO) & rows[:, None]
+    cells = (flow_shares(p) > EPS_ZERO) & fd.support[:, None]
 
     if not cells.any():
         return StationarityClass(True, True, True, True)

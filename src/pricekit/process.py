@@ -162,6 +162,12 @@ def fitness(p: Process) -> FitnessData:
     return p.fitness_data
 
 
+def flow_shares(p: Process) -> np.ndarray:
+    """Parent-child mass flow mu_i W_ij as shares of the child mass n * wbar,
+    which sum to one; unthresholded."""
+    return p.kernel * p.source.weights[:, None] / (p.source.size * fitness(p).wbar)
+
+
 def validate(p: Process) -> Diagnostics:
     """Report how well the kernel image of the source matches the target."""
     predicted = p.kernel.T @ p.source.weights

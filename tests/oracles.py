@@ -212,9 +212,12 @@ def stationarity_by_loop(p, q, tol: float = 1e-9):
 
     u = fitness(p).U.values
     u_next = fitness(q).U.values
-    rows = (p.source.weights > 0) & (u > 1e-12)
-    w_rows = np.where(p.fitness_values > 0, p.fitness_values, 1.0)
-    cells = (p.kernel / w_rows[:, None] > 1e-12) & rows[:, None]
+    rows = u > 1e-12
+    # flow share of the child mass n * wbar, entry by entry
+    n_child = p.source.size * fitness(p).wbar
+    cells = np.zeros(p.kernel.shape, dtype=bool)
+    for i, j in np.ndindex(*cells.shape):
+        cells[i, j] = rows[i] and p.source.weights[i] * p.kernel[i, j] / n_child > 1e-12
     if not cells.any():
         return StationarityClass(True, True, True, True)
 
@@ -236,6 +239,82 @@ def stationarity_by_loop(p, q, tol: float = 1e-9):
         if vals.max() - vals.min() > tol * max(1.0, abs(vals.max())):
             constant = False
     return StationarityClass(strong, weak, homogeneous, constant)
+
+
+def speed_limits_by_loop(p):
+    """``pricekit.laws.speed_limits`` with one moment evaluation per grid
+    point and per bisection step."""
+    from pricekit import fitness
+    from pricekit.config import EPS_BISECT, EPS_ROOT
+    from pricekit.laws import DEFAULT_SPEED_GRID, LawReport
+    from pricekit.measure import xlogx
+
+    ins = fitness(p).summary
+
+    def gap(c):
+        with np.errstate(over="ignore"):
+            m1c = ins.moment(1.0 + c)
+            m2c = ins.moment(2.0 + c)
+        if not (np.isfinite(m1c) and np.isfinite(m2c)):
+            return float("nan")
+        return float(c * np.log(m1c) - (c - 1.0) * np.log(ins.moment(2.0)) - np.log(m2c))
+
+    c_grid = sorted(set(DEFAULT_SPEED_GRID) | {round(ins.moment(2.0), 12)})
+    lhs = ins.mean(-xlogx(ins.u) * (ins.u - 1.0))
+    log_inv_pstar = np.log(1.0 / ins.p_star)
+    m2 = ins.moment(2.0)
+
+    def bracket(c):
+        with np.errstate(over="ignore"):
+            m = ins.moment(2.0 + c)
+        return -(m2 / c) * np.log(m / m2) if np.isfinite(m) else -np.inf
+
+    best_bracket = max(bracket(c) for c in c_grid)
+    basic = log_inv_pstar + best_bracket if np.isfinite(best_bracket) else None
+    u = ins.u
+    u2logu = np.zeros_like(u)
+    pos = u > 0
+    u2logu[pos] = u[pos] ** 2 * np.log(u[pos])
+    infinitary = log_inv_pstar - ins.mean(u2logu)
+
+    gaps = [gap(c) for c in c_grid]
+    c_star = None
+    for k, (a, b) in enumerate(zip(c_grid, c_grid[1:])):
+        ga, gb = gaps[k], gaps[k + 1]
+        if not (np.isfinite(ga) and np.isfinite(gb)):
+            continue
+        if abs(ga) <= EPS_ROOT:
+            c_star = a
+            break
+        if abs(gb) <= EPS_ROOT:
+            c_star = b
+            break
+        if ga * gb < 0:
+            lo, hi = a, b
+            while hi - lo > EPS_BISECT:
+                mid = 0.5 * (lo + hi)
+                if gap(mid) * ga <= 0:
+                    hi = mid
+                else:
+                    lo = mid
+            c_star = 0.5 * (lo + hi)
+            break
+
+    finite_bounds = [float(infinitary)] if basic is None else [float(basic), float(infinitary)]
+    return LawReport(
+        name="speed_limits",
+        lhs=lhs,
+        bounds=tuple(sorted(finite_bounds, reverse=True)),
+        direction="ge",
+        equilibrium_class=ins.equilibrium_class,
+        extras={
+            "basic_bound": None if basic is None else float(basic),
+            "infinitary_bound": float(infinitary),
+            "grid": tuple(c_grid),
+            "stationary_point": c_star,
+            "stationary_point_found": c_star is not None,
+        },
+    )
 
 
 def reversibility_kernels_by_loop(p) -> tuple[np.ndarray, np.ndarray]:

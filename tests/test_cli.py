@@ -11,6 +11,7 @@ import pricekit
 from pricekit import (
     Observable,
     Population,
+    Process,
     TypeSet,
     generating_profile,
     multilevel_second_law,
@@ -300,6 +301,41 @@ class TestSimulate:
             [[1.0, 0.8], [0.2, 0.7]],
         )
         assert float(rows[0]["S_NS"]) == selective_entropy(p)
+
+    def _random_doc(self, tmp_path, seed=12, k=12):
+        rng = np.random.default_rng(seed)
+        kernel = rng.uniform(0.05, 2.0, (k, k)) * (rng.random((k, k)) < 0.6)
+        kernel[0] = 0.0                                    # a childless type
+        weights = rng.uniform(0.1, 2.0, k)
+        return self._write(tmp_path, kernel.tolist(), weights.tolist()), kernel, weights
+
+    def test_entropy_columns_are_the_generating_profile(self, tmp_path):
+        path, kernel, weights = self._random_doc(tmp_path)
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", path, "--generations", "10", "--out", str(out)]) == 0
+        types = TypeSet([f"t{i}" for i in range(len(weights))])
+        current = Population(types, weights)
+        for row in self._rows(out):
+            step = Process(current, Population(types, kernel.T @ current.weights), kernel,
+                           _check=False)
+            prof = generating_profile(step)
+            assert float(row["S_NS"]) == prof.s_ns
+            assert float(row["S_EC"]) == prof.s_ec
+            current = step.target
+
+    def test_builds_no_partition_or_cells(self, tmp_path, monkeypatch):
+        """S_EC comes from the flow shares, not from a singleton profile."""
+        path, _, _ = self._random_doc(tmp_path)
+        expected, out = tmp_path / "expected.csv", tmp_path / "traj.csv"
+        assert main(["simulate", path, "--generations", "6", "--out", str(expected)]) == 0
+
+        def forbidden(*args, **kwargs):
+            raise RuntimeError("simulate built a partition profile")
+
+        monkeypatch.setattr("pricekit.entropy.cell_arrays", forbidden)
+        monkeypatch.setattr(pricekit.Partition, "__init__", forbidden)
+        assert main(["simulate", path, "--generations", "6", "--out", str(out)]) == 0
+        assert out.read_bytes() == expected.read_bytes()
 
     def test_non_endomorphic_rejected(self, f5_file):
         assert main(["simulate", f5_file]) == 1

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pricekit import (
     Partition,
@@ -7,6 +9,7 @@ from pricekit import (
     TypeSet,
     compose,
     dispersion_mixing_bounds,
+    environmental_entropy,
     environmental_equilibrium,
     environmental_profile,
     fitness,
@@ -190,6 +193,40 @@ class TestEnvironmentalProfile:
                     assert fine.s_ec == pytest.approx(
                         coarse.s_ec + conditional, rel=1e-9, abs=1e-9
                     )
+
+
+class TestEnvironmentalEntropy:
+    """S_EC from the flow shares equals the singleton profile's bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.floats(0.01, 10), min_size=1, max_size=6),
+        st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 10)), min_size=36, max_size=36),
+        st.integers(1, 6),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_equals_the_singleton_profile(self, weights, entries, k2, childless, zero_column):
+        """K = 1, K != K', childless rows and zero columns, at weights x 1,
+        1e+-60 and 1e+-150 (kernel entries 0 or >= 1e-6, so no child mass
+        underflows at 1e-150)."""
+        k = len(weights)
+        kernel = np.reshape(entries[: k * k2], (k, k2))
+        if childless:
+            kernel[-1] = 0.0
+        if zero_column:
+            kernel[:, 0] = 0.0
+        assume(kernel.sum(axis=1) @ weights > 0)
+        for s in (0, -150, -60, 60, 150):
+            p = process(Population(TypeSet.range(k), np.multiply(weights, 10.0**s)), kernel)
+            prof = generating_profile(p)
+            assert environmental_entropy(p) == prof.s_ec, f"weights x 1e{s}"
+            assert total_entropy(p) == prof.s_tot
+
+    def test_single_type(self):
+        p = process(Population(TypeSet(["a"]), [3.0]), [[0.25, 0.0, 0.75]])
+        assert environmental_entropy(p) == generating_profile(p).s_ec
+        assert environmental_entropy(p) == pytest.approx(-(0.25 * np.log(0.25) + 0.75 * np.log(0.75)))
 
 
 class TestTotalEntropy:

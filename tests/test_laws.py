@@ -11,6 +11,7 @@ from pricekit import (
     exp_first_law,
     first_law,
     fitness,
+    generating_profile,
     higher_order_first_law,
     multilevel_second_law,
     process,
@@ -28,6 +29,7 @@ from conftest import (
     random_process,
     selective_equilibrium_process,
 )
+from oracles import speed_limits_by_loop
 
 LOG2 = np.log(2)
 
@@ -159,6 +161,42 @@ class TestSpeedLimits:
         expected = 0.0 - float(m @ (u**2 * np.log(u)))
         assert rep.extras["infinitary_bound"] == pytest.approx(expected)
         assert rep.satisfied
+
+
+class TestSpeedLimitsOracle:
+    """The grid moments come from one array power; every field equals the
+    per-grid-point loop exactly."""
+
+    def test_random_processes(self):
+        rng = np.random.default_rng(46)
+        seen = {"bisected": 0, "on_grid": 0, "none": 0}
+        for t in range(400):
+            p = random_process(rng, kmax=10)
+            if t % 3 == 0:                          # U with zeros
+                kernel = p.kernel * (rng.random(len(p.source.types)) < 0.6)[:, None]
+                if kernel.sum() == 0:
+                    continue
+                p = process(p.source, kernel)
+            rep = speed_limits(p)
+            assert rep == speed_limits_by_loop(p)
+            c_star = rep.extras["stationary_point"]
+            key = ("none" if c_star is None else
+                   "on_grid" if c_star in rep.extras["grid"] else "bisected")
+            seen[key] += 1
+        assert min(seen.values()) > 0, seen
+
+    def test_zero_fitness(self, f1):
+        assert speed_limits(f1) == speed_limits_by_loop(f1)
+
+    def test_diverging_moment(self):
+        # U = (~0.5, ~5e119): E[U^4] overflows, so some brackets are -inf
+        src = Population(TypeSet(["a", "b"]), [1.0, 1e-120])
+        p = process(src, [[1.0], [1e120]])
+        with np.errstate(over="ignore"):
+            assert np.isinf(fitness(p).summary.moment(4.0))
+        rep = speed_limits(p)
+        assert rep == speed_limits_by_loop(p)
+        assert rep.extras["basic_bound"] is not None
 
 
 class TestSelectiveAcceleration:
@@ -296,6 +334,16 @@ class TestStationarity:
             assert not any(
                 [st.strong, st.weak, st.locally_homogeneous, st.locally_constant]
             )
+
+    @pytest.mark.parametrize("k", [0.5e-12, 1.5e-12])
+    def test_cells_are_the_profile_cells(self, k):
+        """A cell is a flow share of the child mass above EPS_ZERO, as in the
+        profile; both values of k leave (a, c1) below it, where the brood
+        share k / (1 + k) of the old rule crossed it at k = 1.5e-12."""
+        p = process(Population(TypeSet(["a", "b"]), [1, 1]), [[1.0, k], [0.0, 1.0]])
+        q = process(p.target, [[1.0], [3.0]])
+        assert not generating_profile(p).cells.support[0, 1]
+        assert stationarity(p, q).locally_constant
 
     def test_strong_implies_weak_and_homogeneous(self):
         rng = np.random.default_rng(45)
