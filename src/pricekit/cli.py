@@ -351,7 +351,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="price-kit",
         description="Validate, analyze, and iterate finite evolutionary processes",
@@ -360,7 +360,6 @@ def main(argv=None) -> int:
 
     v = sub.add_parser("validate", help="check the disintegration identity")
     v.add_argument("file")
-    v.set_defaults(func=cmd_validate)
 
     r = sub.add_parser("report", help="full diagnostic report")
     r.add_argument("file")
@@ -370,17 +369,23 @@ def main(argv=None) -> int:
     r.add_argument("--kgs", action="store_true")
     r.add_argument("--next", help="follow-up process file for two-stage checks")
     r.add_argument("--json", help="write the report to this path")
-    r.set_defaults(func=cmd_report)
 
     s = sub.add_parser("simulate", help="iterate an endomorphic process")
     s.add_argument("file")
     s.add_argument("--generations", type=int, default=8)
     s.add_argument("--out", help="CSV output path (default: stdout)")
-    s.set_defaults(func=cmd_simulate)
+    return parser
 
-    args = parser.parse_args(argv)
+
+PARSER = _parser()
+
+
+def main(argv=None) -> int:
+    args = PARSER.parse_args(argv)
+    # Looked up by name at call time, so a replaced cmd_* is the one that runs.
+    command = globals()["cmd_" + args.command]
     try:
-        return args.func(args)
+        return command(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

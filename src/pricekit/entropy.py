@@ -19,8 +19,8 @@ import numpy as np
 from .config import EPS_INVERSE, EPS_SAT, EPS_ZERO
 from .laws import LawReport, gibbs_report_from_summary
 from .measure import Population, TypeSet, xlogx
-from .process import (FitnessSummary, Process, check_composable, fitness, flow_shares,
-                      price_factorize)
+from .process import (FitnessSummary, Process, check_composable, fitness, flow_cells,
+                      flow_shares, price_factorize)
 
 
 # ---------------------------------------------------------------------------
@@ -481,13 +481,6 @@ class ReversibilityVerdict:
     mix_obstruction: float
 
 
-def _flow_matrix(p: Process) -> np.ndarray:
-    """The flow shares, a share within EPS_ZERO set to zero as in ``cell_arrays``."""
-    flow = flow_shares(p)
-    flow[flow <= EPS_ZERO] = 0.0
-    return flow
-
-
 def reversibility(p: Process) -> ReversibilityVerdict:
     """Decide one-sided invertibility of the redistribution stage.
 
@@ -498,7 +491,7 @@ def reversibility(p: Process) -> ReversibilityVerdict:
     dispersion entropy) is zero.  Constructed inverses are verified by
     composition; one that fails the check leaves its side not invertible.
     """
-    flow = _flow_matrix(p)
+    flow = flow_cells(p)
     rowm = flow.sum(axis=1)
     colm = flow.sum(axis=0)
     pos = flow > 0

@@ -12,13 +12,13 @@ eigendecomposition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .config import EPS_BISECT, EPS_REL, EPS_ROOT, EPS_SAT, EPS_ZERO, IdentityViolation
 from .measure import Observable, xlogx
-from .process import (FitnessSummary, Process, check_composable, fitness, flow_shares,
-                      local_average)
+from .process import FitnessSummary, Process, check_composable, fitness, flow_cells, local_average
 
 
 # ---------------------------------------------------------------------------
@@ -45,30 +45,33 @@ class LawReport:
     def chain(self) -> tuple[float, ...]:
         return (self.lhs,) + self.bounds
 
-    @property
+    # The links below are computed on first read and kept; a report's fields
+    # are never reassigned.
+    @cached_property
     def slacks(self) -> tuple[float, ...]:
         sign = 1.0 if self.direction == "ge" else -1.0
         c = self.chain
         return tuple(sign * (c[k] - c[k + 1]) for k in range(len(c) - 1))
 
+    @cached_property
     def _link_scales(self) -> tuple[float, ...]:
         # Comparisons are relative once chain values leave the unit scale;
         # a last-ulp gap between 1e9-sized values is still saturation.
         c = self.chain
         return tuple(max(1.0, abs(c[k]), abs(c[k + 1])) for k in range(len(c) - 1))
 
-    @property
+    @cached_property
     def saturated(self) -> tuple[bool, ...]:
         return tuple(
             abs(s) <= EPS_SAT * scale
-            for s, scale in zip(self.slacks, self._link_scales())
+            for s, scale in zip(self.slacks, self._link_scales)
         )
 
-    @property
+    @cached_property
     def satisfied(self) -> bool:
         return all(
             s >= -EPS_SAT * scale
-            for s, scale in zip(self.slacks, self._link_scales())
+            for s, scale in zip(self.slacks, self._link_scales)
         )
 
     def to_dict(self) -> dict:
@@ -197,7 +200,6 @@ def exp_first_law(p: Process) -> LawReport:
 
 def second_report(ins: FitnessSummary) -> LawReport:
     """Selective change of selective entropy, bounded through five links."""
-    lhs = ins.mean(-xlogx(ins.u) * (ins.u - 1.0))
     v = ins.var_u
     b1 = -v * np.log1p(v)
     b2 = v * ins.s_ns
@@ -205,7 +207,7 @@ def second_report(ins: FitnessSummary) -> LawReport:
     b4 = -(1.0 / ins.p_star - 1.0) * np.log(1.0 / ins.p_star)
     return LawReport(
         name="second_law",
-        lhs=lhs,
+        lhs=ins.ns_s_ns,
         bounds=(float(b1), float(b2), float(b3), float(b4), 0.0),
         direction="le",
         equilibrium_class=ins.equilibrium_class,
@@ -253,7 +255,6 @@ def speed_limits(p: Process) -> LawReport:
     m2 = ins.moment(2.0)
     c_grid = sorted(set(DEFAULT_SPEED_GRID) | {round(m2, 12)})
 
-    lhs = ins.mean(-xlogx(u) * (u - 1.0))
     log_inv_pstar = np.log(1.0 / ins.p_star)
 
     # E[U^(1+c)] and E[U^(2+c)] over the grid: one array power, one dot per
@@ -268,10 +269,7 @@ def speed_limits(p: Process) -> LawReport:
     best_bracket = max(-(m2 / c) * np.log(m / m2) if np.isfinite(m) else -np.inf
                        for c, m in zip(c_grid, m2c))
     basic = log_inv_pstar + best_bracket if np.isfinite(best_bracket) else None
-    u2logu = np.zeros_like(u)
-    pos = u > 0
-    u2logu[pos] = u[pos] ** 2 * np.log(u[pos])
-    infinitary = log_inv_pstar - ins.mean(u2logu)
+    infinitary = log_inv_pstar - ins.u2_log_u
 
     gaps = [_gap_from_moments(c, a, b, m2) for c, a, b in zip(c_grid, m1c, m2c)]
     c_star = None
@@ -299,7 +297,7 @@ def speed_limits(p: Process) -> LawReport:
     finite_bounds = [float(infinitary)] if basic is None else [float(basic), float(infinitary)]
     return LawReport(
         name="speed_limits",
-        lhs=lhs,
+        lhs=ins.ns_s_ns,
         bounds=tuple(sorted(finite_bounds, reverse=True)),
         direction="ge",
         equilibrium_class=ins.equilibrium_class,
@@ -323,7 +321,7 @@ def acceleration_report(ins: FitnessSummary, with_lower: bool = True) -> LawRepo
     purely environmental case, which is reported directly.
     """
     u = ins.u
-    lhs = ins.mean(-((u - 1.0) ** 2) * xlogx(u))
+    lhs = ins.mean(-((u - 1.0) ** 2) * ins.u_log_u)
     if ins.var_u <= EPS_ZERO:
         return LawReport(
             name="selective_acceleration",
@@ -404,13 +402,11 @@ def ec_selective_entropy_bound(p: Process, q: Process) -> LawReport:
     u_next = fitness(q).U
     ent_next = Observable(q.source.types, -xlogx(u_next.values))
     carried = local_average(p, ent_next).values
-    lhs = ins.mean((carried + xlogx(ins.u)) * ins.u)
-    u = ins.u
-    bound = float(ins.mean(np.where(u > 0, u**2 * np.log(np.where(u > 0, u, 1.0)), 0.0)))
+    lhs = ins.mean((carried + ins.u_log_u) * ins.u)
     return LawReport(
         name="ec_selective_entropy_bound",
         lhs=lhs,
-        bounds=(bound,),
+        bounds=(ins.u2_log_u,),
         direction="le",
         equilibrium_class=ins.equilibrium_class,
         extras={
@@ -427,7 +423,6 @@ def multilevel_second_law(p: Process, q: Process) -> LawReport:
 
     check_composable(p, q)
     ins_q = fitness(q).summary
-    lhs = ins_q.mean(-xlogx(ins_q.u) * (ins_q.u - 1.0))
     direct = -ins_q.var_u * np.log1p(ins_q.var_u)
     var_u2, mean_cond = multilevel_variance(p, q)
     split = var_u2 + mean_cond
@@ -436,7 +431,7 @@ def multilevel_second_law(p: Process, q: Process) -> LawReport:
                             EPS_REL * max(1.0, abs(direct)))
     return LawReport(
         name="multilevel_second_law",
-        lhs=lhs,
+        lhs=ins_q.ns_s_ns,
         bounds=(float(direct), 0.0),
         direction="le",
         equilibrium_class=ins_q.equilibrium_class,
@@ -463,18 +458,13 @@ class StationarityClass:
 def stationarity(p: Process, q: Process, tol: float = EPS_SAT) -> StationarityClass:
     """Classify the joint pair through the child/parent fitness ratio.
 
-    All conditions are read off the support cells of ``cell_arrays``: flow
-    share of the child mass above EPS_ZERO, on childbearing rows.
+    All conditions are read off the cells that carry flow (``flow_cells``).
     """
     check_composable(p, q)
     fd = fitness(p)
     u = fd.U.values
     u_next = fitness(q).U
-    cells = (flow_shares(p) > EPS_ZERO) & fd.support[:, None]
-
-    if not cells.any():
-        return StationarityClass(True, True, True, True)
-
+    cells = flow_cells(p) > 0
     ii, jj = np.nonzero(cells)
     ratios = u_next.values[jj] / u[ii]
     strong = bool(np.all(np.abs(u_next.values[jj] - u[ii]) <= tol))

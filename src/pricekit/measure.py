@@ -32,9 +32,6 @@ class TypeSet:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def index(self, label: str) -> int:
-        return self.labels.index(label)
-
     @staticmethod
     def range(k: int, prefix: str = "t") -> "TypeSet":
         return TypeSet(f"{prefix}{i}" for i in range(k))

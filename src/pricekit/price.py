@@ -89,20 +89,13 @@ def aggregate_price(p: Process, x: Observable, y: Observable) -> AggregatePrice:
     return AggregatePrice(sel, env, growth)
 
 
-def aggregate_price_compact(p: Process, x: Observable, y: Observable) -> float:
-    """Same aggregate change via the integrand x(W-1) + (local change) W."""
-    fd = fitness(p)
-    delta_w = local_change(p, x, y)
-    integrand = x.values * (fd.W.values - 1.0) + delta_w.values * fd.W.values
-    return float(p.source.weights @ integrand)
-
-
 def fisher(p: Process, q: Process) -> tuple[float, float]:
     """Selective and environmental change of relative fitness across p.
 
     The average of U and of U' are both one, so the two terms cancel: the
     environmental change of relative fitness is minus its variance.
     """
+    check_composable(p, q)
     u = fitness(p).U
     u_next = fitness(q).U
     ns = variance(p.source, u)

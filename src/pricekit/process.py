@@ -26,9 +26,6 @@ class Diagnostics:
     max_residual: float
     passed: bool
 
-    def failing_types(self, types: TypeSet):
-        return [c for c, r in zip(types.labels, self.residuals) if r > EPS_REL]
-
 
 def _relative_residuals(predicted: np.ndarray, stated: np.ndarray) -> np.ndarray:
     scale = np.maximum(np.maximum(np.abs(predicted), np.abs(stated)), EPS_ZERO)
@@ -39,12 +36,13 @@ def _relative_residuals(predicted: np.ndarray, stated: np.ndarray) -> np.ndarray
 
 @dataclass(frozen=True)
 class FitnessSummary:
-    """Values of U (zero within EPS_ZERO) with their probabilities, and the
-    p_star, var(U), S_NS and equilibrium class read off them; the operator
-    version builds one from the spectrum of U."""
+    """Values of U (zero within EPS_ZERO) with their probabilities, U log U,
+    and the p_star, var(U), S_NS and equilibrium class read off them; the
+    operator version builds one from the spectrum of U."""
 
     u: np.ndarray
     prob: np.ndarray
+    u_log_u: np.ndarray
     p_star: float
     var_u: float
     s_ns: float
@@ -56,13 +54,27 @@ class FitnessSummary:
     def moment(self, k: float) -> float:
         return self.mean(self.u**k)
 
+    @cached_property
+    def ns_s_ns(self) -> float:
+        """E[-(U-1) U log U], the selective change of S_NS (the Second Law's lhs)."""
+        return self.mean(-self.u_log_u * (self.u - 1.0))
+
+    @cached_property
+    def u2_log_u(self) -> float:
+        """E[U^2 log U] with 0 log 0 = 0."""
+        pos = self.u > 0
+        vals = np.zeros_like(self.u)
+        vals[pos] = self.u[pos] ** 2 * np.log(self.u[pos])
+        return self.mean(vals)
+
 
 def summarize_fitness(u_values: np.ndarray, prob: np.ndarray) -> FitnessSummary:
     u = np.array(u_values, dtype=float)
     u[np.abs(u) <= EPS_ZERO] = 0.0
     prob = np.array(prob, dtype=float)
-    u.setflags(write=False)
-    prob.setflags(write=False)
+    u_log_u = xlogx(u)
+    for a in (u, prob, u_log_u):
+        a.setflags(write=False)
     # equilibrium class: purely_environmental, selective_equilibrium or generic
     carried = u[prob > 0]
     live = carried[carried > EPS_ZERO]
@@ -75,9 +87,10 @@ def summarize_fitness(u_values: np.ndarray, prob: np.ndarray) -> FitnessSummary:
     return FitnessSummary(
         u=u,
         prob=prob,
+        u_log_u=u_log_u,
         p_star=float(prob[u > EPS_ZERO].sum()),
         var_u=float(prob @ (u - 1.0) ** 2),
-        s_ns=float(prob @ (-xlogx(u))),
+        s_ns=float(prob @ (-u_log_u)),
         equilibrium_class=eq,
     )
 
@@ -168,6 +181,14 @@ def flow_shares(p: Process) -> np.ndarray:
     return p.kernel * p.source.weights[:, None] / (p.source.size * fitness(p).wbar)
 
 
+def flow_cells(p: Process) -> np.ndarray:
+    """The flow shares with every share at or below EPS_ZERO, or on a childless
+    row, set to zero: the (parent, child) cells that carry flow."""
+    flow = flow_shares(p)
+    flow[(flow <= EPS_ZERO) | ~fitness(p).support[:, None]] = 0.0
+    return flow
+
+
 def validate(p: Process) -> Diagnostics:
     """Report how well the kernel image of the source matches the target."""
     predicted = p.kernel.T @ p.source.weights
@@ -200,18 +221,12 @@ def local_change(p: Process, x: Observable, y: Observable) -> Observable:
     return Observable(p.source.types, avg.values - x.values)
 
 
-def _populations_match(a: Population, b: Population) -> bool:
-    if a.types != b.types:
-        return False
-    scale = max(a.size, b.size, 1.0)
-    return bool(np.all(np.abs(a.weights - b.weights) <= EPS_REL * scale))
-
-
 def check_composable(p: Process, q: Process) -> None:
     """Raise unless the intermediate populations agree within tolerance."""
-    if p.target.types != q.source.types:
+    a, b = p.target, q.source
+    if a.types != b.types:
         raise ValueError("processes are not composable")
-    if not _populations_match(p.target, q.source):
+    if not np.all(np.abs(a.weights - b.weights) <= EPS_REL * max(a.size, b.size, 1.0)):
         raise ValueError("intermediate populations differ beyond tolerance")
 
 
@@ -240,8 +255,6 @@ def price_factorize(p: Process) -> Factorization:
     fd = fitness(p)
     w = fd.W.values
     support = fd.support
-    if not support.any():
-        raise ValueError("process has no childbearing types to factor")
     labels = np.asarray(p.source.types.labels)
     mid_types = TypeSet(labels[support])
     mid_pop = Population(mid_types, (w * p.source.weights)[support])

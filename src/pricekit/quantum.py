@@ -130,7 +130,6 @@ class QuantumObservable:
 
 
 def apply_super(s: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    d_in = rho.shape[0]
     d_out = int(round(np.sqrt(s.shape[0])))
     return unvec(s @ vec(rho), d_out)
 

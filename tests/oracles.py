@@ -168,6 +168,18 @@ def cell_stats_by_loop(p, part_a, part_b) -> dict:
     return out
 
 
+def aggregate_price_compact(p, x, y) -> float:
+    """The aggregate change mu'[y] - mu[x] via the single integrand
+    x (W - 1) + (local change) W, the compact route next to the three terms
+    of ``aggregate_price``."""
+    from pricekit import fitness, local_change
+
+    fd = fitness(p)
+    delta_w = local_change(p, x, y)
+    integrand = x.values * (fd.W.values - 1.0) + delta_w.values * fd.W.values
+    return float(p.source.weights @ integrand)
+
+
 def intergenerational_by_loops(p, q) -> tuple[float, float]:
     """(ns_s_ec, formula_route) of ``intergenerational_ec_change`` summed
     term by term over parent-child cells and next-generation cells."""

@@ -229,6 +229,11 @@ class TestReport:
         assert self._quantum_report(tmp_path, minus_identity) == 1
         assert "positive cone" in capsys.readouterr().err
 
+    def test_superoperator_that_breaks_hermiticity_exits_one(self, tmp_path, capsys):
+        left_multiply = np.kron(np.eye(2), [[1.0, 2.0], [0.0, 1.0]]).tolist()
+        assert self._quantum_report(tmp_path, left_multiply) == 1
+        assert "does not preserve Hermiticity" in capsys.readouterr().err
+
     def test_transpose_superoperator_keeps_the_quantum_keys(self, tmp_path, capsys):
         transpose = [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
         assert self._quantum_report(tmp_path, transpose) == 0
@@ -336,6 +341,24 @@ class TestSimulate:
         monkeypatch.setattr(pricekit.Partition, "__init__", forbidden)
         assert main(["simulate", path, "--generations", "6", "--out", str(out)]) == 0
         assert out.read_bytes() == expected.read_bytes()
+
+    def test_u_log_u_once_per_generation(self, tmp_path, monkeypatch):
+        """Each generation evaluates x log x twice: U log U once, in the
+        fitness summary that both law chains read, and the flow shares once
+        for S_EC.  The laws themselves call it on no U."""
+        path, _, _ = self._random_doc(tmp_path)
+        calls = {}
+        for name in ("measure", "process", "laws", "entropy", "quantum"):
+            module = importlib.import_module(f"pricekit.{name}")
+
+            def counted(x, _name=name, _xlogx=module.xlogx):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _xlogx(x)
+
+            monkeypatch.setattr(module, "xlogx", counted)
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", path, "--generations", "6", "--out", str(out)]) == 0
+        assert calls == {"process": 7, "entropy": 7}
 
     def test_non_endomorphic_rejected(self, f5_file):
         assert main(["simulate", f5_file]) == 1

@@ -26,8 +26,7 @@ from pricekit import (
     total_entropy,
 )
 from pricekit.config import EPS_ZERO
-from pricekit.entropy import _flow_matrix
-from pricekit.process import Process
+from pricekit.process import Process, flow_cells
 
 from conftest import (
     bernoulli_dispersion,
@@ -439,7 +438,7 @@ class TestReversibility:
         p = Process(Population(TypeSet(["a", "b"]), [1, 1]),
                     Population(TypeSet(["c0", "c1"]), image + 0.9e-9), [[1.0, k], [0.0, 1.0]])
         support = generating_profile(p).cells.support
-        np.testing.assert_array_equal(support, _flow_matrix(p) > 0)
+        np.testing.assert_array_equal(support, flow_cells(p) > 0)
         assert support[0, 1] == (factor > 1)
 
 

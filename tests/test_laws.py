@@ -22,6 +22,7 @@ from pricekit import (
     stationarity,
     zeroth_law,
 )
+from pricekit.laws import LawReport
 from pricekit.process import Process
 
 from conftest import (
@@ -32,6 +33,19 @@ from conftest import (
 from oracles import speed_limits_by_loop
 
 LOG2 = np.log(2)
+
+
+def test_to_dict_builds_the_chain_twice(f5, monkeypatch):
+    """Slacks and link scales are each computed once per report and shared
+    by ``saturated`` and ``satisfied``."""
+    reads = []
+    chain = LawReport.chain.fget
+    monkeypatch.setattr(LawReport, "chain", property(lambda rep: reads.append(1) or chain(rep)))
+    rep = second_law(f5)
+    d = rep.to_dict()
+    assert len(reads) == 2
+    assert d["slacks"] == list(rep.slacks) and d["satisfied"] == rep.satisfied
+    assert len(reads) == 2
 
 
 class TestZerothLaw:

@@ -11,6 +11,7 @@ from pricekit.quantum import _choi, _cp_certified, _sample_check_positive, apply
 from conftest import random_process
 
 OUTSIDE_CONE = "map sends a sampled state outside the positive cone"
+NOT_HERMITIAN = "map does not preserve Hermiticity on sampled states"
 
 
 def unit(d: int, i: int, j: int) -> np.ndarray:
@@ -106,3 +107,19 @@ def test_scaled_maps_are_certified_where_probes_reject_them():
             s = 1e3 * threshold_super(d, t)
             assert _cp_certified(s, d, d + 1) == certified, (d, t)
             assert outcome(s, d, d + 1) == probes, (d, t)
+
+
+def test_map_that_breaks_hermiticity_is_rejected(monkeypatch):
+    """rho -> A rho with A = [[1, 2], [0, 1]], whose superoperator is kron(1, A):
+    the Choi matrix is not Hermitian, so the certificate gives up before any
+    factorization, and the probes reject the map."""
+    s = np.kron(np.eye(2), np.array([[1, 2], [0, 1]], dtype=complex))
+    with monkeypatch.context() as m:
+        def no_factorization(*args):
+            raise AssertionError("the certificate factorized a non-Hermitian Choi matrix")
+
+        m.setattr(np.linalg, "cholesky", no_factorization)
+        assert not _cp_certified(s, 2, 2)
+    assert outcome(s, 2, 2) == NOT_HERMITIAN
+    with pytest.raises(ValueError, match=NOT_HERMITIAN):
+        QuantumProcess(s, DensityOperator(np.eye(2) / 2))

@@ -17,10 +17,11 @@ from pricekit import (
     variance,
 )
 from pricekit.measure import xlogx
-from pricekit.price import aggregate_price_compact, selective_change
+from pricekit.price import selective_change
 from pricekit.process import Process
 
 from conftest import random_composable_pair, random_observable, random_process
+from oracles import aggregate_price_compact
 
 
 class TestPrice:

@@ -8,13 +8,23 @@ from pricekit import (
     TypeSet,
     classify_purity,
     compose,
+    ec_selective_entropy_bound,
+    ec_variance_bound,
     expectation,
+    fisher,
     fitness,
+    intergenerational_ec_change,
     local_average,
     local_change,
+    multilevel_price,
+    multilevel_second_law,
+    multilevel_variance,
     price_factorize,
+    process,
+    stationarity,
     validate,
 )
+from pricekit.config import EPS_REL
 from pricekit.process import Process
 
 from conftest import bernoulli_dispersion, random_composable_pair, random_process
@@ -38,7 +48,7 @@ class TestValidate:
                     _check=False)
         diag = validate(p)
         assert not diag.passed
-        assert diag.failing_types(p.target.types) == ["b"]
+        np.testing.assert_array_equal(diag.residuals > EPS_REL, [False, True])
 
     def test_constructor_rejects_bad_shapes_and_signs(self):
         with pytest.raises(ValueError):
@@ -151,6 +161,33 @@ class TestCompose:
     def test_incompatible_pair_rejected(self, f5, f2):
         with pytest.raises(ValueError):
             compose(f5, f2)
+
+
+def _multilevel_price(p, q):
+    return multilevel_price(p, q, Observable.constant(q.source.types, 1.0),
+                            Observable.constant(q.target.types, 1.0))
+
+
+PAIR_FUNCTIONS = [fisher, compose, ec_variance_bound, ec_selective_entropy_bound,
+                  multilevel_second_law, stationarity, _multilevel_price, multilevel_variance,
+                  intergenerational_ec_change]
+
+
+@pytest.mark.parametrize("pair_function", PAIR_FUNCTIONS, ids=lambda f: f.__name__)
+def test_pair_functions_reject_pairs_that_do_not_compose(pair_function):
+    """Every function of a pair checks composability before it computes: an
+    intermediate population 1e-6 N' off, or on other labels, is an input
+    error, never reported as a failed identity."""
+    p = process(Population(AB, [1, 2]), [[1, 0.5], [0.2, 0.9]])
+    kernel = [[0.5, 1.5], [1.0, 0.0]]
+    gap = p.target.weights + [1e-6 * p.target.size, 0.0]
+    off = process(Population(p.target.types, gap), kernel)
+    with pytest.raises(ValueError, match="intermediate populations differ beyond tolerance"):
+        pair_function(p, off)
+    relabelled = process(Population(TypeSet(["x", "y"]), p.target.weights), kernel)
+    with pytest.raises(ValueError, match="not composable"):
+        pair_function(p, relabelled)
+    pair_function(p, process(p.target, kernel))
 
 
 class TestFactorization:
