@@ -3,6 +3,7 @@ is compared with and against which scale.  Logarithms are natural; 0 log 0 = 0."
 
 # Support and childbearing: a scale-free value (U, a flow share of the child
 # mass n * wbar, a cell mean) at or below this is exactly zero.  Absolute.
+# summarize_fitness alone applies it to U, values and operator eigenvalues alike.
 EPS_ZERO = 1e-12
 
 # Identities regenerated through floating-point sums: residual against EPS_REL *
@@ -19,8 +20,9 @@ EPS_SAT = 1e-9
 # completeness, commutation, imaginary parts): EPS_OP times its scale floored at 1.
 EPS_OP = 1e-8
 
-# Spectral support: an eigenvalue is kept when above EPS_SUPPORT times the
-# largest |eigenvalue| of its spectrum (floored at EPS_ZERO).
+# Spectral support of a spectrum without unit mean (a D-hat cell, a full target
+# state): an eigenvalue is kept when above EPS_SUPPORT times the largest
+# |eigenvalue| of its spectrum (floored at EPS_ZERO).  Never applied to U.
 EPS_SUPPORT = 1e-10
 
 # A constructed inverse or factor composes back to the identity (or to the

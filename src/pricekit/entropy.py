@@ -100,7 +100,7 @@ def local_selective_entropy(p: Process, block_a, block_b,
         u_hat[rows] = w_ab / mean_cell
         return float((p.source.weights @ (-xlogx(u_hat))) / p.source.size)
     u = fd.U.values[rows]
-    pos = u > EPS_ZERO
+    pos = fd.support[rows]
     contrib = -(w_ab[pos] / fd.wbar) * np.log(u[pos]) * mu[pos]
     return float(contrib.sum()) / p.source.size
 

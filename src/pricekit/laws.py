@@ -169,8 +169,7 @@ def higher_order_first_law(p: Process, n: int) -> LawReport:
         lhs = moment
         bound = ins.var_u**n
     else:
-        alive = (ins.u > EPS_ZERO).astype(float)
-        lhs = ins.mean(alive * (ins.u - 1.0) ** (n + 1))
+        lhs = ins.mean(ins.support * (ins.u - 1.0) ** (n + 1))
         bound = (1.0 - ins.p_star) ** (n + 1) / ins.p_star**n
     return LawReport(
         name=f"higher_order_first_law[n={n}]",
@@ -376,14 +375,13 @@ def ec_variance_bound(p: Process, q: Process) -> LawReport:
     # E[U^3 Rbar] written as E[U^2 <U'>] so childless rows contribute zero.
     a = ins.mean(ins.u**2 * local_average(p, u_next).values)
     bound = (a - m3) * (a + m3) / m3
-    strong = stationarity(p, q).strong
     return LawReport(
         name="ec_variance_bound",
         lhs=lhs,
         bounds=(float(bound),),
         direction="ge",
         equilibrium_class=ins.equilibrium_class,
-        extras={"strongly_stationary": strong, "third_moment": m3},
+        extras={"strongly_stationary": _strongly_stationary(p, q)[0], "third_moment": m3},
     )
 
 
@@ -410,7 +408,7 @@ def ec_selective_entropy_bound(p: Process, q: Process) -> LawReport:
         direction="le",
         equilibrium_class=ins.equilibrium_class,
         extras={
-            "strongly_stationary": stationarity(p, q).strong,
+            "strongly_stationary": _strongly_stationary(p, q)[0],
             "log_moment_bound": float(np.log(m2) + np.log(m3)),
         },
     )
@@ -455,19 +453,26 @@ class StationarityClass:
     locally_constant: bool
 
 
+def _strongly_stationary(p: Process, q: Process,
+                         tol: float = EPS_SAT) -> tuple[bool, np.ndarray]:
+    """Whether U' of every child equals U of each parent feeding it, and the mask
+    of cells that carry flow (``flow_cells``) it read; the pair must compose."""
+    cells = flow_cells(p) > 0
+    ii, jj = np.nonzero(cells)
+    return bool(np.all(np.abs(fitness(q).U.values[jj] - fitness(p).U.values[ii]) <= tol)), cells
+
+
 def stationarity(p: Process, q: Process, tol: float = EPS_SAT) -> StationarityClass:
     """Classify the joint pair through the child/parent fitness ratio.
 
     All conditions are read off the cells that carry flow (``flow_cells``).
     """
     check_composable(p, q)
-    fd = fitness(p)
-    u = fd.U.values
+    u = fitness(p).U.values
     u_next = fitness(q).U
-    cells = flow_cells(p) > 0
+    strong, cells = _strongly_stationary(p, q, tol)
     ii, jj = np.nonzero(cells)
     ratios = u_next.values[jj] / u[ii]
-    strong = bool(np.all(np.abs(u_next.values[jj] - u[ii]) <= tol))
     homogeneous = bool(ratios.max() - ratios.min() <= tol * max(1.0, abs(ratios.max())))
 
     live = cells.any(axis=1)

@@ -36,13 +36,15 @@ def _relative_residuals(predicted: np.ndarray, stated: np.ndarray) -> np.ndarray
 
 @dataclass(frozen=True)
 class FitnessSummary:
-    """Values of U (zero within EPS_ZERO) with their probabilities, U log U,
-    and the p_star, var(U), S_NS and equilibrium class read off them; the
-    operator version builds one from the spectrum of U."""
+    """Values of U (zero within EPS_ZERO) with their probabilities, U log U, the
+    support U > 0 (the one childbearing rule, read by classical and operator
+    code alike), and the p_star, var(U), S_NS and equilibrium class read off
+    them; the operator version builds one from the spectrum of U."""
 
     u: np.ndarray
     prob: np.ndarray
     u_log_u: np.ndarray
+    support: np.ndarray
     p_star: float
     var_u: float
     s_ns: float
@@ -62,7 +64,7 @@ class FitnessSummary:
     @cached_property
     def u2_log_u(self) -> float:
         """E[U^2 log U] with 0 log 0 = 0."""
-        pos = self.u > 0
+        pos = self.support
         vals = np.zeros_like(self.u)
         vals[pos] = self.u[pos] ** 2 * np.log(self.u[pos])
         return self.mean(vals)
@@ -73,11 +75,12 @@ def summarize_fitness(u_values: np.ndarray, prob: np.ndarray) -> FitnessSummary:
     u[np.abs(u) <= EPS_ZERO] = 0.0
     prob = np.array(prob, dtype=float)
     u_log_u = xlogx(u)
-    for a in (u, prob, u_log_u):
+    support = u > 0
+    for a in (u, prob, u_log_u, support):
         a.setflags(write=False)
     # equilibrium class: purely_environmental, selective_equilibrium or generic
     carried = u[prob > 0]
-    live = carried[carried > EPS_ZERO]
+    live = u[(prob > 0) & support]
     if np.all(np.abs(carried - 1.0) <= EPS_SAT):
         eq = "purely_environmental"
     elif len(live) and live.max() - live.min() <= EPS_SAT * max(1.0, live.max()):
@@ -88,7 +91,8 @@ def summarize_fitness(u_values: np.ndarray, prob: np.ndarray) -> FitnessSummary:
         u=u,
         prob=prob,
         u_log_u=u_log_u,
-        p_star=float(prob[u > EPS_ZERO].sum()),
+        support=support,
+        p_star=float(prob[support].sum()),
         var_u=float(prob @ (u - 1.0) ** 2),
         s_ns=float(prob @ (-u_log_u)),
         equilibrium_class=eq,
@@ -99,13 +103,16 @@ def summarize_fitness(u_values: np.ndarray, prob: np.ndarray) -> FitnessSummary:
 class FitnessData:
     """Row sums W, their source-weighted mean wbar = mu.W / N and U = W/wbar,
     which has unit mean by construction; ``support`` marks the childbearing
-    rows, decided on the scale-free U > EPS_ZERO."""
+    rows and is the summary's own array."""
 
     W: Observable
     wbar: float
     U: Observable
-    support: np.ndarray = field(repr=False)
     summary: FitnessSummary = field(repr=False)
+
+    @property
+    def support(self) -> np.ndarray:
+        return self.summary.support
 
     @property
     def p_star(self) -> float:
@@ -149,14 +156,10 @@ class Process:
         if wbar <= 0:
             raise ValueError("kernel carries no child mass")
         u_values = w_values / wbar
-        U = Observable(self.source.types, u_values)
-        support = U.values > EPS_ZERO
-        support.setflags(write=False)
         return FitnessData(
             W=Observable(self.source.types, w_values),
             wbar=wbar,
-            U=U,
-            support=support,
+            U=Observable(self.source.types, u_values),
             summary=summarize_fitness(u_values, self.source.weights / self.source.size),
         )
 

@@ -62,7 +62,8 @@ def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _support(vals: np.ndarray) -> np.ndarray:
-    """Eigenvalues above EPS_SUPPORT of the top eigenvalue, per spectrum in a stack."""
+    """Eigenvalues above EPS_SUPPORT of the top eigenvalue, per spectrum in a stack;
+    only for spectra without unit mean (D-hat cells, a full target state), not U."""
     return vals > EPS_SUPPORT * np.maximum(np.abs(vals).max(axis=-1, keepdims=True), EPS_ZERO)
 
 
@@ -70,20 +71,16 @@ def _projector(vecs: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return (vecs * keep[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
-def _spectral(vals: np.ndarray, vecs: np.ndarray, f, support_only: bool = False) -> np.ndarray:
+def _spectral(vals: np.ndarray, vecs: np.ndarray, f, keep: np.ndarray) -> np.ndarray:
     """Apply a scalar function through an eigendecomposition or a stack of them;
-    with ``support_only`` eigenvalues outside ``_support`` map to 0."""
-    if support_only:
-        keep = _support(vals)
-        fv = np.where(keep, f(np.where(keep, vals, 1.0)), 0.0)
-    else:
-        fv = f(vals)
+    eigenvalues outside the caller's ``keep`` mask map to 0 unseen by f (True keeps all)."""
+    fv = np.where(keep, f(np.where(keep, vals, 1.0)), 0.0)
     return (vecs * fv[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
-def matrix_function(h: np.ndarray, f, support_only: bool = False) -> np.ndarray:
-    """Apply a scalar function to a Hermitian matrix through its spectrum."""
-    return _spectral(*np.linalg.eigh(h), f, support_only)
+def matrix_function(h: np.ndarray, f) -> np.ndarray:
+    """Apply a scalar function to a Hermitian matrix through its whole spectrum."""
+    return _spectral(*np.linalg.eigh(h), f, True)
 
 
 # ---------------------------------------------------------------------------
@@ -212,18 +209,13 @@ class QuantumProcess:
         if vals.min() * wbar < -EPS_OP * max(float(vals.max()) * wbar, 1.0):
             raise ValueError("fitness operator is not positive: non-positive map")
         weights = np.clip(np.real(np.einsum("ij,jk,ki->i", vecs.conj().T, rho, vecs)), 0.0, None)
-        summary = summarize_fitness(vals, weights / weights.sum())
-        support = _support(vals)
-        for a in (vals, vecs, support):
-            a.setflags(write=False)
+        vecs.setflags(write=False)
         return QFitness(
             W=QuantumObservable(w_op),
             wbar=wbar,
             U=QuantumObservable(u_op),
-            eigvals=vals,
             eigvecs=vecs,
-            support=support,
-            summary=summary,
+            summary=summarize_fitness(vals, weights / weights.sum()),
         )
 
 
@@ -239,9 +231,7 @@ def _cp_certified(s: np.ndarray, d_in: int, d_out: int) -> bool:
     """Choi's test: J Hermitian and J + EPS_OP * scale * 1 Cholesky-factorizable."""
     j = _choi(s, d_in, d_out)
     tol = EPS_OP * max(float(np.abs(j).max()), 1.0)
-    h = j.conj().T
-    h += j
-    h *= 0.5                                  # Hermitian part, built in place
+    h = _herm_part(j)                         # a new array, also for real j
     j -= h                                    # j is now the anti-Hermitian part
     if 2.0 * float(np.abs(j).max()) > tol:
         return False
@@ -299,16 +289,22 @@ def apply_adjoint(w: QuantumProcess, y: np.ndarray) -> np.ndarray:
 class QFitness:
     """W = W-dagger(1), wbar = Re Tr(W rho) / Tr rho and U = W/wbar, which has
     unit mean by construction, with the one eigh of U that every spectral
-    functional reads: ``summary`` holds its eigenvalues weighted by the
-    state, ``support`` those above EPS_SUPPORT of the top one."""
+    functional reads: ``summary`` holds its eigenvalues weighted by the state,
+    and ``eigvals`` and ``support`` are its arrays (the classical rule U > 0)."""
 
     W: QuantumObservable
     wbar: float
     U: QuantumObservable
-    eigvals: np.ndarray = field(repr=False)
     eigvecs: np.ndarray = field(repr=False)
-    support: np.ndarray = field(repr=False)
     summary: FitnessSummary = field(repr=False)
+
+    @property
+    def eigvals(self) -> np.ndarray:
+        return self.summary.u
+
+    @property
+    def support(self) -> np.ndarray:
+        return self.summary.support
 
     @property
     def p_star(self) -> float:
@@ -501,9 +497,8 @@ def q_partition_entropy(w: QuantumProcess, projs_a, projs_b) -> QPartitionResult
     rho = w.source.matrix
     n = w.source.trace
     u_op = fd.U.matrix
-    u_half = _spectral(fd.eigvals, fd.eigvecs, np.sqrt, support_only=True)
-    u_inv_half = _spectral(fd.eigvals, fd.eigvecs, lambda v: 1.0 / np.sqrt(v),
-                           support_only=True)
+    u_half = _spectral(fd.eigvals, fd.eigvecs, np.sqrt, fd.support)
+    u_inv_half = _spectral(fd.eigvals, fd.eigvecs, lambda v: 1.0 / np.sqrt(v), fd.support)
     inter = u_half @ rho @ u_half            # intermediate state, trace N
     inter_scale = float(np.abs(inter).max())  # > 0: the trace is N > 0
     centered_rho = (u_op - np.eye(d_in)) @ rho
@@ -524,8 +519,9 @@ def q_partition_entropy(w: QuantumProcess, projs_a, projs_b) -> QPartitionResult
         comm_residual = max(comm_residual, float((comm / (d_scale * inter_scale)).max()))
 
         d_vals, d_vecs = np.linalg.eigh(d_hat)
-        d_log_d = _spectral(d_vals, d_vecs, lambda v: v * np.log(v), support_only=True)
-        p_cell = _projector(d_vecs, _support(d_vals))
+        d_keep = _support(d_vals)
+        d_log_d = _spectral(d_vals, d_vecs, lambda v: v * np.log(v), d_keep)
+        p_cell = _projector(d_vecs, d_keep)
         u_bar = _pair(u_cell, rho) / n
         p_tilde = _pair(p_cell, inter) / n
         # n * p_tilde * sigma, sigma the intermediate state on the cell support
@@ -573,9 +569,8 @@ class OpenQuantumProcess:
 
     @cached_property
     def parented_operator(self) -> np.ndarray:
-        inv_half = matrix_function(
-            self.full_target.matrix, lambda v: 1.0 / np.sqrt(v), support_only=True
-        )
+        vals, vecs = np.linalg.eigh(self.full_target.matrix)
+        inv_half = _spectral(vals, vecs, lambda v: 1.0 / np.sqrt(v), _support(vals))
         pi = _herm_part(inv_half @ self.closed.target.matrix @ inv_half)
         pi.setflags(write=False)
         return pi

@@ -386,9 +386,8 @@ def q_cell_stats_by_loop(w, projs_a, projs_b):
     rho = w.source.matrix
     n = w.source.trace
     u_op = fd.U.matrix
-    u_half = _spectral(fd.eigvals, fd.eigvecs, np.sqrt, support_only=True)
-    u_inv_half = _spectral(fd.eigvals, fd.eigvecs, lambda v: 1.0 / np.sqrt(v),
-                           support_only=True)
+    u_half = _spectral(fd.eigvals, fd.eigvecs, np.sqrt, fd.support)
+    u_inv_half = _spectral(fd.eigvals, fd.eigvecs, lambda v: 1.0 / np.sqrt(v), fd.support)
     inter = u_half @ rho @ u_half            # intermediate state, trace N
 
     stats = np.zeros((len(projs_a), len(projs_b), len(CELL_FIELDS)))
@@ -411,7 +410,7 @@ def q_cell_stats_by_loop(w, projs_a, projs_b):
 
             s_ec = float(-xlogx(max(u_bar, 0.0)))
             d_vals, d_vecs = np.linalg.eigh(d_hat)
-            d_log_d = _spectral(d_vals, d_vecs, lambda v: v * np.log(v), support_only=True)
+            d_log_d = _spectral(d_vals, d_vecs, lambda v: v * np.log(v), _support(d_vals))
             s_dis = -float(np.real(np.trace(d_log_d @ inter))) / n
 
             p_cell = _projector(d_vecs, _support(d_vals))

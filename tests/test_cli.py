@@ -147,6 +147,39 @@ class TestErrorMapping:
             assert part in err
 
 
+REJECTED_INPUTS = [
+    # (document, argv after the file, PRICEKIT_TOLERANCE, message on stderr)
+    pytest.param(F5_DOC, ["validate"], "loose", "bad PRICEKIT_TOLERANCE value: 'loose'",
+                 id="tolerance"),
+    pytest.param([F5_DOC], ["validate"], None, "top-level JSON value must be an object",
+                 id="not-an-object"),
+    pytest.param(dict(F5_DOC, kernel=[[1, 1]]), ["validate"], None,
+                 "kernel must have one row per source type", id="kernel-rows"),
+    pytest.param(dict(F5_DOC, target_types=["x"]), ["validate"], None,
+                 "kernel must have one column per target type", id="kernel-columns"),
+    pytest.param(dict(F5_DOC, observables={"odd": [1, 2, 3]}), ["report"], None,
+                 "observable 'odd' matches neither type set", id="observable"),
+    pytest.param(F5_DOC, ["report", "--quantum"], None, "no quantum block in the input file",
+                 id="no-quantum-block"),
+    pytest.param(dict(F5_DOC, quantum={"rho": [[1, 0], [0, 1]]}), ["report", "--quantum"],
+                 None, "quantum block needs a superoperator or kraus list", id="no-map"),
+    pytest.param(F5_DOC, ["report", "--kgs"], None, "no open block in the input file",
+                 id="no-open-block"),
+    pytest.param(dict(F5_DOC, open={"orphan_weights": [0.5]}), ["report", "--kgs"], None,
+                 "orphan weights must match the target type set", id="orphan-length"),
+]
+
+
+@pytest.mark.parametrize("doc, argv, tolerance, message", REJECTED_INPUTS)
+def test_rejected_input_exits_two(tmp_path, monkeypatch, capsys, doc, argv, tolerance, message):
+    if tolerance is not None:
+        monkeypatch.setenv("PRICEKIT_TOLERANCE", tolerance)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestReport:
     def test_values_match_library(self, f5_file, tmp_path, capsys):
         out_path = tmp_path / "report.json"
@@ -193,6 +226,39 @@ class TestReport:
         report = json.loads(capsys.readouterr().out)
         assert "stationarity" in report
         assert "ec_variance_bound" in report["laws"]
+
+    def test_next_classifies_the_pair_once(self, f5_file, tmp_path, monkeypatch, capsys):
+        """Both EC bounds read only the strong flag, so report --next runs the
+        full stationarity classification once, for its own section."""
+        follow = tmp_path / "follow.json"
+        follow.write_text(json.dumps(
+            {"types": ["c0", "c1"], "weights": [2, 1], "kernel": [[0.5, 1.5], [1.0, 0.0]]}))
+        laws = importlib.import_module("pricekit.laws")
+        calls = []
+
+        def counted(p, q, *args, _classify=laws.stationarity, **kwargs):
+            calls.append((p, q))
+            return _classify(p, q, *args, **kwargs)
+
+        monkeypatch.setattr(laws, "stationarity", counted)
+        monkeypatch.setattr("pricekit.cli.stationarity", counted)
+        assert main(["report", f5_file, "--next", str(follow)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert len(calls) == 1
+        strong = report["stationarity"]["strong"]
+        for name in ("ec_variance_bound", "ec_selective_entropy_bound"):
+            assert report["laws"][name]["extras"]["strongly_stationary"] == strong
+
+    def test_exp_first_law_overflow_leaves_the_law_out(self, tmp_path, capsys):
+        """U = (1001, 0): e^U overflows, so the report omits exp_first_law and
+        keeps every other law."""
+        path = tmp_path / "steep.json"
+        path.write_text(json.dumps({"types": ["a", "b"], "weights": [1, 1000],
+                                    "kernel": [[1.0], [0.0]]}))
+        assert main(["report", str(path), "--laws"]) == 0
+        laws = json.loads(capsys.readouterr().out)["laws"]
+        assert "exp_first_law" not in laws
+        assert {"zeroth_law", "second_law", "higher_order_first_law[n=3]"} <= set(laws)
 
     def test_kgs_section(self, tmp_path, capsys):
         doc = dict(F5_DOC)

@@ -161,9 +161,15 @@ def test_fitness_is_cached():
     p = random_process(rng)
     assert fitness(p) is fitness(p)
     assert fitness(p).p_star == fitness(p).summary.p_star
+    assert fitness(p).support is fitness(p).summary.support
     w = embed_process(p)
     assert q_fitness(w) is q_fitness(w)
     assert q_fitness(w).p_star == q_fitness(w).summary.p_star
+    # one support rule: the operator path reads the summary's arrays too
+    assert q_fitness(w).support is q_fitness(w).summary.support
+    assert q_fitness(w).eigvals is q_fitness(w).summary.u
+    for a in (fitness(p).support, q_fitness(w).support, q_fitness(w).eigvals):
+        assert not a.flags.writeable
 
 
 @pytest.mark.parametrize("scale", [0.5, 1.0, 2.0])

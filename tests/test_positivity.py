@@ -123,3 +123,17 @@ def test_map_that_breaks_hermiticity_is_rejected(monkeypatch):
     assert outcome(s, 2, 2) == NOT_HERMITIAN
     with pytest.raises(ValueError, match=NOT_HERMITIAN):
         QuantumProcess(s, DensityOperator(np.eye(2) / 2))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_certificate_reads_a_real_map_as_its_complex_copy(monkeypatch, dtype):
+    """The Hermitian part is a new array for real input too: were it a view of
+    the Choi matrix, the in-place steps would zero the anti-Hermitian part
+    they test and certify kron(1, [[1, 2], [0, 1]])."""
+    def no_factorization(*args):
+        raise AssertionError("the certificate factorized a non-Hermitian Choi matrix")
+
+    monkeypatch.setattr(np.linalg, "cholesky", no_factorization)
+    s = np.kron(np.eye(2), np.array([[1, 2], [0, 1]], dtype=dtype))
+    assert s.dtype == dtype
+    assert not _cp_certified(s, 2, 2)

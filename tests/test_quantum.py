@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import pricekit.quantum
 from pricekit import (
@@ -8,14 +10,18 @@ from pricekit import (
     Population,
     QuantumObservable,
     QuantumProcess,
+    TypeSet,
     adjoint,
     embed_observable,
     embed_process,
+    first_law,
     fitness,
     generating_profile,
+    gibbs_report,
     kgs,
     kraus_to_super,
     price,
+    process,
     q_expectation,
     q_factorize,
     q_fitness,
@@ -24,11 +30,12 @@ from pricekit import (
     q_partition_entropy,
     q_price,
     second_law,
+    selective_acceleration,
     selective_entropy,
     zeroth_law,
 )
 from pricekit.openproc import OpenProcess
-from pricekit.quantum import (_spectral, _support, apply_adjoint, apply_super,
+from pricekit.quantum import (_projector, _spectral, _support, apply_adjoint, apply_super,
                              matrix_function, vec)
 
 from conftest import random_observable, random_process
@@ -269,8 +276,9 @@ class TestQuantumLaws:
     def test_spectral_entropy_matches_eigenvalues(self):
         rng = np.random.default_rng(91)
         w = random_kraus_process(rng, 3)
-        u = q_fitness(w).U.matrix
-        ent = matrix_function(u, lambda v: -v * np.log(v), support_only=True)
+        fd = q_fitness(w)
+        u = fd.U.matrix
+        ent = _spectral(fd.eigvals, fd.eigvecs, lambda v: -v * np.log(v), fd.support)
         vals = np.linalg.eigvalsh(u)
         expected = sorted(-v * np.log(v) if v > 1e-12 else 0.0 for v in vals)
         np.testing.assert_allclose(sorted(np.linalg.eigvalsh(ent)), expected, atol=1e-10)
@@ -347,7 +355,7 @@ class TestPartitionEntropy:
         cutoff; a support-only function is zero on exactly the rejected ones."""
         vals = np.array([[1e-11, 1e-9, 1.0], [3e-17, 3e-15, 3e-6], [-2e-11, 2e-9, 2.0]])
         vecs = np.broadcast_to(np.eye(3, dtype=complex), (3, 3, 3))
-        out = _spectral(vals, vecs, np.sqrt, support_only=True)
+        out = _spectral(vals, vecs, np.sqrt, _support(vals))
         np.testing.assert_array_equal(np.diagonal(out, axis1=-2, axis2=-1) == 0, ~_support(vals))
         assert _support(vals)[:, 1:].all() and not _support(vals)[:, 0].any()
 
@@ -421,23 +429,90 @@ class TestOpenQuantum:
             OpenQuantumProcess(w, full)
 
 
+FOUND_KERNELS = [[[u, u], [1.0, 1.0]] for u in (5e-12, 1e-11, 5e-11, 2e-10)]
+
+
+def singleton_projections(k: int) -> list[np.ndarray]:
+    return [np.diag(row).astype(complex) for row in np.eye(k)]
+
+
+def embedding_gaps(p) -> dict[str, float]:
+    """|classical - embedded| / max(1, |classical|) for the support, p_star,
+    every link of the zeroth, first, second and acceleration chains, and the
+    singleton S_NS, S_EC, S_dis, S_mix and third-law lhs."""
+    w = embed_process(p)
+    fd_c, fd_q = fitness(p), q_fitness(w)
+    pairs = {
+        # the embedded support, as the diagonal of its projector (eigh reorders)
+        "support": (fd_c.support.astype(float),
+                    np.diag(_projector(fd_q.eigvecs, fd_q.support)).real),
+        "U": (fd_c.U.values, np.diag(fd_q.U.matrix).real),
+        "wbar": (fd_c.wbar, fd_q.wbar),
+        "p_star": (fd_c.p_star, fd_q.p_star),
+    }
+    ql = q_laws(w)
+    for name, classical in (("zeroth", zeroth_law(p)), ("first", first_law(p)),
+                            ("second", second_law(p)), ("gibbs", gibbs_report(p)),
+                            ("acceleration", selective_acceleration(p))):
+        pairs[name] = (classical.chain, ql[name].chain)
+    k, k2 = p.kernel.shape
+    prof = generating_profile(p)
+    q_prof = q_partition_entropy(w, singleton_projections(k), singleton_projections(k2)).profile
+    for name in ("s_ns", "s_ec", "s_dis", "s_mix"):
+        pairs[name] = (getattr(prof, name), getattr(q_prof, name))
+    for key, rep in prof.third_law.items():
+        pairs[key] = (rep.lhs, q_prof.third_law[key].lhs)
+    return {name: float(np.max(np.abs(np.subtract(c, q)) / np.maximum(1.0, np.abs(c))))
+            for name, (c, q) in pairs.items()}
+
+
 class TestEmbeddingFaithfulness:
-    def test_every_classical_functional(self):
-        rng = np.random.default_rng(100)
-        for _ in range(20):
-            p = random_process(rng, kmax=4)
-            w = embed_process(p)
-            fd_c = fitness(p)
-            fd_q = q_fitness(w)
-            np.testing.assert_allclose(
-                np.diag(fd_q.U.matrix).real, fd_c.U.values, atol=1e-10
-            )
-            assert fd_q.p_star == pytest.approx(fd_c.p_star, abs=1e-10)
-            assert fd_q.wbar == pytest.approx(fd_c.wbar, rel=1e-12)
-            ql = q_laws(w)
-            assert ql["zeroth"].lhs == pytest.approx(zeroth_law(p).lhs, abs=1e-10)
-            assert ql["second"].lhs == pytest.approx(second_law(p).lhs, abs=1e-10)
-            assert ql["gibbs"].lhs == pytest.approx(selective_entropy(p), abs=1e-10)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.floats(0.01, 10), min_size=1, max_size=5),
+        st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 10)), min_size=25, max_size=25),
+        st.integers(1, 5),
+        st.booleans(),
+        st.sampled_from([0, -60, 60]),
+    )
+    @example([1.0, 1.0], sum(FOUND_KERNELS[0], []) + [0.0] * 21, 2, False, 0)
+    @example([1.0, 1.0], sum(FOUND_KERNELS[1], []) + [0.0] * 21, 2, False, 0)
+    @example([1.0, 1.0], sum(FOUND_KERNELS[2], []) + [0.0] * 21, 2, False, 0)
+    @example([1.0, 1.0], sum(FOUND_KERNELS[3], []) + [0.0] * 21, 2, False, 0)
+    def test_every_classical_functional(self, weights, entries, k2, childless, scale):
+        """embed_process reproduces every classical functional to 1e-12 relative
+        (floored at 1): K = 1, K != K', childless rows, weights x 1e+-60, and
+        U values between EPS_ZERO and 1e-10 of the largest, which one support
+        rule keeps in both paths."""
+        k = len(weights)
+        kernel = np.reshape(entries[: k * k2], (k, k2))
+        if childless:
+            kernel[-1] = 0.0
+        assume(kernel.sum(axis=1) @ weights > 0)
+        p = process(Population(TypeSet.range(k), np.multiply(weights, 10.0**scale)), kernel)
+        gaps = embedding_gaps(p)
+        assert max(gaps.values()) <= 1e-12, gaps
+
+
+class TestOneSupportRule:
+    @pytest.mark.parametrize("lam", [5e-12, 1e-11, 5e-11, 2e-10])
+    def test_small_fitness_eigenvalue_stays_in_the_support(self, lam):
+        """W = A-dagger A with eigenvalues (lam, 1, 2.5) in a random basis: every
+        eigenvalue of U clears EPS_ZERO, so the support is the whole space, as
+        p_star = 1 says, and the projector, factorization and U^(+-1/2) keep
+        all three directions."""
+        rng = np.random.default_rng(int(lam * 1e13))
+        basis, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        a = (basis * np.sqrt([lam, 1.0, 2.5])) @ basis.conj().T
+        w = QuantumProcess(kraus_to_super([a]), random_density(rng, 3))
+        fd = q_fitness(w)
+        assert fd.support.all()
+        assert fd.p_star == pytest.approx(1.0, abs=1e-15)
+        x, y = random_hermitian(rng, 3), random_hermitian(rng, 3)
+        result = q_price(w, x, y)
+        assert result.residual_left <= 1e-13 and result.residual_right <= 1e-13
+        q_factorize(w)
+        q_partition_entropy(w, singleton_projections(3), singleton_projections(3))
 
 
 class TestValidation:
