@@ -3,7 +3,8 @@ is compared with and against which scale.  Logarithms are natural; 0 log 0 = 0."
 
 # Support and childbearing: a scale-free value (U, a flow share of the child
 # mass n * wbar, a cell mean) at or below this is exactly zero.  Absolute.
-# summarize_fitness alone applies it to U, values and operator eigenvalues alike.
+# summarize_fitness alone applies it to U, values and operator eigenvalues alike,
+# raised to numpy's matrix_rank floor size * eps * max|U| for eigh's rounding.
 EPS_ZERO = 1e-12
 
 # Identities regenerated through floating-point sums: residual against EPS_REL *

@@ -36,10 +36,10 @@ def _relative_residuals(predicted: np.ndarray, stated: np.ndarray) -> np.ndarray
 
 @dataclass(frozen=True)
 class FitnessSummary:
-    """Values of U (zero within EPS_ZERO) with their probabilities, U log U, the
-    support U > 0 (the one childbearing rule, read by classical and operator
-    code alike), and the p_star, var(U), S_NS and equilibrium class read off
-    them; the operator version builds one from the spectrum of U."""
+    """Values of U (zero within EPS_ZERO or the rank floor) with their
+    probabilities, U log U, the support U > 0 (the one childbearing rule, read
+    by classical and operator code alike), and the p_star, var(U), S_NS and
+    equilibrium class read off them; the operator version reads U's spectrum."""
 
     u: np.ndarray
     prob: np.ndarray
@@ -72,7 +72,9 @@ class FitnessSummary:
 
 def summarize_fitness(u_values: np.ndarray, prob: np.ndarray) -> FitnessSummary:
     u = np.array(u_values, dtype=float)
-    u[np.abs(u) <= EPS_ZERO] = 0.0
+    # EPS_ZERO, or the rank floor size * eps * max|U| of an eigh if larger
+    floor = max(EPS_ZERO, u.size * np.finfo(float).eps * float(np.abs(u).max(initial=0.0)))
+    u[np.abs(u) <= floor] = 0.0
     prob = np.array(prob, dtype=float)
     u_log_u = xlogx(u)
     support = u > 0

@@ -78,11 +78,6 @@ def _spectral(vals: np.ndarray, vecs: np.ndarray, f, keep: np.ndarray) -> np.nda
     return (vecs * fv[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
-def matrix_function(h: np.ndarray, f) -> np.ndarray:
-    """Apply a scalar function to a Hermitian matrix through its whole spectrum."""
-    return _spectral(*np.linalg.eigh(h), f, True)
-
-
 # ---------------------------------------------------------------------------
 # States, observables, processes
 

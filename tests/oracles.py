@@ -26,6 +26,12 @@ def path_entropy_by_enumeration(p, horizon: int) -> float:
     return float(-(probs * np.log(probs)).sum())
 
 
+def matrix_function(h: np.ndarray, f) -> np.ndarray:
+    """A scalar function of a Hermitian matrix through its whole spectrum."""
+    vals, vecs = np.linalg.eigh(h)
+    return (vecs * f(vals)) @ vecs.conj().T
+
+
 def search_one_sided_inverses(p) -> tuple[bool, bool]:
     """Find exact one-sided inverses of the redistribution stage by direct
     construction and explicit composition checks.

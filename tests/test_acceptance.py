@@ -59,7 +59,6 @@ from pricekit import (
 )
 from pricekit.openproc import OpenProcess, dual_fitness_kgs
 from pricekit.process import Process
-from pricekit.quantum import matrix_function
 
 from conftest import (
     bernoulli_dispersion,
@@ -69,7 +68,7 @@ from conftest import (
     random_process,
     selective_equilibrium_process,
 )
-from oracles import path_entropy_by_enumeration, search_one_sided_inverses
+from oracles import matrix_function, path_entropy_by_enumeration, search_one_sided_inverses
 
 LOG2 = np.log(2)
 

@@ -36,9 +36,10 @@ from pricekit import (
 )
 from pricekit.openproc import OpenProcess
 from pricekit.quantum import (_projector, _spectral, _support, apply_adjoint, apply_super,
-                             matrix_function, vec)
+                             unvec, vec)
 
 from conftest import random_observable, random_process
+from oracles import matrix_function
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -437,9 +438,9 @@ def singleton_projections(k: int) -> list[np.ndarray]:
 
 
 def embedding_gaps(p) -> dict[str, float]:
-    """|classical - embedded| / max(1, |classical|) for the support, p_star,
+    """|classical - embedded| / max(1, |classical|) for the support, U, p_star,
     every link of the zeroth, first, second and acceleration chains, and the
-    singleton S_NS, S_EC, S_dis, S_mix and third-law lhs."""
+    singleton S_NS, S_EC, S_dis, S_mix and third-law lhs; relative for wbar."""
     w = embed_process(p)
     fd_c, fd_q = fitness(p), q_fitness(w)
     pairs = {
@@ -462,8 +463,10 @@ def embedding_gaps(p) -> dict[str, float]:
         pairs[name] = (getattr(prof, name), getattr(q_prof, name))
     for key, rep in prof.third_law.items():
         pairs[key] = (rep.lhs, q_prof.third_law[key].lhs)
-    return {name: float(np.max(np.abs(np.subtract(c, q)) / np.maximum(1.0, np.abs(c))))
+    gaps = {name: float(np.max(np.abs(np.subtract(c, q)) / np.maximum(1.0, np.abs(c))))
             for name, (c, q) in pairs.items()}
+    gaps["wbar"] = abs(fd_c.wbar - fd_q.wbar) / fd_c.wbar   # relative, also below 1
+    return gaps
 
 
 class TestEmbeddingFaithfulness:
@@ -511,8 +514,40 @@ class TestOneSupportRule:
         x, y = random_hermitian(rng, 3), random_hermitian(rng, 3)
         result = q_price(w, x, y)
         assert result.residual_left <= 1e-13 and result.residual_right <= 1e-13
-        q_factorize(w)
+        # Inverting W on all three directions loses ~eps * cond to rounding,
+        # cond = 2.5 / lam; the factors must hold to ten times that.
+        f = q_factorize(w)
+        eye = np.eye(3)
+        bound = 10 * np.finfo(float).eps * 2.5 / lam
+        composition = f.environmental @ np.kron(eye, f.fitness_operator)
+        assert np.abs(composition - w.superoperator @ np.kron(eye, f.support)).max() <= bound
+        env_fitness = unvec(f.environmental.conj().T @ vec(eye.astype(complex)), 3)
+        assert np.abs(env_fitness - f.support).max() <= bound
         q_partition_entropy(w, singleton_projections(3), singleton_projections(3))
+
+    def test_rounded_null_direction_is_not_childbearing(self):
+        """W = A-dagger A with eigenvalues (0, 1e-3, 10) and rho nearly off the top
+        direction, so max U ~ 1.7e4: in a random basis eigh rounds the null
+        eigenvalue of U to ~eps * max U, above EPS_ZERO.  The rank floor keeps it
+        out of the support, and the process agrees with its diagonal copy."""
+        def build(basis):
+            a = (basis * np.sqrt([0.0, 1e-3, 10.0])) @ basis.conj().T
+            rho = DensityOperator((basis * [0.5, 0.5, 1e-5]) @ basis.conj().T)
+            projs = [np.outer(basis[:, i], basis[:, i].conj()) for i in range(3)]
+            w = QuantumProcess(kraus_to_super([a]), rho)
+            return q_fitness(w), q_partition_entropy(w, projs, projs).profile
+
+        fd0, prof0 = build(np.eye(3, dtype=complex))
+        assert fd0.eigvals.max() > 1e4
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            basis, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+            fd, prof = build(basis)
+            null = np.argmax(np.abs(fd.eigvecs.conj().T @ basis[:, 0]))
+            assert not fd.support[null] and fd.support.sum() == 2
+            assert fd.p_star == pytest.approx(fd0.p_star, abs=1e-12)
+            for name in ("s_ns", "s_ec", "s_dis", "s_mix"):
+                assert getattr(prof, name) == pytest.approx(getattr(prof0, name), rel=1e-9, abs=1e-9)
 
 
 class TestValidation:
