@@ -44,7 +44,6 @@ from .quantum import (
     DensityOperator,
     QuantumObservable,
     QuantumProcess,
-    kraus_to_super,
     q_fitness,
     q_laws,
     q_price,
@@ -198,12 +197,11 @@ def _quantum_section(doc: dict) -> dict:
     block = doc["quantum"]
     rho = DensityOperator(_complex_matrix(block["rho"]))
     if "superoperator" in block:
-        sup = _complex_matrix(block["superoperator"])
+        w = QuantumProcess(_complex_matrix(block["superoperator"]), rho)
     elif "kraus" in block:
-        sup = kraus_to_super([_complex_matrix(a) for a in block["kraus"]])
+        w = QuantumProcess.from_kraus([_complex_matrix(a) for a in block["kraus"]], rho)
     else:
         raise InputError("quantum block needs a superoperator or kraus list")
-    w = QuantumProcess(sup, rho)
     fd = q_fitness(w)
     d_out = w.target.dim
     result = q_price(

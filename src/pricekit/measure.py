@@ -107,13 +107,15 @@ def variance(pop: Population, x: Observable) -> float:
 def childbearing_stats(pop: Population, u: Observable) -> tuple[float, Population]:
     """Childbearing weight fraction and the population restricted to u > 0.
 
-    Values with |u| <= EPS_ZERO count as exactly zero, so the u > 0 / u = 0
-    dichotomy is stable under rounding noise.
+    The childbearing types are the fitness summary's support, so the u > 0 /
+    u = 0 dichotomy is the one every law reads, stable under rounding noise.
     """
+    from .process import summarize_fitness   # process imports this module
+
     _check_same_types(pop, u)
     if np.any(u.values < -EPS_ZERO):
         raise ValueError("childbearing statistics need a nonnegative observable")
-    alive = u.values > EPS_ZERO
+    alive = summarize_fitness(u.values, pop.weights / pop.size).support
     p_star = float(pop.weights[alive].sum()) / pop.size
     if not alive.any():
         raise ValueError("no childbearing mass: u vanishes everywhere")

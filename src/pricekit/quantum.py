@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import EPS_COND, EPS_INVERSE, EPS_OP, EPS_REL, EPS_SUPPORT, EPS_ZERO, IdentityViolation
-from .entropy import CELL_FIELDS, CellArrays, EntropyProfile, _ratio
+from .entropy import CellArrays, EntropyProfile, _ratio
 from .laws import (
     LawReport,
     acceleration_report,
@@ -140,8 +140,15 @@ class QuantumProcess:
     """A positive map (column-major superoperator) with its source state and
     the target state it maps the source to.
 
-    Positivity is decided in two steps.  First Choi's test: the Choi matrix
-    J = sum_ij E_ij (x) Phi(E_ij), realigned from the superoperator, must be
+    Positivity is decided by one of three rules, named by ``positivity``:
+    ``"by_construction"`` for ``embed_process`` (a nonnegative dephasing map,
+    whose Choi matrix is diagonal and nonnegative) and ``from_kraus`` (sum_k
+    conj(A_k) (x) A_k is completely positive), which are not tested;
+    ``"cp_certified"`` for a given superoperator that passes Choi's
+    certificate; ``"positive_on_samples"`` for one that passes only the probes.
+
+    A given superoperator is decided in two steps.  First Choi's test: the
+    Choi matrix J = sum_ij E_ij (x) Phi(E_ij), realigned from the map, must be
     Hermitian to within EPS_OP * scale and Cholesky-factorizable after a shift
     by EPS_OP * scale (scale = max(|J|_max, 1)), i.e. lambda_min(J) >
     -EPS_OP * scale; a positive semidefinite J proves complete positivity and
@@ -162,9 +169,10 @@ class QuantumProcess:
     superoperator: np.ndarray = field(repr=False)
     source: DensityOperator
     target: DensityOperator
+    positivity: str = field(repr=False, compare=False)
 
     def __init__(self, superoperator, source: DensityOperator,
-                 target: DensityOperator | None = None):
+                 target: DensityOperator | None = None, _cp: bool = False):
         s = np.array(superoperator, dtype=complex)
         d_in = source.dim
         if s.shape[1] != d_in * d_in:
@@ -172,8 +180,10 @@ class QuantumProcess:
         d_out = int(round(np.sqrt(s.shape[0])))
         if d_out * d_out != s.shape[0]:
             raise ValueError("superoperator output dimension is not a square")
-        if not _cp_certified(s, d_in, d_out):
+        positivity = "by_construction" if _cp else "cp_certified"
+        if not _cp and not _cp_certified(s, d_in, d_out):
             _sample_check_positive(s, d_in, d_out)
+            positivity = "positive_on_samples"
         image = apply_super(s, source.matrix)
         if target is None:
             target = DensityOperator(image)
@@ -185,6 +195,12 @@ class QuantumProcess:
         object.__setattr__(self, "superoperator", s)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
+        object.__setattr__(self, "positivity", positivity)
+
+    @classmethod
+    def from_kraus(cls, kraus, source: DensityOperator) -> QuantumProcess:
+        """The map rho -> sum_k A_k rho A_k-dagger, completely positive by construction."""
+        return cls(kraus_to_super(kraus), source, _cp=True)
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -396,7 +412,7 @@ class QFactorization:
 
 def _times_kron_eye(s: np.ndarray, a: np.ndarray) -> np.ndarray:
     """s @ kron(1, a), as the product of each of s's column blocks with a."""
-    return (s.reshape(s.shape[0], -1, a.shape[0]) @ a).reshape(s.shape)
+    return (s.reshape(-1, a.shape[0]) @ a).reshape(s.shape)
 
 
 def q_factorize(w: QuantumProcess) -> QFactorization:
@@ -484,6 +500,16 @@ def q_partition_entropy(w: QuantumProcess, projs_a, projs_b) -> QPartitionResult
     out the fitness operator on its support.  The mixing part is defined
     through the exact cell decomposition, so profile identities hold by
     construction; sign properties are what the chains check.
+
+    Each cell lives in its source projection's range, of rank r_a <= r:
+    with V_a its orthonormal basis (zero-padded to r columns), the cell is
+    u_cell = V M V-dagger and D-hat = Q H Q-dagger, where M = V-dagger
+    W-dagger(pi_b) V / wbar, Q R = U^{-1/2} V (thin QR) and H = R M R-dagger,
+    so every statistic is a trace of r x r matrices.  The basis is taken from
+    the eigenvalues above 1/2 of pi_a: a source projection accepted as
+    idempotent within EPS_OP, whose eigenvalues then lie within ~1e-8 of 0
+    or 1, stands for the exact projection V V-dagger onto its range.  Target
+    projections enter linearly through W-dagger and are used as given.
     """
     d_in, d_out = w.dims
     projs_a = _check_resolution(projs_a, d_in, "source")
@@ -502,39 +528,47 @@ def q_partition_entropy(w: QuantumProcess, projs_a, projs_b) -> QPartitionResult
     vec_b = projs_b.swapaxes(-1, -2).reshape(len(projs_b), -1)
     pulled_b = (vec_b @ w.superoperator.conj()).reshape(-1, d_in, d_in).swapaxes(-1, -2)
 
-    # One source projection at a time, with its nB target cells stacked.
-    stats = np.zeros((len(projs_a), len(projs_b), len(CELL_FIELDS)))
+    # Range bases (nA, d, r) of the source projections, then r x r cells (nA, nB, r, r).
+    p_vals, p_vecs = np.linalg.eigh(projs_a)
+    r = int((p_vals > 0.5).sum(axis=-1).max())
+    v = p_vecs[..., d_in - r:] * (p_vals[:, None, d_in - r:] > 0.5)
+    vh = v.conj().swapaxes(-1, -2)
+    q, r_fac = np.linalg.qr(u_inv_half @ v)
+    qh = q.conj().swapaxes(-1, -2)
+    m = _herm_part(vh[:, None] @ (pulled_b[None] @ v[:, None])) / fd.wbar
+    h = _herm_part(r_fac[:, None] @ m @ r_fac.conj().swapaxes(-1, -2)[:, None])
+    inter_q = (qh @ inter @ q)[:, None]
+    u_q = (qh @ u_op @ q)[:, None]
+
+    d_vals, d_vecs = np.linalg.eigh(h)
+    d_keep = _support(d_vals)
+    d_log_d = _spectral(d_vals, d_vecs, lambda x: x * np.log(x), d_keep)
+    p_cell = _projector(d_vecs, d_keep)
+    u_bar = _pair(m, (vh @ rho @ v)[:, None]) / n
+    p_tilde = _pair(p_cell, inter_q) / n
+    # n * p_tilde * sigma, sigma the intermediate state on the cell support
+    sigma_n = p_cell @ inter_q @ p_cell
+    norm = np.where(p_tilde > EPS_ZERO, n * p_tilde, 0.0)
+    ud = u_q @ h
+    log_ubar = np.log(u_bar, out=np.zeros_like(u_bar), where=u_bar > EPS_ZERO)
+    s_ec = -xlogx(np.maximum(u_bar, 0.0))
+    s_dis = -_pair(d_log_d, inter_q) / n
+    cov_ec = -log_ubar * _pair(m, (vh @ centered_rho @ v)[:, None]) / n
+    cov_dis = -_pair(d_log_d, (qh @ centered_inter @ q)[:, None]) / n
+    phi, lam, gamma = (_ratio(_pair(x, sigma_n), norm) for x in (u_q, ud, h @ ud))
+    stats = [u_bar, s_ec, s_dis, s_ec - s_dis, p_tilde, phi, lam, gamma,
+             _pair(h, h @ inter_q) / n, cov_ec, cov_dis, cov_ec - cov_dis]
+
+    # Commutator D-hat inter - inter D-hat = T - T-dagger, T = Q H (Q-dagger inter),
+    # one source projection at a time so that no (nA, nB, d, d) array is formed.
     comm_residual = 0.0
-    for a, pa in enumerate(projs_a):
-        u_cell = _herm_part(pa @ pulled_b @ pa / fd.wbar)
-        d_hat = _herm_part(u_inv_half @ u_cell @ u_inv_half)
-        d_inter = d_hat @ inter
-        d_scale = np.maximum(np.abs(d_hat).max(axis=(-2, -1)), EPS_ZERO)
-        comm = np.abs(d_inter - inter @ d_hat).max(axis=(-2, -1))
+    for qa, qa_h, ha in zip(q, qh, h):
+        d_scale = np.maximum(np.abs(qa @ ha @ qa_h).max(axis=(-2, -1)), EPS_ZERO)
+        t = qa @ (ha @ (qa_h @ inter))
+        comm = np.abs(t - t.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
         comm_residual = max(comm_residual, float((comm / (d_scale * inter_scale)).max()))
 
-        d_vals, d_vecs = np.linalg.eigh(d_hat)
-        d_keep = _support(d_vals)
-        d_log_d = _spectral(d_vals, d_vecs, lambda v: v * np.log(v), d_keep)
-        p_cell = _projector(d_vecs, d_keep)
-        u_bar = _pair(u_cell, rho) / n
-        p_tilde = _pair(p_cell, inter) / n
-        # n * p_tilde * sigma, sigma the intermediate state on the cell support
-        sigma_n = p_cell @ inter @ p_cell
-        norm = np.where(p_tilde > EPS_ZERO, n * p_tilde, 0.0)
-        ud = u_op @ d_hat
-        log_ubar = np.log(u_bar, out=np.zeros_like(u_bar), where=u_bar > EPS_ZERO)
-        s_ec = -xlogx(np.maximum(u_bar, 0.0))
-        s_dis = -_pair(d_log_d, inter) / n
-        cov_ec = -log_ubar * _pair(u_cell, centered_rho) / n
-        cov_dis = -_pair(d_log_d, centered_inter) / n
-        phi, lam, gamma = (_ratio(_pair(x, sigma_n), norm) for x in (u_op, ud, d_hat @ ud))
-        stats[a] = np.stack([u_bar, s_ec, s_dis, s_ec - s_dis, p_tilde, phi, lam, gamma,
-                             _pair(d_hat, d_inter) / n, cov_ec, cov_dis, cov_ec - cov_dis],
-                            axis=-1)
-
-    cells = CellArrays(tuple(range(len(projs_a))), tuple(range(len(projs_b))),
-                       *np.moveaxis(stats, -1, 0))
+    cells = CellArrays(tuple(range(len(projs_a))), tuple(range(len(projs_b))), *stats)
     profile = EntropyProfile.from_cells(fd.summary, cells, suffix="_partition")
     dis, mix = profile.bounds
     return QPartitionResult(
@@ -639,7 +673,7 @@ def embed_process(p: Process) -> QuantumProcess:
     s[jj + jj * k_out, ii + ii * k] = p.kernel[ii, jj]
     rho = DensityOperator(np.diag(p.source.weights.astype(complex)))
     target = DensityOperator(np.diag(p.target.weights.astype(complex)))
-    return QuantumProcess(s, rho, target)
+    return QuantumProcess(s, rho, target, _cp=True)
 
 
 def embed_observable(values) -> QuantumObservable:

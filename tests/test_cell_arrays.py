@@ -30,7 +30,7 @@ from pricekit import (
     q_partition_entropy,
 )
 from pricekit.cli import main
-from pricekit.config import EPS_REL, EPS_ZERO
+from pricekit.config import EPS_OP, EPS_REL, EPS_ZERO
 from pricekit.entropy import CELL_FIELDS, CellArrays, EntropyProfile
 
 from conftest import random_composable_pair, random_process
@@ -238,33 +238,36 @@ def hadamard_dephasing(scale: float = 1.0):
     return QuantumProcess(kraus_to_super(kraus), rho), projs, projs
 
 
-def assert_laws_close(got, want):
+def assert_laws_close(got, want, tol=CELL_TOL):
     assert got.name == want.name
-    assert close(got.lhs, want.lhs, CELL_TOL), got.name
+    assert close(got.lhs, want.lhs, tol), got.name
     assert len(got.bounds) == len(want.bounds)
     for g, v in zip(got.bounds, want.bounds):
-        assert close(g, v, CELL_TOL), got.name
+        assert close(g, v, tol), got.name
     assert set(got.extras) == set(want.extras)
     for key, v in want.extras.items():
-        assert close(got.extras[key], v, CELL_TOL), (got.name, key)
+        assert close(got.extras[key], v, tol), (got.name, key)
 
 
-def assert_q_matches_loop(w, projs_a, projs_b):
+def assert_q_matches_loop(w, projs_a, projs_b, oracle_a=None, tol=CELL_TOL):
+    """q_partition_entropy against the loop oracle, which is fed the source
+    projections ``oracle_a`` when given and ``projs_a`` otherwise."""
     res = q_partition_entropy(w, projs_a, projs_b)
-    stats, comm_residual = q_cell_stats_by_loop(w, projs_a, projs_b)
+    stats, comm_residual = q_cell_stats_by_loop(
+        w, projs_a if oracle_a is None else oracle_a, projs_b)
     for name, want in zip(CELL_FIELDS, np.moveaxis(stats, -1, 0)):
         got = getattr(res.profile.cells, name)
         assert got.shape == want.shape
-        assert all(close(g, v, CELL_TOL) for g, v in zip(got.flat, want.flat)), name
-    assert close(res.commutation_residual, comm_residual, CELL_TOL)
+        assert all(close(g, v, tol) for g, v in zip(got.flat, want.flat)), name
+    assert close(res.commutation_residual, comm_residual, tol)
     cells = CellArrays(tuple(range(stats.shape[0])), tuple(range(stats.shape[1])),
                        *np.moveaxis(stats, -1, 0))
     oracle = EntropyProfile.from_cells(q_fitness(w).summary, cells, suffix="_partition")
     for got, want in zip((res.dispersion_bounds, res.mixing_bounds), oracle.bounds):
-        assert_laws_close(got, want)
+        assert_laws_close(got, want, tol)
     assert set(res.third_law) == set(oracle.third_law)
     for key, want in oracle.third_law.items():
-        assert_laws_close(res.third_law[key], want)
+        assert_laws_close(res.third_law[key], want, tol)
 
 
 def test_projection_cells_of_embedded_processes_match_loop():
@@ -290,6 +293,71 @@ def test_projection_cells_of_kraus_maps_match_loop():
         w = random_kraus_process(rng, d_in, d_out, int(rng.integers(1, 4)), rank)
         assert_q_matches_loop(w, random_resolution(rng, d_in), random_resolution(rng, d_out))
     assert_q_matches_loop(*hadamard_dephasing())
+
+
+def spans(q: np.ndarray, ranks) -> list:
+    """Projections onto consecutive spans of q's columns, of the given ranks."""
+    cuts = np.cumsum([0, *ranks])
+    return [q[:, i:j] @ q[:, i:j].conj().T for i, j in zip(cuts[:-1], cuts[1:])]
+
+
+def test_projection_cells_at_the_edges_of_the_range_form():
+    """Each source projection's cells are computed in its range, with bases
+    padded to the largest rank: a zero projection (rank 0), mixed ranks in
+    one resolution, a source range inside ker U (a Kraus map with a zero
+    column, so that U^{-1/2} V is rank-deficient) and embedded singletons
+    with weights x 1e+-150."""
+    rng = np.random.default_rng(310)
+    for d_in, d_out in ((4, 3), (6, 5), (3, 1)):
+        w = random_kraus_process(rng, d_in, d_out, 2)
+        unitary, _ = np.linalg.qr(rng.normal(size=(d_in, d_in))
+                                  + 1j * rng.normal(size=(d_in, d_in)))
+        zero = np.zeros((d_in, d_in), dtype=complex)
+        with_zero = spans(unitary, (1, d_in - 1))
+        assert_q_matches_loop(w, [with_zero[0], zero, with_zero[1]], random_resolution(rng, d_out))
+        ranks = (1, d_in - 3, 2) if d_in > 4 else (2, 1, d_in - 3)
+        assert_q_matches_loop(w, spans(unitary, ranks), random_resolution(rng, d_out))
+    for d_in, d_out in ((3, 2), (5, 4)):
+        kraus = [rng.normal(size=(d_out, d_in)) + 1j * rng.normal(size=(d_out, d_in))
+                 for _ in range(2)]
+        for a in kraus:
+            a[:, 0] = 0.0
+        g = rng.normal(size=(d_in, d_in)) + 1j * rng.normal(size=(d_in, d_in))
+        w = QuantumProcess(kraus_to_super(kraus), DensityOperator(g @ g.conj().T))
+        assert not q_fitness(w).support.all()
+        basis = np.eye(d_in, dtype=complex)
+        mixed, _ = np.linalg.qr(basis[:, :2] + 0.3 * rng.normal(size=(d_in, 2)))
+        rest = np.eye(d_in) - mixed @ mixed.conj().T
+        for projs_a in (spans(basis, (1, d_in - 1)), spans(basis, (1, 1, d_in - 2)),
+                        [mixed @ mixed.conj().T, rest]):
+            assert_q_matches_loop(w, projs_a, random_resolution(rng, d_out))
+    for scale in (1e-150, 1e150):
+        p = random_process(rng, kmax=6, kmin=2)
+        p = process(Population(p.source.types, scale * p.source.weights), p.kernel)
+        assert_q_matches_loop(embed_process(p),
+                              block_projections(Partition.singletons(p.source.types)),
+                              block_projections(Partition.singletons(p.target.types)))
+
+
+def test_approximate_projection_stands_for_the_projection_onto_its_range():
+    """A source projection idempotent only within EPS_OP defines its cell as
+    the exact projection V V-dagger onto its eigenvalues above 1/2: the cells
+    match the loop fed V V-dagger at CELL_TOL, and the loop fed the raw input
+    within EPS_OP."""
+    rng = np.random.default_rng(311)
+    w = random_kraus_process(rng, 4, 3, 2)
+    unitary, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    noise = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    noisy = spans(unitary, (2,))[0] + 1e-10 * (noise + noise.conj().T) / 2
+    raw = [noisy, np.eye(4) - noisy]
+    exact = []
+    for pa in raw:
+        vals, vecs = np.linalg.eigh(pa)
+        exact.append(vecs[:, vals > 0.5] @ vecs[:, vals > 0.5].conj().T)
+    assert float(np.abs(exact[0] - raw[0]).max()) > 1e-11
+    projs_b = random_resolution(rng, 3)
+    assert_q_matches_loop(w, raw, projs_b, oracle_a=exact)
+    assert_q_matches_loop(w, raw, projs_b, tol=EPS_OP)
 
 
 def test_commutation_residual_does_not_shrink_with_the_weights():

@@ -283,6 +283,22 @@ class TestReport:
         assert report["quantum"]["left_residual"] < 1e-9
         assert report["quantum"]["laws"]["second"]["lhs"] == pytest.approx(-np.log(2))
 
+    def test_kraus_block_is_positive_by_construction(self, tmp_path, capsys, monkeypatch):
+        """A Kraus list builds its map without the Choi certificate, and the
+        deciding rule stays out of the report."""
+        def no_certificate(*args):
+            raise AssertionError("the certificate ran on a Kraus map")
+
+        monkeypatch.setattr(pricekit.quantum, "_cp_certified", no_certificate)
+        doc = dict(F5_DOC)
+        doc["quantum"] = {"rho": [[0.7, 0.1], [0.1, 0.3]],
+                          "kraus": [[[1.0, 0.5], [0.0, 0.2]], [[0.0, 0.0], [0.3, 1.0]]]}
+        path = tmp_path / "quantum.json"
+        path.write_text(json.dumps(doc))
+        assert main(["report", str(path), "--quantum"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert "positivity" not in json.dumps(report)
+
     def _quantum_report(self, tmp_path, superoperator):
         doc = dict(F5_DOC)
         doc["quantum"] = {"rho": [[0.7, 0.1], [0.1, 0.3]], "superoperator": superoperator}

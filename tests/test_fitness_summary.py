@@ -144,8 +144,10 @@ def test_quantum_functions_share_one_decomposition(monkeypatch):
     assert fitness_decompositions(w, seen) == 1
 
 
-def test_projection_cells_take_one_eigh_per_source_projection(monkeypatch):
-    """The target cells of a source projection are diagonalized as one stack."""
+def test_projection_cells_take_one_eigh_of_the_cell_stack(monkeypatch):
+    """One eigh of the stacked source projections gives their range bases;
+    every cell is then diagonalized in its range, as one (nA, nB, r, r) stack,
+    and no d x d matrix of a cell reaches eigh."""
     rng = np.random.default_rng(403)
     p = random_process(rng, kmax=5, kmin=3)
     k, k2 = p.kernel.shape
@@ -153,7 +155,7 @@ def test_projection_cells_take_one_eigh_per_source_projection(monkeypatch):
     q_fitness(w)
     seen = record_eigendecompositions(monkeypatch)
     q_partition_entropy(w, [np.diag(r) for r in np.eye(k)], [np.diag(r) for r in np.eye(k2)])
-    assert [m.shape for m in seen] == [(k2, k, k)] * k
+    assert [m.shape for m in seen] == [(k, k, k), (k, k2, 1, 1)]
 
 
 def test_fitness_is_cached():

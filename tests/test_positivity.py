@@ -1,12 +1,26 @@
-"""Positivity of quantum processes: the Choi-matrix certificate, and where it
-and the sampled probes agree."""
+"""Positivity of quantum processes: the Choi-matrix certificate, where it
+and the sampled probes agree, and the maps positive by construction."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 import pricekit.quantum
-from pricekit import DensityOperator, QuantumProcess, embed_process, kraus_to_super
-from pricekit.quantum import _choi, _cp_certified, _sample_check_positive, apply_super, vec
+from pricekit import (
+    DensityOperator,
+    QuantumObservable,
+    QuantumProcess,
+    embed_process,
+    kraus_to_super,
+    q_fitness,
+    q_laws,
+    q_price,
+)
+from pricekit.process import FitnessSummary
+from pricekit.quantum import (
+    _choi, _cp_certified, _herm_part, _sample_check_positive, apply_super, vec,
+)
 
 from conftest import random_process
 
@@ -137,3 +151,62 @@ def test_certificate_reads_a_real_map_as_its_complex_copy(monkeypatch, dtype):
     s = np.kron(np.eye(2), np.array([[1, 2], [0, 1]], dtype=dtype))
     assert s.dtype == dtype
     assert not _cp_certified(s, 2, 2)
+
+
+# ---------------------------------------------------------------------------
+# Positivity by construction
+
+
+def test_kraus_maps_agree_with_their_certified_superoperators():
+    """from_kraus skips the certificate, and everything read from the map is
+    the same as for its superoperator given directly, which is certified."""
+    rng = np.random.default_rng(704)
+    for d_in in range(1, 6):
+        for d_out in range(1, 6):
+            kraus = [rng.normal(size=(d_out, d_in)) + 1j * rng.normal(size=(d_out, d_in))
+                     for _ in range(int(rng.integers(1, 4)))]
+            g = rng.normal(size=(d_in, d_in)) + 1j * rng.normal(size=(d_in, d_in))
+            rho = DensityOperator(g @ g.conj().T)
+            built = QuantumProcess.from_kraus(kraus, rho)
+            given = QuantumProcess(kraus_to_super(kraus), rho)
+            assert (built.positivity, given.positivity) == ("by_construction", "cp_certified")
+            np.testing.assert_array_equal(built.superoperator, given.superoperator)
+            np.testing.assert_array_equal(built.target.matrix, given.target.matrix)
+            for f in dataclasses.fields(FitnessSummary):
+                np.testing.assert_array_equal(getattr(q_fitness(built).summary, f.name),
+                                              getattr(q_fitness(given).summary, f.name))
+            laws = q_laws(given)
+            assert {k: r.to_dict() for k, r in q_laws(built).items()} \
+                == {k: r.to_dict() for k, r in laws.items()}
+            x = QuantumObservable(_herm_part(rng.normal(size=(d_in, d_in))))
+            y = QuantumObservable(_herm_part(rng.normal(size=(d_out, d_out))))
+            assert q_price(built, x, y) == q_price(given, x, y)
+    # a state in the kernel of every Kraus operator has no image: both reject it
+    kraus, rho = [np.array([[0.0, 1.0]])], DensityOperator(np.diag([1.0, 0.0]))
+    for build in (lambda: QuantumProcess.from_kraus(kraus, rho),
+                  lambda: QuantumProcess(kraus_to_super(kraus), rho)):
+        with pytest.raises(ValueError, match="positive trace"):
+            build()
+
+
+def test_embedded_and_kraus_maps_never_reach_the_certificate(monkeypatch):
+    def no_certificate(*args):
+        raise AssertionError("the certificate ran on a map positive by construction")
+
+    monkeypatch.setattr(pricekit.quantum, "_cp_certified", no_certificate)
+    rng = np.random.default_rng(705)
+    for _ in range(20):
+        assert embed_process(random_process(rng, kmax=8)).positivity == "by_construction"
+    for d_in, d_out in ((1, 1), (2, 3), (4, 2), (5, 5)):
+        kraus = [rng.normal(size=(d_out, d_in)) for _ in range(2)]
+        w = QuantumProcess.from_kraus(kraus, DensityOperator(np.eye(d_in) / d_in))
+        assert w.positivity == "by_construction"
+
+
+def test_positivity_names_the_deciding_rule():
+    rho = DensityOperator(np.eye(2) / 2)
+    assert QuantumProcess(kraus_to_super([np.eye(2)]), rho).positivity == "cp_certified"
+    w = QuantumProcess(transpose_super(2), rho)
+    assert w.positivity == "positive_on_samples"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        w.positivity = "by_construction"
