@@ -434,7 +434,7 @@ def intergenerational_ec_change(p: Process, q: Process) -> IntergenerationalChan
     (1/E[U^2] - 1) E[U X] and so coincide when the first stage has
     constant relative fitness.
     """
-    check_composable(p, q)
+    q = check_composable(p, q)
     prof = generating_profile(p)
     prof_next = generating_profile(q)
     ins = fitness(p).summary

@@ -366,7 +366,7 @@ def selective_acceleration(p: Process) -> LawReport:
 
 def ec_variance_bound(p: Process, q: Process) -> LawReport:
     """Lower bound for the environmental change of relative-fitness variance."""
-    check_composable(p, q)
+    q = check_composable(p, q)
     ins = fitness(p).summary
     u_next = fitness(q).U
     m3 = ins.moment(3.0)
@@ -394,7 +394,7 @@ def ec_selective_entropy_bound(p: Process, q: Process) -> LawReport:
     particular for strongly stationary pairs).  The looser moment-log sum
     log E[U^2] + log E[U^3] is reported alongside; it can be exceeded.
     """
-    check_composable(p, q)
+    q = check_composable(p, q)
     ins = fitness(p).summary
     m2, m3 = ins.moment(2.0), ins.moment(3.0)
     u_next = fitness(q).U
@@ -419,7 +419,7 @@ def multilevel_second_law(p: Process, q: Process) -> LawReport:
     from the two-level variance split; both routes must agree."""
     from .price import multilevel_variance
 
-    check_composable(p, q)
+    q = check_composable(p, q)
     ins_q = fitness(q).summary
     direct = -ins_q.var_u * np.log1p(ins_q.var_u)
     var_u2, mean_cond = multilevel_variance(p, q)
@@ -467,7 +467,7 @@ def stationarity(p: Process, q: Process, tol: float = EPS_SAT) -> StationarityCl
 
     All conditions are read off the cells that carry flow (``flow_cells``).
     """
-    check_composable(p, q)
+    q = check_composable(p, q)
     u = fitness(p).U.values
     u_next = fitness(q).U
     strong, cells = _strongly_stationary(p, q, tol)

@@ -95,7 +95,7 @@ def fisher(p: Process, q: Process) -> tuple[float, float]:
     The average of U and of U' are both one, so the two terms cancel: the
     environmental change of relative fitness is minus its variance.
     """
-    check_composable(p, q)
+    q = check_composable(p, q)
     u = fitness(p).U
     u_next = fitness(q).U
     ns = variance(p.source, u)
@@ -141,7 +141,7 @@ class MultiLevelPrice:
 
 def multilevel_price(p: Process, q: Process, y: Observable, z: Observable) -> MultiLevelPrice:
     """Split the second-stage change of y into group-level and residual terms."""
-    check_composable(p, q)
+    q = check_composable(p, q)
     if y.types != q.source.types:
         raise ValueError("y must live on the intermediate type set")
     if z.types != q.target.types:
@@ -161,8 +161,8 @@ def multilevel_price(p: Process, q: Process, y: Observable, z: Observable) -> Mu
 def multilevel_variance(p: Process, q: Process) -> tuple[float, float]:
     """var'(U') split into the variance of composed fitness plus the mean
     per-parent conditional variance."""
-    composite = compose(p, q)
-    u2 = fitness(composite).U
+    q = check_composable(p, q)
+    u2 = fitness(compose(p, q)).U
     var_u2 = variance(p.source, u2)
     u_next = fitness(q).U
     cond_var = _conditional_cov(p, u_next, u_next)

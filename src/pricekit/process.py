@@ -103,14 +103,19 @@ def summarize_fitness(u_values: np.ndarray, prob: np.ndarray) -> FitnessSummary:
 
 @dataclass(frozen=True)
 class FitnessData:
-    """Row sums W, their source-weighted mean wbar = mu.W / N and U = W/wbar,
-    which has unit mean by construction; ``support`` marks the childbearing
-    rows and is the summary's own array."""
+    """W (row sums, or Phi-dagger(1) with ``eigvecs`` the one eigh of U; None for
+    a kernel), its source-weighted mean wbar and U = W/wbar, of unit mean by
+    construction; ``eigvals`` and ``support`` (U > 0) are the summary's arrays."""
 
     W: Observable
     wbar: float
     U: Observable
     summary: FitnessSummary = field(repr=False)
+    eigvecs: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def eigvals(self) -> np.ndarray:
+        return self.summary.u
 
     @property
     def support(self) -> np.ndarray:
@@ -226,13 +231,16 @@ def local_change(p: Process, x: Observable, y: Observable) -> Observable:
     return Observable(p.source.types, avg.values - x.values)
 
 
-def check_composable(p: Process, q: Process) -> None:
-    """Raise unless the intermediate populations agree within tolerance."""
+def check_composable(p: Process, q: Process) -> Process:
+    """Raise unless the intermediate populations agree within tolerance; return
+    q read on p's exact target (q itself when they agree bit for bit)."""
     a, b = p.target, q.source
     if a.types != b.types:
         raise ValueError("processes are not composable")
-    if not np.all(np.abs(a.weights - b.weights) <= EPS_REL * max(a.size, b.size, 1.0)):
+    gap = np.abs(a.weights - b.weights)
+    if not np.all(gap <= EPS_REL * max(a.size, b.size, 1.0)):
         raise ValueError("intermediate populations differ beyond tolerance")
+    return Process(a, q.target, q.kernel, _check=False) if gap.any() else q
 
 
 def compose(p: Process, q: Process) -> Process:

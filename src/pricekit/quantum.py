@@ -27,7 +27,7 @@ from .laws import (
     zeroth_report,
 )
 from .measure import xlogx
-from .process import FitnessSummary, Process, summarize_fitness
+from .process import FitnessData, Process, summarize_fitness
 
 
 # ---------------------------------------------------------------------------
@@ -44,10 +44,12 @@ def unvec(v: np.ndarray, rows: int, cols: int | None = None) -> np.ndarray:
 
 
 def hermitize(a: np.ndarray, what: str = "operator") -> np.ndarray:
-    scale = max(float(np.abs(a).max()), 1.0)
-    gap = float(np.abs(a - a.conj().T).max())
-    if gap > EPS_OP * scale:
-        raise ValueError(f"{what} is not Hermitian (residual {gap:.3e})")
+    """(A + A-dagger) / 2 of a matrix or of each in a stack, each held to EPS_OP*max(|A|max, 1)."""
+    gap = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    if gap.max() > EPS_OP:                    # below it no member fails: the scale is >= 1
+        bad = gap > EPS_OP * np.maximum(np.abs(a).max(axis=(-2, -1)), 1.0)
+        if bad.any():
+            raise ValueError(f"{what} is not Hermitian (residual {float(gap[bad].max()):.3e})")
     return _herm_part(a)
 
 
@@ -124,6 +126,13 @@ class QuantumObservable:
 def apply_super(s: np.ndarray, rho: np.ndarray) -> np.ndarray:
     d_out = int(round(np.sqrt(s.shape[0])))
     return unvec(s @ vec(rho), d_out)
+
+
+def apply_adjoint(s: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Phi-dagger(Y) of an operator or of each in a stack: conj(conj(vec Y) S), S never copied."""
+    d_in = round(s.shape[1] ** 0.5)
+    rows = y.conj().swapaxes(-1, -2).reshape(y.shape[:-2] + (-1,))     # conj(vec Y) of each Y
+    return (rows @ s).reshape(y.shape[:-2] + (d_in, d_in)).conj().swapaxes(-1, -2)
 
 
 def kraus_to_super(kraus) -> np.ndarray:
@@ -207,9 +216,9 @@ class QuantumProcess:
         return self.source.dim, self.target.dim
 
     @cached_property
-    def fitness_data(self) -> QFitness:
+    def fitness_data(self) -> FitnessData:
         # Built on first use and kept: the superoperator and states are read-only.
-        w_op = apply_adjoint(self, np.eye(self.target.dim, dtype=complex))
+        w_op = apply_adjoint(self.superoperator, np.eye(self.target.dim, dtype=complex))
         w_op = hermitize(w_op, what="fitness operator")
         rho = self.source.matrix
         wbar = float(_pair(w_op, rho)) / self.source.trace
@@ -221,7 +230,7 @@ class QuantumProcess:
             raise ValueError("fitness operator is not positive: non-positive map")
         weights = np.clip(np.real(np.einsum("ij,jk,ki->i", vecs.conj().T, rho, vecs)), 0.0, None)
         vecs.setflags(write=False)
-        return QFitness(
+        return FitnessData(
             W=QuantumObservable(w_op),
             wbar=wbar,
             U=QuantumObservable(u_op),
@@ -241,13 +250,12 @@ def _choi(s: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
 def _cp_certified(s: np.ndarray, d_in: int, d_out: int) -> bool:
     """Choi's test: J Hermitian and J + EPS_OP * scale * 1 Cholesky-factorizable."""
     j = _choi(s, d_in, d_out)
-    tol = EPS_OP * max(float(np.abs(j).max()), 1.0)
-    h = _herm_part(j)                         # a new array, also for real j
-    j -= h                                    # j is now the anti-Hermitian part
-    if 2.0 * float(np.abs(j).max()) > tol:
+    try:
+        h = hermitize(j, what="Choi matrix")  # a new array, also for real j
+    except ValueError:
         return False
     diag = np.arange(len(h))
-    h[diag, diag] += tol
+    h[diag, diag] += EPS_OP * max(float(np.abs(j).max()), 1.0)
     try:
         np.linalg.cholesky(h)
     except np.linalg.LinAlgError:
@@ -267,9 +275,11 @@ def _sample_check_positive(s: np.ndarray, d_in: int, d_out: int) -> None:
         probe /= np.trace(probe).real
         out = apply_super(s, probe)
         scale = max(float(np.abs(out).max()), 1.0)
-        if float(np.abs(out - out.conj().T).max()) > EPS_OP * scale:
-            raise ValueError("map does not preserve Hermiticity on sampled states")
-        if float(np.linalg.eigvalsh(0.5 * (out + out.conj().T)).min()) < -EPS_OP * scale:
+        try:
+            out = hermitize(out)
+        except ValueError:
+            raise ValueError("map does not preserve Hermiticity on sampled states") from None
+        if float(np.linalg.eigvalsh(out).min()) < -EPS_OP * scale:
             raise ValueError("map sends a sampled state outside the positive cone")
 
 
@@ -288,41 +298,11 @@ def adjoint(w: QuantumProcess) -> np.ndarray:
     return w.superoperator.conj().T
 
 
-def apply_adjoint(w: QuantumProcess, y: np.ndarray) -> np.ndarray:
-    return unvec(adjoint(w) @ vec(y), w.source.dim)
-
-
 # ---------------------------------------------------------------------------
 # Fitness operator and spectral summaries
 
 
-@dataclass(frozen=True)
-class QFitness:
-    """W = W-dagger(1), wbar = Re Tr(W rho) / Tr rho and U = W/wbar, which has
-    unit mean by construction, with the one eigh of U that every spectral
-    functional reads: ``summary`` holds its eigenvalues weighted by the state,
-    and ``eigvals`` and ``support`` are its arrays (the classical rule U > 0)."""
-
-    W: QuantumObservable
-    wbar: float
-    U: QuantumObservable
-    eigvecs: np.ndarray = field(repr=False)
-    summary: FitnessSummary = field(repr=False)
-
-    @property
-    def eigvals(self) -> np.ndarray:
-        return self.summary.u
-
-    @property
-    def support(self) -> np.ndarray:
-        return self.summary.support
-
-    @property
-    def p_star(self) -> float:
-        return self.summary.p_star
-
-
-def q_fitness(w: QuantumProcess) -> QFitness:
+def q_fitness(w: QuantumProcess) -> FitnessData:
     """The process's fitness data, computed once per process."""
     return w.fitness_data
 
@@ -372,7 +352,7 @@ def q_price(w: QuantumProcess, x: QuantumObservable, y: QuantumObservable) -> QP
     n = w.source.trace
     fd = q_fitness(w)
     u = fd.U.matrix
-    pulled = apply_adjoint(w, y.matrix)           # W-dagger applied to Y
+    pulled = apply_adjoint(w.superoperator, y.matrix)
     proj = _projector(fd.eigvecs, fd.support)
 
     e_x = float(np.real(np.trace(x.matrix @ rho))) / n
@@ -436,7 +416,7 @@ def q_factorize(w: QuantumProcess) -> QFactorization:
     IdentityViolation.check("q_factorize_composition", float(np.abs(composite - restricted).max()),
                             tol * max(1.0, float(np.abs(w.superoperator).max())))
     # Trace preservation of the environmental factor on the support subspace.
-    env_fitness = unvec(env.conj().T @ vec(np.eye(d_out, dtype=complex)), d_in)
+    env_fitness = apply_adjoint(env, np.eye(d_out, dtype=complex))
     IdentityViolation.check("q_factorize_trace_preservation",
                             float(np.abs(env_fitness - proj).max()), tol)
     return QFactorization(
@@ -467,8 +447,7 @@ def q_laws(w: QuantumProcess) -> dict[str, LawReport]:
 
 def _check_resolution(projs, dim: int, label: str) -> np.ndarray:
     """The projections, stacked, once checked Hermitian, idempotent and complete."""
-    mats = np.array([hermitize(np.array(p, dtype=complex), what=f"{label} projection")
-                     for p in projs])
+    mats = hermitize(np.array(projs, dtype=complex), what=f"{label} projection")
     if float(np.abs(mats.sum(axis=0) - np.eye(dim)).max()) > EPS_OP * max(1.0, dim):
         raise ValueError(f"{label} projections do not resolve the identity")
     if float(np.abs(mats @ mats - mats).max()) > EPS_OP:
@@ -524,9 +503,7 @@ def q_partition_entropy(w: QuantumProcess, projs_a, projs_b) -> QPartitionResult
     inter_scale = float(np.abs(inter).max())  # > 0: the trace is N > 0
     centered_rho = (u_op - np.eye(d_in)) @ rho
     centered_inter = u_half @ centered_rho @ u_half
-    # W-dagger of every target projection at once; row b is vec(projection b).
-    vec_b = projs_b.swapaxes(-1, -2).reshape(len(projs_b), -1)
-    pulled_b = (vec_b @ w.superoperator.conj()).reshape(-1, d_in, d_in).swapaxes(-1, -2)
+    pulled_b = apply_adjoint(w.superoperator, projs_b)
 
     # Range bases (nA, d, r) of the source projections, then r x r cells (nA, nB, r, r).
     p_vals, p_vecs = np.linalg.eigh(projs_a)

@@ -382,7 +382,7 @@ def q_cell_stats_by_loop(w, projs_a, projs_b):
     from pricekit.entropy import CELL_FIELDS
     from pricekit.measure import xlogx
     from pricekit.quantum import (
-        _check_resolution, _projector, _spectral, _support, apply_adjoint, q_fitness,
+        _check_resolution, _projector, _spectral, _support, adjoint, q_fitness, unvec, vec,
     )
 
     d_in, d_out = w.dims
@@ -400,7 +400,7 @@ def q_cell_stats_by_loop(w, projs_a, projs_b):
     comm_residual = 0.0
     inter_scale = float(np.abs(inter).max())
     centered = u_op - np.eye(d_in)
-    pulled_b = [apply_adjoint(w, pb) for pb in projs_b]
+    pulled_b = [unvec(adjoint(w) @ vec(pb), d_in) for pb in projs_b]
     for a, pa in enumerate(projs_a):
         for b, pulled in enumerate(pulled_b):
             u_cell = pa @ pulled @ pa / fd.wbar

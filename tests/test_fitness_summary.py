@@ -33,7 +33,7 @@ from pricekit import (
 )
 from pricekit.cli import main
 from pricekit.config import EPS_ZERO
-from pricekit.quantum import apply_adjoint, hermitize
+from pricekit.quantum import adjoint, hermitize, unvec, vec
 
 from conftest import random_composable_pair, random_process
 from oracles import reversibility_kernels_by_loop, stationarity_by_loop
@@ -76,7 +76,7 @@ def record_eigendecompositions(monkeypatch) -> list:
 
 def fitness_decompositions(w: QuantumProcess, seen: list) -> int:
     """How many recorded matrices are w's fitness operator W or U = W/wbar."""
-    w_op = hermitize(apply_adjoint(w, np.eye(w.target.dim, dtype=complex)))
+    w_op = hermitize(unvec(adjoint(w) @ vec(np.eye(w.target.dim, dtype=complex)), w.source.dim))
     u_op = w_op / (w.target.trace / w.source.trace)
     return sum(
         m.shape == w_op.shape and any(np.allclose(m, op, rtol=1e-12, atol=1e-12)

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,7 @@ from pricekit import (
     validate,
 )
 from pricekit.config import EPS_REL
-from pricekit.process import Process
+from pricekit.process import Process, check_composable
 
 from conftest import bernoulli_dispersion, random_composable_pair, random_process
 
@@ -188,6 +190,41 @@ def test_pair_functions_reject_pairs_that_do_not_compose(pair_function):
     with pytest.raises(ValueError, match="not composable"):
         pair_function(p, relabelled)
     pair_function(p, process(p.target, kernel))
+
+
+@functools.cache
+def pairs_at_the_admitted_gap() -> list:
+    """2,000 pairs whose intermediate population sits 0.9e-9 * max(N', 1)
+    above p's target on every type, inside the band check_composable admits."""
+    pairs = []
+    for seed in range(2000):
+        rng = np.random.default_rng(seed)
+        mu = rng.uniform(0.1, 2, 4)
+        kernel = np.where(rng.uniform(size=(4, 6)) < 0.8, rng.uniform(0.05, 2, (4, 6)), 0.0)
+        p = process(Population(TypeSet.range(4), mu), kernel)
+        mid = Population(p.target.types, p.target.weights + 0.9e-9 * max(p.target.size, 1.0))
+        pairs.append((p, process(mid, rng.uniform(0.05, 1.6, (6, 1)))))
+    return pairs
+
+
+@pytest.mark.parametrize("pair_function", PAIR_FUNCTIONS, ids=lambda f: f.__name__)
+def test_accepted_pairs_never_raise(pair_function):
+    """A pair check_composable accepts is read on p's exact target, so no
+    two-stage identity sees the admitted gap: fisher and multilevel_second_law
+    raised on 146 of these draws when q was read on its own source."""
+    for p, q in pairs_at_the_admitted_gap():
+        pair_function(p, q)
+
+
+def test_check_composable_returns_q_on_the_exact_target():
+    p = process(Population(AB, [1, 2]), [[1, 0.5], [0.2, 0.9]])
+    kernel = [[0.5, 1.5], [1.0, 0.0]]
+    exact = process(p.target, kernel)
+    assert check_composable(p, exact) is exact
+    near = process(Population(p.target.types, p.target.weights + 1e-10), kernel)
+    moved = check_composable(p, near)
+    assert moved.source is p.target and moved.target is near.target
+    np.testing.assert_array_equal(moved.kernel, near.kernel)
 
 
 class TestFactorization:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 import pricekit.quantum
 from pricekit import (
     DensityOperator,
+    Observable,
     OpenQuantumProcess,
     Population,
     QuantumObservable,
@@ -34,9 +37,10 @@ from pricekit import (
     selective_entropy,
     zeroth_law,
 )
+from pricekit.config import EPS_OP
 from pricekit.openproc import OpenProcess
 from pricekit.quantum import (_projector, _spectral, _support, apply_adjoint, apply_super,
-                             unvec, vec)
+                             hermitize, unvec, vec)
 
 from conftest import random_observable, random_process
 from oracles import matrix_function
@@ -88,7 +92,7 @@ class TestAdjoint:
         a = np.diag([np.sqrt(2), 0.0]).astype(complex)
         sup = kraus_to_super([a])
         w = QuantumProcess(sup, DensityOperator(np.eye(2)))
-        pulled = apply_adjoint(w, np.eye(2, dtype=complex))
+        pulled = apply_adjoint(w.superoperator, np.eye(2, dtype=complex))
         np.testing.assert_allclose(pulled, np.diag([2.0, 0.0]), atol=1e-12)
 
     def test_identity_map(self):
@@ -102,9 +106,82 @@ class TestAdjoint:
         for _ in range(64):
             y = random_hermitian(rng, 3).matrix
             rho = random_density(rng, 3).matrix
-            lhs = np.trace(apply_adjoint(w, y) @ rho)
+            lhs = np.trace(apply_adjoint(w.superoperator, y) @ rho)
             rhs = np.trace(y @ apply_super(w.superoperator, rho))
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
+
+    def test_stacks_pull_back_member_by_member(self):
+        """A stack of 1 to 6 operators pulls back as each member does through
+        the adjoint matrix, d_in != d_out included, and each member keeps
+        Tr(Phi-dagger(Y) rho) = Tr(Y Phi(rho))."""
+        rng = np.random.default_rng(81)
+        for d_in in range(1, 6):
+            for d_out in range(1, 6):
+                w = random_kraus_process(rng, d_in, d_out)
+                rho = random_density(rng, d_in).matrix
+                image = apply_super(w.superoperator, rho)
+                for n in range(1, 7):
+                    shape = (n, d_out, d_out)
+                    ys = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                    pulled = apply_adjoint(w.superoperator, ys)
+                    assert pulled.shape == (n, d_in, d_in)
+                    for y, got in zip(ys, pulled):
+                        want = unvec(adjoint(w) @ vec(y), d_in)
+                        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+                        lhs, rhs = np.trace(got @ rho), np.trace(y @ image)
+                        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
+
+
+class TestHermitize:
+    @staticmethod
+    def member(rng, d, scale, gap):
+        """A d x d matrix with |entry|max about scale and |A - A-dagger|max = gap."""
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        a = 0.5 * (g + g.conj().T)
+        a *= scale / np.abs(a).max()
+        a[0, -1] += gap if d > 1 else 0.5j * gap
+        return a
+
+    def test_a_stack_is_held_member_by_member(self):
+        """A stack raises exactly when one of its members raises alone, and
+        otherwise gives each member's Hermitian part.  Members at scale 1e3
+        and 1e-3 share stacks, so a rule on the stack's largest entry would
+        accept the small member's gap of 1e-8 * 1e3 / 2 that its own scale,
+        floored at 1, rejects."""
+        rng = np.random.default_rng(83)
+        outcomes = set()
+        for _ in range(300):
+            d, n = int(rng.integers(1, 5)), int(rng.integers(1, 7))
+            scales = rng.choice([1e3, 1.0, 1e-3], size=n)
+            gaps = [EPS_OP * max(s, 1.0) * f for s, f in
+                    zip(scales, rng.choice([0.0, 0.5, 2.0, 0.5e3], size=n))]
+            stack = np.array([self.member(rng, d, s, g) for s, g in zip(scales, gaps)])
+            alone = []
+            for a in stack:
+                try:
+                    alone.append(hermitize(a))
+                except ValueError:
+                    alone.append(None)
+            raises_alone = any(a is None for a in alone)
+            try:
+                together = hermitize(stack)
+            except ValueError as err:
+                assert raises_alone and "is not Hermitian" in str(err)
+            else:
+                assert not raises_alone
+                np.testing.assert_array_equal(together, np.array(alone))
+            outcomes.add((raises_alone, 1e3 in scales and 1e-3 in scales))
+        assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
+
+    def test_small_member_beside_a_large_one_raises(self):
+        rng = np.random.default_rng(84)
+        large = self.member(rng, 3, 1e3, 0.0)
+        small = self.member(rng, 3, 1e-3, 0.5 * EPS_OP * 1e3)
+        hermitize(large)
+        with pytest.raises(ValueError, match="is not Hermitian"):
+            hermitize(small)
+        with pytest.raises(ValueError, match="is not Hermitian"):
+            hermitize(np.array([large, small]))
 
 
 class TestFitness:
@@ -469,6 +546,28 @@ def embedding_gaps(p) -> dict[str, float]:
     return gaps
 
 
+def price_gaps(p, x, y) -> dict[str, float]:
+    """q_price of the embedded process and observables against price: the
+    gap of delta and of the real part of each side's ns and ec, relative to
+    the classical value floored at 1, and the imaginary parts, the commutator
+    gap and both residuals against the same scale, the largest of the three
+    classical terms."""
+    c = price(p, Observable(p.source.types, x), Observable(p.target.types, y))
+    q = q_price(embed_process(p), embed_observable(x), embed_observable(y))
+    scale = {name: max(1.0, abs(getattr(c, name))) for name in ("delta", "ns", "ec")}
+    top = max(scale.values())
+    gaps = {"delta": abs(q.delta - c.delta) / scale["delta"],
+            "commutator_gap": abs(q.commutator_gap) / top,
+            "residual_left": q.residual_left / top,
+            "residual_right": q.residual_right / top}
+    for side in ("left", "right"):
+        for name in ("ns", "ec"):
+            term = getattr(getattr(q, side), name)
+            gaps[f"{side}_{name}"] = abs(term.real - getattr(c, name)) / scale[name]
+            gaps[f"{side}_{name}_imag"] = abs(term.imag) / scale[name]
+    return gaps
+
+
 class TestEmbeddingFaithfulness:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -477,23 +576,26 @@ class TestEmbeddingFaithfulness:
         st.integers(1, 5),
         st.booleans(),
         st.sampled_from([0, -60, 60]),
+        st.lists(st.floats(-10, 10), min_size=5, max_size=5),
+        st.lists(st.floats(-10, 10), min_size=5, max_size=5),
     )
-    @example([1.0, 1.0], sum(FOUND_KERNELS[0], []) + [0.0] * 21, 2, False, 0)
-    @example([1.0, 1.0], sum(FOUND_KERNELS[1], []) + [0.0] * 21, 2, False, 0)
-    @example([1.0, 1.0], sum(FOUND_KERNELS[2], []) + [0.0] * 21, 2, False, 0)
-    @example([1.0, 1.0], sum(FOUND_KERNELS[3], []) + [0.0] * 21, 2, False, 0)
-    def test_every_classical_functional(self, weights, entries, k2, childless, scale):
+    @example([1.0, 1.0], sum(FOUND_KERNELS[0], []) + [0.0] * 21, 2, False, 0, [1.0] * 5, [2.0] * 5)
+    @example([1.0, 1.0], sum(FOUND_KERNELS[1], []) + [0.0] * 21, 2, False, 0, [1.0] * 5, [2.0] * 5)
+    @example([1.0, 1.0], sum(FOUND_KERNELS[2], []) + [0.0] * 21, 2, False, 0, [1.0] * 5, [2.0] * 5)
+    @example([1.0, 1.0], sum(FOUND_KERNELS[3], []) + [0.0] * 21, 2, False, 0, [1.0] * 5, [2.0] * 5)
+    def test_every_classical_functional(self, weights, entries, k2, childless, scale, xs, ys):
         """embed_process reproduces every classical functional to 1e-12 relative
         (floored at 1): K = 1, K != K', childless rows, weights x 1e+-60, and
         U values between EPS_ZERO and 1e-10 of the largest, which one support
-        rule keeps in both paths."""
+        rule keeps in both paths; with embedded observables, q_price gives
+        price's terms and no imaginary part, commutator gap or residual."""
         k = len(weights)
         kernel = np.reshape(entries[: k * k2], (k, k2))
         if childless:
             kernel[-1] = 0.0
         assume(kernel.sum(axis=1) @ weights > 0)
         p = process(Population(TypeSet.range(k), np.multiply(weights, 10.0**scale)), kernel)
-        gaps = embedding_gaps(p)
+        gaps = embedding_gaps(p) | price_gaps(p, np.array(xs[:k]), np.array(ys[:k2]))
         assert max(gaps.values()) <= 1e-12, gaps
 
 
@@ -548,6 +650,33 @@ class TestOneSupportRule:
             assert fd.p_star == pytest.approx(fd0.p_star, abs=1e-12)
             for name in ("s_ns", "s_ec", "s_dis", "s_mix"):
                 assert getattr(prof, name) == pytest.approx(getattr(prof0, name), rel=1e-9, abs=1e-9)
+
+
+class TestPullbackMemory:
+    def test_no_call_copies_the_map(self):
+        """Each pullback reads the superoperator in place: at K = 32 the
+        embedded map holds 16.8 MB, and q_fitness (built fresh), q_price and
+        q_partition_entropy over singletons each peak below half of that."""
+        rng = np.random.default_rng(32)
+        kernel = np.where(rng.uniform(size=(32, 32)) < 0.5, rng.uniform(0.05, 2, (32, 32)), 0.0)
+        p = process(Population(TypeSet.range(32), rng.uniform(0.1, 2, 32)), kernel)
+        w = embed_process(p)
+        x, y = (embed_observable(rng.normal(size=32)) for _ in range(2))
+        singletons = singleton_projections(32)
+        calls = {
+            "q_fitness": lambda: q_fitness(w),
+            "q_price": lambda: q_price(w, x, y),
+            "q_partition_entropy": lambda: q_partition_entropy(w, singletons, singletons),
+        }
+        peaks = {}
+        for name, call in calls.items():
+            tracemalloc.start()
+            try:
+                call()
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert max(peaks.values()) < w.superoperator.nbytes / 2, peaks
 
 
 class TestValidation:
