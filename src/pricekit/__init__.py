@@ -41,6 +41,7 @@ from .laws import (
     ec_variance_bound,
     exp_first_law,
     first_law,
+    gibbs_report,
     higher_order_first_law,
     multilevel_second_law,
     second_law,
@@ -61,7 +62,6 @@ from .entropy import (
     environmental_equilibrium,
     environmental_profile,
     generating_profile,
-    gibbs_report,
     intergenerational_ec_change,
     ks_entropy,
     ks_entropy_curve,

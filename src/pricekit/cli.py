@@ -30,7 +30,7 @@ from .laws import (
     standard_reports,
     stationarity,
 )
-from .measure import Observable, Population, TypeSet
+from .measure import Observable, Population, TypeSet, finite_array
 from .openproc import OpenProcess, kgs
 from .price import price
 from .process import (
@@ -61,9 +61,12 @@ def _tolerance() -> float:
     if raw is None:
         return config.EPS_REL
     try:
-        return float(raw)
+        tol = float(raw)
     except ValueError as exc:
         raise InputError(f"bad PRICEKIT_TOLERANCE value: {raw!r}") from exc
+    if not tol >= 0:  # NaN would pass every residual, a negative value fail every one
+        raise InputError(f"PRICEKIT_TOLERANCE must be a number >= 0, got {raw!r}")
+    return tol
 
 
 def load_input(path: str) -> dict:
@@ -84,7 +87,7 @@ def build_unchecked(doc: dict) -> Process:
     """Assemble the process without enforcing the disintegration identity."""
     types = TypeSet(doc["types"])
     source = Population(types, doc["weights"])
-    kernel = np.asarray(doc["kernel"], dtype=float)
+    kernel = finite_array(doc["kernel"], "kernel entries")
     if kernel.ndim != 2 or kernel.shape[0] != len(types):
         raise InputError("kernel must have one row per source type")
     if "target_types" in doc:

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import EPS_INVERSE, EPS_SAT, EPS_ZERO
-from .laws import LawReport, gibbs_report_from_summary
+from .laws import LawReport
 from .measure import Population, TypeSet, xlogx
 from .process import (FitnessSummary, Process, check_composable, fitness, flow_cells,
                       flow_shares, price_factorize)
@@ -67,11 +67,6 @@ class Partition:
 def selective_entropy(p: Process) -> float:
     """Mean of -U log U; nonpositive, zero only for constant fitness."""
     return fitness(p).summary.s_ns
-
-
-def gibbs_report(p: Process) -> LawReport:
-    """-log(1 + var(U)) <= S_NS <= log p_* <= 0."""
-    return gibbs_report_from_summary(fitness(p).summary)
 
 
 def local_selective_entropy(p: Process, block_a, block_b,

@@ -4,9 +4,9 @@ Each checker evaluates one law as a chain of values, reports every
 intermediate link (so a failure under numerical stress is attributable),
 computes sign-normalized slacks, and flags saturated links.
 
-The chain builders work from a plain (values, probabilities) summary of
-relative fitness, so the operator versions can reuse them after an
-eigendecomposition.
+Each single-process chain is one function of a kernel ``Process`` or a
+``QuantumProcess``: it reads ``fitness(p).summary``, the distribution of U,
+which for an operator process is U's spectrum weighted by the source state.
 """
 
 from __future__ import annotations
@@ -95,8 +95,9 @@ class LawReport:
 # Zeroth / First / Second Laws
 
 
-def zeroth_report(ins: FitnessSummary) -> LawReport:
+def zeroth_law(p: Process) -> LawReport:
     """var(U) >= exp(-S_NS) - 1 >= 1/p_* - 1 >= 0."""
+    ins = fitness(p).summary
     bounds = (float(np.exp(-ins.s_ns) - 1.0), 1.0 / ins.p_star - 1.0, 0.0)
     return LawReport(
         name="zeroth_law",
@@ -108,8 +109,9 @@ def zeroth_report(ins: FitnessSummary) -> LawReport:
     )
 
 
-def gibbs_report_from_summary(ins: FitnessSummary) -> LawReport:
+def gibbs_report(p: Process) -> LawReport:
     """-log(1 + var(U)) <= S_NS <= log p_* <= 0."""
+    ins = fitness(p).summary
     return LawReport(
         name="gibbs",
         lhs=ins.s_ns,
@@ -124,12 +126,9 @@ def gibbs_report_from_summary(ins: FitnessSummary) -> LawReport:
     )
 
 
-def zeroth_law(p: Process) -> LawReport:
-    return zeroth_report(fitness(p).summary)
-
-
-def first_report(ins: FitnessSummary) -> LawReport:
+def first_law(p: Process) -> LawReport:
     """Selective change of var(U): cov(U^2,U) >= var(1+var) >= var^2/2 >= 0."""
+    ins = fitness(p).summary
     lhs = ins.mean(ins.u**2 * (ins.u - 1.0))
     lhs_alt = ins.mean((ins.u + 1.0) * (ins.u - 1.0) ** 2)
     strong = ins.var_u * (1.0 + ins.var_u)
@@ -147,10 +146,6 @@ def first_report(ins: FitnessSummary) -> LawReport:
             "third_moment": ins.moment(3),
         },
     )
-
-
-def first_law(p: Process) -> LawReport:
-    return first_report(fitness(p).summary)
 
 
 def higher_order_first_law(p: Process, n: int) -> LawReport:
@@ -197,8 +192,9 @@ def exp_first_law(p: Process) -> LawReport:
     )
 
 
-def second_report(ins: FitnessSummary) -> LawReport:
+def second_law(p: Process) -> LawReport:
     """Selective change of selective entropy, bounded through five links."""
+    ins = fitness(p).summary
     v = ins.var_u
     b1 = -v * np.log1p(v)
     b2 = v * ins.s_ns
@@ -212,10 +208,6 @@ def second_report(ins: FitnessSummary) -> LawReport:
         equilibrium_class=ins.equilibrium_class,
         extras={"s_ns": ins.s_ns, "var_u": v},
     )
-
-
-def second_law(p: Process) -> LawReport:
-    return second_report(fitness(p).summary)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +302,7 @@ def speed_limits(p: Process) -> LawReport:
     )
 
 
-def acceleration_report(ins: FitnessSummary, with_lower: bool = True) -> LawReport:
+def selective_acceleration(p: Process, *, with_lower: bool = True) -> LawReport:
     """Second selective change of selective entropy, E[-(U-1)^2 U log U].
 
     Upper bound -m log(m / var) with m = E[(U-1)^2 U] (one concavity step
@@ -319,6 +311,7 @@ def acceleration_report(ins: FitnessSummary, with_lower: bool = True) -> LawRepo
     Lower bound m log(m / (var(U^2) + var^2)).  Both collapse to 0 in the
     purely environmental case, which is reported directly.
     """
+    ins = fitness(p).summary
     u = ins.u
     lhs = ins.mean(-((u - 1.0) ** 2) * ins.u_log_u)
     if ins.var_u <= EPS_ZERO:
@@ -354,10 +347,6 @@ def acceleration_report(ins: FitnessSummary, with_lower: bool = True) -> LawRepo
         equilibrium_class=ins.equilibrium_class,
         extras=extras,
     )
-
-
-def selective_acceleration(p: Process) -> LawReport:
-    return acceleration_report(fitness(p).summary)
 
 
 # ---------------------------------------------------------------------------

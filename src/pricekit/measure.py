@@ -15,6 +15,15 @@ def _as_readonly(values, dtype=float) -> np.ndarray:
     return arr
 
 
+def finite_array(values, what: str) -> np.ndarray:
+    """values as a float array, rejected with the first NaN or infinite entry."""
+    arr = np.asarray(values, dtype=float)
+    if not np.isfinite(arr).all():
+        at = np.argwhere(~np.isfinite(arr))[0].tolist()
+        raise ValueError(f"{what} must be finite, got {arr[tuple(at)]} at {at}")
+    return arr
+
+
 @dataclass(frozen=True)
 class TypeSet:
     """Ordered set of unique type labels."""
@@ -45,7 +54,7 @@ class Population:
     weights: np.ndarray = field(repr=False)
 
     def __init__(self, types: TypeSet, weights):
-        w = _as_readonly(weights)
+        w = _as_readonly(finite_array(weights, "population weights"))
         if w.ndim != 1 or len(w) != len(types):
             raise ValueError("one weight per type required")
         if np.any(w < 0):

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import EPS_REL, EPS_SAT, EPS_ZERO
-from .measure import Observable, Population, TypeSet, xlogx
+from .measure import Observable, Population, TypeSet, finite_array, xlogx
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,7 @@ class Process:
     kernel: np.ndarray = field(repr=False)
 
     def __init__(self, source, target, kernel, _check: bool = True):
-        k = np.array(kernel, dtype=float)
+        k = np.array(finite_array(kernel, "kernel entries"))
         if k.ndim != 2 or k.shape != (len(source.types), len(target.types)):
             raise ValueError(
                 f"kernel must be {len(source.types)}x{len(target.types)}, got {k.shape}"
@@ -173,7 +173,7 @@ class Process:
 
 def process(source: Population, kernel, target: Population | None = None) -> Process:
     """Build a process; when no target is given, derive it from the kernel."""
-    k = np.asarray(kernel, dtype=float)
+    k = finite_array(kernel, "kernel entries")
     if target is None:
         weights = k.T @ source.weights
         target = Population(TypeSet.range(k.shape[1], prefix="c"), weights)

@@ -5,8 +5,8 @@ positive linear map given as a superoperator on column-major vectorized
 matrices.  The fitness operator is the adjoint pullback of the identity;
 left and right decompositions differ by a commutator expectation, which is
 the quantumness of an observable pair.  Scalar functionals of the fitness
-operator are evaluated spectrally, so the classical law chains apply to the
-eigenvalue distribution unchanged.
+operator are evaluated spectrally: the law functions of ``laws`` read U's
+eigenvalue distribution for a QuantumProcess as they read U for a kernel.
 """
 
 from __future__ import annotations
@@ -18,14 +18,8 @@ import numpy as np
 
 from .config import EPS_COND, EPS_INVERSE, EPS_OP, EPS_REL, EPS_SUPPORT, EPS_ZERO, IdentityViolation
 from .entropy import CellArrays, EntropyProfile, _ratio
-from .laws import (
-    LawReport,
-    acceleration_report,
-    first_report,
-    gibbs_report_from_summary,
-    second_report,
-    zeroth_report,
-)
+from .laws import (LawReport, first_law, gibbs_report, second_law, selective_acceleration,
+                   zeroth_law)
 from .measure import xlogx
 from .process import FitnessData, Process, summarize_fitness
 
@@ -429,15 +423,15 @@ def q_factorize(w: QuantumProcess) -> QFactorization:
 
 
 def q_laws(w: QuantumProcess) -> dict[str, LawReport]:
-    """Zeroth, first, Gibbs, second, and acceleration chains, evaluated on
-    the eigenvalue distribution of the relative-fitness operator."""
-    ins = q_fitness(w).summary
+    """The zeroth, first, Gibbs, second and acceleration chains of w, from the
+    law functions themselves, which read the spectrum of the relative-fitness
+    operator as a kernel process's U; the acceleration has no lower bound."""
     return {
-        "zeroth": zeroth_report(ins),
-        "first": first_report(ins),
-        "gibbs": gibbs_report_from_summary(ins),
-        "second": second_report(ins),
-        "acceleration": acceleration_report(ins, with_lower=False),
+        "zeroth": zeroth_law(w),
+        "first": first_law(w),
+        "gibbs": gibbs_report(w),
+        "second": second_law(w),
+        "acceleration": selective_acceleration(w, with_lower=False),
     }
 
 

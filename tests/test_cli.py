@@ -151,6 +151,11 @@ REJECTED_INPUTS = [
     # (document, argv after the file, PRICEKIT_TOLERANCE, message on stderr)
     pytest.param(F5_DOC, ["validate"], "loose", "bad PRICEKIT_TOLERANCE value: 'loose'",
                  id="tolerance"),
+    # a stated target 0.8 off the kernel image fails validation at any tolerance >= 0
+    pytest.param(dict(F5_DOC, target_weights=[2, 5]), ["report"], "nan",
+                 "PRICEKIT_TOLERANCE must be a number >= 0, got 'nan'", id="tolerance-nan"),
+    pytest.param(F5_DOC, ["validate"], "-1e-9",
+                 "PRICEKIT_TOLERANCE must be a number >= 0, got '-1e-9'", id="tolerance-negative"),
     pytest.param([F5_DOC], ["validate"], None, "top-level JSON value must be an object",
                  id="not-an-object"),
     pytest.param(dict(F5_DOC, kernel=[[1, 1]]), ["validate"], None,
@@ -170,14 +175,41 @@ REJECTED_INPUTS = [
 ]
 
 
-@pytest.mark.parametrize("doc, argv, tolerance, message", REJECTED_INPUTS)
-def test_rejected_input_exits_two(tmp_path, monkeypatch, capsys, doc, argv, tolerance, message):
+# Values a document may hold but no process can: exit 1, as any ValueError.
+# json writes and reads NaN and Infinity as bare tokens.
+NON_FINITE_INPUTS = [
+    pytest.param(dict(F5_DOC, kernel=[[1.0, float("nan")], [0.5, 0.0]]), ["report"], None,
+                 "kernel entries must be finite, got nan at [0, 1]", id="kernel-nan"),
+    pytest.param(dict(F5_DOC, kernel=[[1.0, float("nan")], [0.5, 0.0]]), ["validate"], None,
+                 "kernel entries must be finite, got nan at [0, 1]", id="kernel-nan-validate"),
+    pytest.param(dict(F5_DOC, kernel=[[1.0, 1.0], [float("inf"), 0.0]], target_weights=[3, 2]),
+                 ["report"], None, "kernel entries must be finite, got inf at [1, 0]",
+                 id="kernel-inf-stated-target"),
+    pytest.param(dict(F5_DOC, weights=[1, float("nan")]), ["simulate"], None,
+                 "population weights must be finite, got nan at [1]", id="weights-nan"),
+    pytest.param(dict(F5_DOC, target_weights=[float("-inf"), 1]), ["validate"], None,
+                 "population weights must be finite, got -inf at [0]", id="target-weights-inf"),
+]
+
+
+def _exit_and_error(tmp_path, monkeypatch, capsys, doc, argv, tolerance):
     if tolerance is not None:
         monkeypatch.setenv("PRICEKIT_TOLERANCE", tolerance)
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
-    assert main([argv[0], str(path), *argv[1:]]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    return main([argv[0], str(path), *argv[1:]]), capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, argv, tolerance, message", REJECTED_INPUTS)
+def test_rejected_input_exits_two(tmp_path, monkeypatch, capsys, doc, argv, tolerance, message):
+    assert _exit_and_error(tmp_path, monkeypatch, capsys, doc, argv, tolerance) == (
+        2, f"error: {message}\n")
+
+
+@pytest.mark.parametrize("doc, argv, tolerance, message", NON_FINITE_INPUTS)
+def test_non_finite_input_exits_one(tmp_path, monkeypatch, capsys, doc, argv, tolerance, message):
+    assert _exit_and_error(tmp_path, monkeypatch, capsys, doc, argv, tolerance) == (
+        1, f"error: {message}\n")
 
 
 class TestReport:

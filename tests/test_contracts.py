@@ -1,7 +1,7 @@
 """Package-wide contracts: each benchmark workload, run on its recorded
 seed-0 inputs, gives the recorded outputs field by field
-(``perfbench/reference``), and no source module outside ``config.py`` holds
-a threshold literal."""
+(``perfbench/reference``), no source module outside ``config.py`` holds
+a threshold literal, and only the law modules build law reports."""
 
 import io
 import sys
@@ -25,14 +25,27 @@ def test_reference_outputs_are_reproduced(workload, tmp_path):
     assert tally.failed == 0, tally.problems
 
 
+def source_tokens():
+    """(module file name, its token list) for every module of the package."""
+    for path in sorted((ROOT / "src" / "pricekit").glob("*.py")):
+        yield path.name, list(tokenize.generate_tokens(io.StringIO(path.read_text()).readline))
+
+
 def test_tolerances_live_only_in_config():
     """A float literal with a negative exponent is a threshold; config.py owns
     them all.  Docstrings and comments are not NUMBER tokens."""
-    found = []
-    for path in sorted((ROOT / "src" / "pricekit").glob("*.py")):
-        if path.name == "config.py":
-            continue
-        tokens = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
-        found += [f"{path.name}:{tok.start[0]}: {tok.string}" for tok in tokens
-                  if tok.type == tokenize.NUMBER and "e-" in tok.string.lower()]
+    found = [f"{name}:{tok.start[0]}: {tok.string}"
+             for name, tokens in source_tokens() if name != "config.py"
+             for tok in tokens if tok.type == tokenize.NUMBER and "e-" in tok.string.lower()]
+    assert found == []
+
+
+def test_law_reports_are_built_only_by_the_law_modules():
+    """Each chain is one function in laws.py (entropy.py builds the profile's
+    bounds and windows); an operator process calls the same functions, so no
+    other module calls LawReport(."""
+    found = [f"{name}:{tok.start[0]}"
+             for name, tokens in source_tokens() if name not in ("laws.py", "entropy.py")
+             for tok, nxt in zip(tokens, tokens[1:])
+             if tok.type == tokenize.NAME and tok.string == "LawReport" and nxt.string == "("]
     assert found == []

@@ -17,10 +17,12 @@ from pricekit import (
     adjoint,
     embed_observable,
     embed_process,
+    exp_first_law,
     first_law,
     fitness,
     generating_profile,
     gibbs_report,
+    higher_order_first_law,
     kgs,
     kraus_to_super,
     price,
@@ -35,6 +37,7 @@ from pricekit import (
     second_law,
     selective_acceleration,
     selective_entropy,
+    speed_limits,
     zeroth_law,
 )
 from pricekit.config import EPS_OP
@@ -516,7 +519,9 @@ def singleton_projections(k: int) -> list[np.ndarray]:
 
 def embedding_gaps(p) -> dict[str, float]:
     """|classical - embedded| / max(1, |classical|) for the support, U, p_star,
-    every link of the zeroth, first, second and acceleration chains, and the
+    every link of the zeroth, first, Gibbs, second and acceleration chains of
+    q_laws, of the speed limits, higher-order first laws (n = 1..4) and, where
+    the classical call does not overflow, the exponential first law, and the
     singleton S_NS, S_EC, S_dis, S_mix and third-law lhs; relative for wbar."""
     w = embed_process(p)
     fd_c, fd_q = fitness(p), q_fitness(w)
@@ -533,6 +538,18 @@ def embedding_gaps(p) -> dict[str, float]:
                             ("second", second_law(p)), ("gibbs", gibbs_report(p)),
                             ("acceleration", selective_acceleration(p))):
         pairs[name] = (classical.chain, ql[name].chain)
+    # the laws q_laws leaves out, called on the embedded process directly;
+    # chains only, as the speed limits' stationary point is not held to 1e-12
+    pairs["speed_limits"] = (speed_limits(p).chain, speed_limits(w).chain)
+    for n in range(1, 5):
+        pairs[f"higher_order_{n}"] = (higher_order_first_law(p, n).chain,
+                                      higher_order_first_law(w, n).chain)
+    try:
+        classical = exp_first_law(p)
+    except ValueError:
+        pass  # e^U overflows double precision
+    else:
+        pairs["exp_first_law"] = (classical.chain, exp_first_law(w).chain)
     k, k2 = p.kernel.shape
     prof = generating_profile(p)
     q_prof = q_partition_entropy(w, singleton_projections(k), singleton_projections(k2)).profile

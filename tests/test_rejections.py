@@ -12,6 +12,7 @@ from pricekit import (
     OpenQuantumProcess,
     Partition,
     Population,
+    Process,
     QuantumObservable,
     QuantumProcess,
     TypeSet,
@@ -68,11 +69,20 @@ LIBRARY_REJECTIONS = [
     # measure
     pytest.param(lambda: Population(AB, [1, 2, 3]), "one weight per type required",
                  id="population-length"),
+    pytest.param(lambda: Population(AB, [1, float("nan")]),
+                 r"population weights must be finite, got nan at \[1\]", id="population-nan"),
+    pytest.param(lambda: Population(AB, [float("inf"), 1]),
+                 r"population weights must be finite, got inf at \[0\]", id="population-inf"),
     pytest.param(lambda: Observable(AB, [1]), "one value per type required",
                  id="observable-length"),
     pytest.param(lambda: childbearing_stats(Population(AB, [1, 2]), Observable(AB, [0, 0])),
                  "no childbearing mass", id="no-childbearing-mass"),
-    # process and Price
+    # process and Price; the kernel is checked before a target is derived from it
+    pytest.param(lambda: process(Population(AB, [1, 2]), [[1.0, float("nan")], [0.5, 0.0]]),
+                 r"kernel entries must be finite, got nan at \[0, 1\]", id="process-kernel-nan"),
+    pytest.param(lambda: Process(Population(AB, [1, 2]), Population(AB, [1, 1]),
+                                 [[1.0, 0.0], [0.0, -float("inf")]]),
+                 r"kernel entries must be finite, got -inf at \[1, 1\]", id="kernel-inf"),
     pytest.param(lambda: local_average(f5(), on(AB)), "observable must live on the target",
                  id="local-average-types"),
     pytest.param(lambda: local_change(f5(), on(XYZ), on(TypeSet(["c0", "c1"]))),
