@@ -77,7 +77,6 @@ from .quantum import (
     OpenQuantumProcess,
     QuantumObservable,
     QuantumProcess,
-    adjoint,
     embed_observable,
     embed_process,
     kraus_to_super,

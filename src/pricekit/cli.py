@@ -298,7 +298,7 @@ def cmd_report(args) -> int:
             "locally_constant": st.locally_constant,
         }
 
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     if args.json:
         with open(args.json, "w") as fh:
             fh.write(text + "\n")

@@ -15,9 +15,9 @@ def _as_readonly(values, dtype=float) -> np.ndarray:
     return arr
 
 
-def finite_array(values, what: str) -> np.ndarray:
-    """values as a float array, rejected with the first NaN or infinite entry."""
-    arr = np.asarray(values, dtype=float)
+def finite_array(values, what: str, dtype=float) -> np.ndarray:
+    """values as a float (or complex) array, rejected with the first NaN or infinite entry."""
+    arr = np.asarray(values, dtype=dtype)
     if not np.isfinite(arr).all():
         at = np.argwhere(~np.isfinite(arr))[0].tolist()
         raise ValueError(f"{what} must be finite, got {arr[tuple(at)]} at {at}")
@@ -77,7 +77,7 @@ class Observable:
     values: np.ndarray = field(repr=False)
 
     def __init__(self, types: TypeSet, values):
-        v = _as_readonly(values)
+        v = _as_readonly(finite_array(values, "observable values"))
         if v.ndim != 1 or len(v) != len(types):
             raise ValueError("one value per type required")
         object.__setattr__(self, "types", types)

@@ -20,7 +20,7 @@ from .config import EPS_COND, EPS_INVERSE, EPS_OP, EPS_REL, EPS_SUPPORT, EPS_ZER
 from .entropy import CellArrays, EntropyProfile, _ratio
 from .laws import (LawReport, first_law, gibbs_report, second_law, selective_acceleration,
                    zeroth_law)
-from .measure import xlogx
+from .measure import finite_array, xlogx
 from .process import FitnessData, Process, summarize_fitness
 
 
@@ -83,7 +83,8 @@ class DensityOperator:
     matrix: np.ndarray = field(repr=False)
 
     def __init__(self, matrix):
-        m = hermitize(np.array(matrix, dtype=complex), what="density operator")
+        m = hermitize(finite_array(matrix, "density operator entries", complex),
+                      what="density operator")
         vals, vecs = np.linalg.eigh(m)
         scale = max(float(vals.max()), EPS_ZERO)
         if vals.min() < -EPS_OP * max(scale, 1.0):
@@ -108,7 +109,7 @@ class QuantumObservable:
     matrix: np.ndarray = field(repr=False)
 
     def __init__(self, matrix):
-        m = hermitize(np.array(matrix, dtype=complex), what="observable")
+        m = hermitize(finite_array(matrix, "observable entries", complex), what="observable")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -130,7 +131,7 @@ def apply_adjoint(s: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def kraus_to_super(kraus) -> np.ndarray:
-    mats = [np.asarray(a, dtype=complex) for a in kraus]
+    mats = finite_array(kraus, "Kraus operator entries", complex)
     d_out, d_in = mats[0].shape
     s = np.zeros((d_out * d_out, d_in * d_in), dtype=complex)
     for a in mats:
@@ -176,7 +177,7 @@ class QuantumProcess:
 
     def __init__(self, superoperator, source: DensityOperator,
                  target: DensityOperator | None = None, _cp: bool = False):
-        s = np.array(superoperator, dtype=complex)
+        s = finite_array(np.array(superoperator, dtype=complex), "superoperator entries", complex)
         d_in = source.dim
         if s.shape[1] != d_in * d_in:
             raise ValueError("superoperator input dimension mismatch")
@@ -287,11 +288,6 @@ def q_expectation(rho: DensityOperator, x: QuantumObservable) -> float:
     return float(val.real)
 
 
-def adjoint(w: QuantumProcess) -> np.ndarray:
-    """Adjoint superoperator in the trace pairing: the conjugate transpose."""
-    return w.superoperator.conj().T
-
-
 # ---------------------------------------------------------------------------
 # Fitness operator and spectral summaries
 
@@ -378,44 +374,47 @@ def q_price(w: QuantumProcess, x: QuantumObservable, y: QuantumObservable) -> QP
 
 @dataclass(frozen=True)
 class QFactorization:
-    selective: np.ndarray = field(repr=False)      # vec(rho) -> vec(W rho)
     environmental: np.ndarray = field(repr=False)  # process after undoing W
     fitness_operator: np.ndarray = field(repr=False)
     support: np.ndarray = field(repr=False)
 
-
-def _times_kron_eye(s: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """s @ kron(1, a), as the product of each of s's column blocks with a."""
-    return (s.reshape(-1, a.shape[0]) @ a).reshape(s.shape)
+    @property
+    def selective(self) -> np.ndarray:
+        """vec(rho) -> vec(W rho), formed when read."""
+        w_op = self.fitness_operator
+        return np.kron(np.eye(len(w_op), dtype=complex), w_op)
 
 
 def q_factorize(w: QuantumProcess) -> QFactorization:
     """Split into left-multiplication by the fitness operator followed by a
     trace-preserving map on its support subspace; verified by composition."""
-    d_in, d_out = w.dims
     fd = q_fitness(w)
     w_op = fd.W.matrix
     proj = _projector(fd.eigvecs, fd.support)
     vals, vecs = fd.eigvals[fd.support] * fd.wbar, fd.eigvecs[:, fd.support]
-    sel = np.kron(np.eye(d_in, dtype=complex), w_op)
-    env = _times_kron_eye(w.superoperator, (vecs / vals) @ vecs.conj().T)
+    inv = (vecs / vals) @ vecs.conj().T
+    s = w.superoperator
+    # S kron(1, A) as the product of each of S's column blocks with A, O(d^5).
+    env = (s.reshape(-1, len(inv)) @ inv).reshape(s.shape)
 
     # Verification error grows with the spread of the kept spectrum: an
     # eigenvalue just above the support cutoff inverts with error ~ EPS_COND * cond.
     cond = float(vals.max() / vals.min()) if len(vals) else 1.0
     tol = max(EPS_INVERSE, EPS_COND * cond)
 
-    composite = _times_kron_eye(env, w_op)
-    restricted = _times_kron_eye(w.superoperator, proj)
-    IdentityViolation.check("q_factorize_composition", float(np.abs(composite - restricted).max()),
-                            tol * max(1.0, float(np.abs(w.superoperator).max())))
+    # The composite env kron(1, W) minus the restricted map S kron(1, P) is
+    # S kron(1, E), E = A W - P, whose entry [r, k d + m] is
+    # sum_l S[r, k d + l] E[l, m]; in exact arithmetic its largest entry is
+    # at most |S|max * ||E||_1 (largest column absolute sum), so checking
+    # that product is never looser than checking the formed difference.
+    s_max = float(np.abs(s).max())
+    residual = float(np.abs(inv @ w_op - proj).sum(axis=0).max()) * s_max
+    IdentityViolation.check("q_factorize_composition", residual, tol * max(1.0, s_max))
     # Trace preservation of the environmental factor on the support subspace.
-    env_fitness = apply_adjoint(env, np.eye(d_out, dtype=complex))
+    env_fitness = apply_adjoint(env, np.eye(w.target.dim, dtype=complex))
     IdentityViolation.check("q_factorize_trace_preservation",
                             float(np.abs(env_fitness - proj).max()), tol)
-    return QFactorization(
-        selective=sel, environmental=env, fitness_operator=w_op, support=proj
-    )
+    return QFactorization(environmental=env, fitness_operator=w_op, support=proj)
 
 
 # ---------------------------------------------------------------------------

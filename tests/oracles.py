@@ -32,6 +32,12 @@ def matrix_function(h: np.ndarray, f) -> np.ndarray:
     return (vecs * f(vals)) @ vecs.conj().T
 
 
+def adjoint(w) -> np.ndarray:
+    """Adjoint superoperator of a QuantumProcess in the trace pairing: the
+    conjugate transpose, copied."""
+    return w.superoperator.conj().T
+
+
 def search_one_sided_inverses(p) -> tuple[bool, bool]:
     """Find exact one-sided inverses of the redistribution stage by direct
     construction and explicit composition checks.
@@ -382,7 +388,7 @@ def q_cell_stats_by_loop(w, projs_a, projs_b):
     from pricekit.entropy import CELL_FIELDS
     from pricekit.measure import xlogx
     from pricekit.quantum import (
-        _check_resolution, _projector, _spectral, _support, adjoint, q_fitness, unvec, vec,
+        _check_resolution, _projector, _spectral, _support, q_fitness, unvec, vec,
     )
 
     d_in, d_out = w.dims

@@ -189,6 +189,21 @@ NON_FINITE_INPUTS = [
                  "population weights must be finite, got nan at [1]", id="weights-nan"),
     pytest.param(dict(F5_DOC, target_weights=[float("-inf"), 1]), ["validate"], None,
                  "population weights must be finite, got -inf at [0]", id="target-weights-inf"),
+    pytest.param(dict(F5_DOC, observables={"trait": [float("nan"), 0], "off": [1, 0]}),
+                 ["report"], None, "observable values must be finite, got nan at [0]",
+                 id="observable-nan"),
+    pytest.param(dict(F5_DOC, quantum={"rho": [[float("nan"), 0], [0, 1]],
+                                       "kraus": [[[1, 0], [0, 1]]]}),
+                 ["report"], None, "density operator entries must be finite, got (nan+0j) at [0, 0]",
+                 id="quantum-rho-nan"),
+    pytest.param(dict(F5_DOC, quantum={"rho": [[1, 0], [0, 1]],
+                                       "kraus": [[[1, float("nan")], [0, 1]]]}),
+                 ["report"], None, "Kraus operator entries must be finite, got (nan+0j) at [0, 0, 1]",
+                 id="quantum-kraus-nan"),
+    pytest.param(dict(F5_DOC, quantum={"rho": [[1, 0], [0, 1]],
+                                       "superoperator": np.diag([1, 0, 0, float("inf")]).tolist()}),
+                 ["report"], None, "superoperator entries must be finite, got (inf+0j) at [3, 3]",
+                 id="quantum-superoperator-inf"),
 ]
 
 
@@ -210,6 +225,16 @@ def test_rejected_input_exits_two(tmp_path, monkeypatch, capsys, doc, argv, tole
 def test_non_finite_input_exits_one(tmp_path, monkeypatch, capsys, doc, argv, tolerance, message):
     assert _exit_and_error(tmp_path, monkeypatch, capsys, doc, argv, tolerance) == (
         1, f"error: {message}\n")
+
+
+def test_non_finite_report_value_is_never_written(tmp_path, monkeypatch, capsys):
+    """The report encoder is strict: a NaN that reaches it exits 1 with nothing on stdout."""
+    monkeypatch.setattr(pricekit.cli, "_law_section", lambda p, q: {"lhs": float("nan")})
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(F5_DOC))
+    assert main(["report", str(path), "--laws"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: Out of range float values")
 
 
 class TestReport:

@@ -33,10 +33,10 @@ from pricekit import (
 )
 from pricekit.cli import main
 from pricekit.config import EPS_ZERO
-from pricekit.quantum import adjoint, hermitize, unvec, vec
+from pricekit.quantum import hermitize, unvec, vec
 
 from conftest import random_composable_pair, random_process
-from oracles import reversibility_kernels_by_loop, stationarity_by_loop
+from oracles import adjoint, reversibility_kernels_by_loop, stationarity_by_loop
 
 
 # ---------------------------------------------------------------------------

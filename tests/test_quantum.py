@@ -14,7 +14,6 @@ from pricekit import (
     QuantumObservable,
     QuantumProcess,
     TypeSet,
-    adjoint,
     embed_observable,
     embed_process,
     exp_first_law,
@@ -40,13 +39,13 @@ from pricekit import (
     speed_limits,
     zeroth_law,
 )
-from pricekit.config import EPS_OP
+from pricekit.config import EPS_OP, IdentityViolation
 from pricekit.openproc import OpenProcess
 from pricekit.quantum import (_projector, _spectral, _support, apply_adjoint, apply_super,
                              hermitize, unvec, vec)
 
 from conftest import random_observable, random_process
-from oracles import matrix_function
+from oracles import adjoint, matrix_function
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -307,6 +306,17 @@ class TestFactorization:
         fac = q_factorize(w)
         np.testing.assert_allclose(fac.fitness_operator, np.eye(2), atol=1e-10)
         np.testing.assert_allclose(fac.selective, np.eye(4), atol=1e-10)
+
+    def test_composition_check_fires_on_a_wrong_projector(self, monkeypatch):
+        """A support projector off by a relative 1e-6 fails the composition
+        check, which runs before the trace-preservation check."""
+        projector = pricekit.quantum._projector
+        monkeypatch.setattr(pricekit.quantum, "_projector",
+                            lambda vecs, keep: projector(vecs, keep) * (1 + 1e-6))
+        w = random_kraus_process(np.random.default_rng(89), 3)
+        with pytest.raises(IdentityViolation) as info:
+            q_factorize(w)
+        assert info.value.name == "q_factorize_composition"
 
     def test_composition_reproduces_map(self):
         rng = np.random.default_rng(88)
@@ -669,11 +679,22 @@ class TestOneSupportRule:
                 assert getattr(prof, name) == pytest.approx(getattr(prof0, name), rel=1e-9, abs=1e-9)
 
 
+def _peak_bytes(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestPullbackMemory:
     def test_no_call_copies_the_map(self):
         """Each pullback reads the superoperator in place: at K = 32 the
         embedded map holds 16.8 MB, and q_fitness (built fresh), q_price and
-        q_partition_entropy over singletons each peak below half of that."""
+        q_partition_entropy over singletons each peak below half of that.
+        q_factorize returns one map-sized array, its environmental factor,
+        and peaks below twice the map."""
         rng = np.random.default_rng(32)
         kernel = np.where(rng.uniform(size=(32, 32)) < 0.5, rng.uniform(0.05, 2, (32, 32)), 0.0)
         p = process(Population(TypeSet.range(32), rng.uniform(0.1, 2, 32)), kernel)
@@ -685,15 +706,9 @@ class TestPullbackMemory:
             "q_price": lambda: q_price(w, x, y),
             "q_partition_entropy": lambda: q_partition_entropy(w, singletons, singletons),
         }
-        peaks = {}
-        for name, call in calls.items():
-            tracemalloc.start()
-            try:
-                call()
-                peaks[name] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        peaks = {name: _peak_bytes(call) for name, call in calls.items()}
         assert max(peaks.values()) < w.superoperator.nbytes / 2, peaks
+        assert _peak_bytes(lambda: q_factorize(w)) < 2 * w.superoperator.nbytes
 
 
 class TestValidation:

@@ -73,6 +73,8 @@ LIBRARY_REJECTIONS = [
                  r"population weights must be finite, got nan at \[1\]", id="population-nan"),
     pytest.param(lambda: Population(AB, [float("inf"), 1]),
                  r"population weights must be finite, got inf at \[0\]", id="population-inf"),
+    pytest.param(lambda: Observable(AB, [float("nan"), 1]),
+                 r"observable values must be finite, got nan at \[0\]", id="observable-nan"),
     pytest.param(lambda: Observable(AB, [1]), "one value per type required",
                  id="observable-length"),
     pytest.param(lambda: childbearing_stats(Population(AB, [1, 2]), Observable(AB, [0, 0])),
@@ -117,6 +119,20 @@ LIBRARY_REJECTIONS = [
                  "density operator has eigenvalue", id="density-negative"),
     pytest.param(lambda: DensityOperator(np.zeros((2, 2))),
                  "density operator needs positive trace", id="density-zero-trace"),
+    pytest.param(lambda: DensityOperator([[1.0, 0.0], [0.0, float("nan")]]),
+                 r"density operator entries must be finite, got \(nan\+0j\) at \[1, 1\]",
+                 id="density-nan"),
+    pytest.param(lambda: QuantumObservable([[float("inf"), 0.0], [0.0, 1.0]]),
+                 r"observable entries must be finite, got \(inf\+0j\) at \[0, 0\]",
+                 id="quantum-observable-inf"),
+    pytest.param(lambda: QuantumProcess(np.diag([1.0, float("nan"), 0.0, 1.0]),
+                                        DensityOperator(np.eye(2))),
+                 r"superoperator entries must be finite, got \(nan\+0j\) at \[1, 1\]",
+                 id="superoperator-nan"),
+    pytest.param(lambda: QuantumProcess.from_kraus([[[1.0, 0.0], [0.0, float("inf")]]],
+                                                   DensityOperator(np.eye(2))),
+                 r"Kraus operator entries must be finite, got \(inf\+0j\) at \[0, 1, 1\]",
+                 id="kraus-inf"),
     pytest.param(lambda: QuantumProcess(np.eye(4), DensityOperator(np.eye(3))),
                  "superoperator input dimension mismatch", id="quantum-process-input"),
     pytest.param(lambda: QuantumProcess(np.ones((3, 4)), DensityOperator(np.eye(2))),
