@@ -56,6 +56,17 @@ class InputError(Exception):
     pass
 
 
+def _field(block: dict, key: str, kind: type, where: str = ""):
+    """block[key], which must be present and a JSON list (kind list) or
+    object (kind dict); ``where`` prefixes the field's name in the error."""
+    if key not in block:
+        raise InputError(f"missing required field {where + key!r}")
+    if not isinstance(block[key], kind):
+        article = "a list" if kind is list else "an object"
+        raise InputError(f"field {where + key!r} must be {article}")
+    return block[key]
+
+
 def _tolerance() -> float:
     raw = os.environ.get("PRICEKIT_TOLERANCE")
     if raw is None:
@@ -78,8 +89,7 @@ def load_input(path: str) -> dict:
     if not isinstance(doc, dict):
         raise InputError("top-level JSON value must be an object")
     for key in ("types", "weights", "kernel"):
-        if key not in doc:
-            raise InputError(f"missing required field {key!r}")
+        _field(doc, key, list)
     return doc
 
 
@@ -91,13 +101,13 @@ def build_unchecked(doc: dict) -> Process:
     if kernel.ndim != 2 or kernel.shape[0] != len(types):
         raise InputError("kernel must have one row per source type")
     if "target_types" in doc:
-        t_types = TypeSet(doc["target_types"])
+        t_types = TypeSet(_field(doc, "target_types", list))
     else:
         t_types = TypeSet.range(kernel.shape[1], prefix="c")
     if kernel.shape[1] != len(t_types):
         raise InputError("kernel must have one column per target type")
     if "target_weights" in doc:
-        target = Population(t_types, doc["target_weights"])
+        target = Population(t_types, _field(doc, "target_weights", list))
     else:
         target = Population(t_types, kernel.T @ source.weights)
     return Process(source, target, kernel, _check=False)
@@ -115,8 +125,9 @@ def _load_valid(path: str) -> tuple[dict, Process]:
 
 def _observables(doc: dict, p: Process) -> tuple[dict, dict]:
     on_source, on_target = {}, {}
-    for name, values in doc.get("observables", {}).items():
-        values = list(values)
+    observables = _field(doc, "observables", dict) if "observables" in doc else {}
+    for name in observables:
+        values = _field(observables, name, list, "observables.")
         matched = False
         if len(values) == len(p.source.types):
             on_source[name] = Observable(p.source.types, values)
@@ -186,9 +197,9 @@ def _entropy_section(p: Process, doc: dict) -> dict:
         },
     }
     if "partitions" in doc:
-        part = doc["partitions"]
-        part_a = Partition(p.source.types, part["source"])
-        part_b = Partition(p.target.types, part["target"])
+        part = _field(doc, "partitions", dict)
+        part_a = Partition(p.source.types, _field(part, "source", list, "partitions."))
+        part_b = Partition(p.target.types, _field(part, "target", list, "partitions."))
         block = third_law(p, part_a, part_b)
         section["block_third_law"] = {k: r.to_dict() for k, r in block.items()}
     return section
@@ -197,12 +208,14 @@ def _entropy_section(p: Process, doc: dict) -> dict:
 def _quantum_section(doc: dict) -> dict:
     if "quantum" not in doc:
         raise InputError("no quantum block in the input file")
-    block = doc["quantum"]
-    rho = DensityOperator(_complex_matrix(block["rho"]))
+    block = _field(doc, "quantum", dict)
+    rho = DensityOperator(_complex_matrix(_field(block, "rho", list, "quantum."), "quantum.rho"))
     if "superoperator" in block:
-        w = QuantumProcess(_complex_matrix(block["superoperator"]), rho)
+        w = QuantumProcess(_complex_matrix(block["superoperator"], "quantum.superoperator"), rho)
     elif "kraus" in block:
-        w = QuantumProcess.from_kraus([_complex_matrix(a) for a in block["kraus"]], rho)
+        kraus = _field(block, "kraus", list, "quantum.")
+        w = QuantumProcess.from_kraus(
+            [_complex_matrix(a, f"quantum.kraus[{i}]") for i, a in enumerate(kraus)], rho)
     else:
         raise InputError("quantum block needs a superoperator or kraus list")
     fd = q_fitness(w)
@@ -220,19 +233,24 @@ def _quantum_section(doc: dict) -> dict:
     }
 
 
-def _complex_matrix(entries) -> np.ndarray:
+def _complex_matrix(rows, name: str) -> np.ndarray:
+    """The matrix of field ``name``: a list of rows whose entries are numbers
+    or [re, im] pairs."""
     def scal(v):
         if isinstance(v, (list, tuple)) and len(v) == 2:
             return complex(v[0], v[1])
         return complex(v)
 
-    return np.array([[scal(v) for v in row] for row in entries])
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+        raise InputError(f"field {name!r} must be a list of rows")
+    return np.array([[scal(v) for v in row] for row in rows])
 
 
 def _kgs_section(doc: dict, p: Process) -> dict:
     if "open" not in doc:
         raise InputError("no open block in the input file")
-    orphan = np.asarray(doc["open"]["orphan_weights"], dtype=float)
+    block = _field(doc, "open", dict)
+    orphan = finite_array(_field(block, "orphan_weights", list, "open."), "orphan weights")
     if len(orphan) != len(p.target.types):
         raise InputError("orphan weights must match the target type set")
     full = Population(p.target.types, p.target.weights + orphan)
@@ -310,11 +328,9 @@ def cmd_report(args) -> int:
 def cmd_simulate(args) -> int:
     _, p = _load_valid(args.file)
     if p.source.types != p.target.types:
-        print("simulation needs an endomorphic process", file=sys.stderr)
-        return 1
+        raise ValueError("simulation needs an endomorphic process")
     if not 1 <= args.generations <= 64:
-        print("generations must be between 1 and 64", file=sys.stderr)
-        return 1
+        raise ValueError("generations must be between 1 and 64")
 
     rows = []
     current = p.source

@@ -431,13 +431,14 @@ def intergenerational_ec_change(p: Process, q: Process) -> IntergenerationalChan
     """
     q = check_composable(p, q)
     prof = generating_profile(p)
-    prof_next = generating_profile(q)
     ins = fitness(p).summary
 
     # The selective change is the sum of the singleton cells' covariances
     # cov(-U_cell log u_bar, U); singleton cells are (parent, child) pairs.
+    # q's side needs only its flow: S_EC' and the shares of its live cells.
     ns = float(prof.cells.cov_ec.sum())
-    price_route = (prof_next.s_ec - prof.s_ec) - ns
+    s_ec_next = environmental_entropy(q)
+    price_route = (s_ec_next - prof.s_ec) - ns
 
     # sum over cells ij and next cells c of -alpha_ij u'_c log(u'_c / u_ij),
     # alpha_ij = U_i u_ij / E[U^2], factors into
@@ -445,7 +446,8 @@ def intergenerational_ec_change(p: Process, q: Process) -> IntergenerationalChan
     u_bar, live = prof.cells.u_bar, prof.cells.support
     log_ubar = np.log(u_bar, out=np.zeros_like(u_bar), where=live)
     alpha = np.where(live, ins.u[:, None] * u_bar, 0.0) / ins.moment(2)
-    next_cells = prof_next.cells.u_bar[prof_next.cells.support]
+    next_cells = flow_cells(q)
+    next_cells = next_cells[next_cells > 0]
     formula = (alpha.sum() * np.sum(-xlogx(next_cells))
                + next_cells.sum() * np.sum(alpha * log_ubar))
 
@@ -453,7 +455,7 @@ def intergenerational_ec_change(p: Process, q: Process) -> IntergenerationalChan
         price_route=float(price_route),
         formula_route=float(formula),
         s_ec=prof.s_ec,
-        s_ec_next=prof_next.s_ec,
+        s_ec_next=s_ec_next,
         ns_s_ec=ns,
     )
 
@@ -562,37 +564,33 @@ def reversibility(p: Process) -> ReversibilityVerdict:
 def ks_entropy_curve(p: Process, t_max: int) -> list[float]:
     """Path entropies S_1..S_T of the iterated process at singleton cells.
 
-    The entropy of the T-step path mass distribution is accumulated with
-    the chain rule over forward marginals and backward reachability masses,
-    so no path tensor is materialized.
-    """
+    The chain rule over forward marginals and backward reachability masses
+    gives each horizon's entropy without a path tensor.  Every mass and row
+    entropy is computed once, one step per horizon, so a die-out is reported
+    at the horizon where it happens."""
     if p.source.types != p.target.types:
         raise ValueError("iterated entropy needs an endomorphic process")
     if not 1 <= t_max <= 6:
         raise ValueError("horizon T must be between 1 and 6")
     w = p.kernel
-    k = w.shape[0]
+    back = [np.ones(w.shape[0])]     # back[s]: mass reachable in s further steps
+    forward = [p.source.weights]     # forward[t]: mass after t steps
+    row_entropy = [None]             # row_entropy[s]: child entropy of a step with s to go
     out = []
     for horizon in range(1, t_max + 1):
-        back = [np.ones(k)]
-        for _ in range(horizon):
-            back.append(w @ back[-1])
-        back.reverse()  # back[t] = mass reachable in (horizon - t) further steps
-        n_final = float(p.source.weights @ back[0])
+        back.append(w @ back[-1])
+        n_final = float(p.source.weights @ back[horizon])
         if n_final <= EPS_ZERO * p.source.size:
             raise ValueError(f"population dies out before horizon {horizon}")
-        forward = p.source.weights.copy()
-        marginal = forward * back[0] / n_final
+        marginal = forward[0] * back[horizon] / n_final
         h = float(np.sum(-xlogx(marginal)))
+        cond = _ratio(w * back[-2], back[-1][:, None])
+        row_entropy.append(np.sum(-xlogx(cond), axis=1))
         for t in range(horizon):
-            cond = w * back[t + 1][None, :]
-            rows = back[t] > 0
-            cond[rows] = cond[rows] / back[t][rows, None]
-            cond[~rows] = 0.0
-            row_entropy = np.sum(-xlogx(cond), axis=1)
-            h += float(marginal @ row_entropy)
-            forward = w.T @ forward
-            marginal = forward * back[t + 1] / n_final
+            h += float(marginal @ row_entropy[horizon - t])
+            if t + 1 == horizon:
+                forward.append(w.T @ forward[t])
+            marginal = forward[t + 1] * back[horizon - t - 1] / n_final
         out.append(h)
     return out
 

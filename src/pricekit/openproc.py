@@ -12,7 +12,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import EPS_REL, EPS_ZERO
-from .measure import Observable, Population, covariance, expectation
+from .measure import Observable, Population, TypeSet, covariance, expectation, finite_array
 from .price import price
 from .process import Process
 
@@ -54,13 +54,11 @@ class OpenProcess:
 
 def open_process(source: Population, kernel, orphan_weights) -> OpenProcess:
     """Build an open process from a kernel image plus an orphan increment."""
-    kernel = np.asarray(kernel, dtype=float)
-    parented = kernel.T @ source.weights
-    orphan = np.asarray(orphan_weights, dtype=float)
+    kernel = finite_array(kernel, "kernel entries")
+    orphan = finite_array(orphan_weights, "orphan weights")
     if np.any(orphan < 0):
         raise ValueError("orphan weights must be nonnegative")
-    from .measure import TypeSet
-
+    parented = kernel.T @ source.weights
     child_types = TypeSet.range(kernel.shape[1], prefix="c")
     closed = Process(source, Population(child_types, parented), kernel, _check=False)
     full = Population(child_types, parented + orphan)

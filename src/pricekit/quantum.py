@@ -132,6 +132,8 @@ def apply_adjoint(s: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def kraus_to_super(kraus) -> np.ndarray:
     mats = finite_array(kraus, "Kraus operator entries", complex)
+    if len(mats) == 0:
+        raise ValueError("a Kraus list needs at least one operator")
     d_out, d_in = mats[0].shape
     s = np.zeros((d_out * d_out, d_in * d_in), dtype=complex)
     for a in mats:
@@ -364,8 +366,7 @@ def q_price(w: QuantumProcess, x: QuantumObservable, y: QuantumObservable) -> QP
         ec=tower_r - t_ux,
         tower_residual=abs(tower_r - e_y_next),
     )
-    gap = complex(np.trace((x.matrix @ u - u @ x.matrix) @ rho)) / n
-    return QPriceResult(delta=delta, left=left, right=right, commutator_gap=gap)
+    return QPriceResult(delta=delta, left=left, right=right, commutator_gap=t_xu - t_ux)
 
 
 # ---------------------------------------------------------------------------

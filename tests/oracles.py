@@ -228,6 +228,74 @@ def intergenerational_by_loops(p, q) -> tuple[float, float]:
     return ns, formula
 
 
+def intergenerational_by_profiles(p, q):
+    """``pricekit.intergenerational_ec_change`` with q's side read from q's
+    full singleton profile: S_EC' is its s_ec and the next cells are its
+    supported u_bar."""
+    from pricekit import fitness, generating_profile
+    from pricekit.entropy import IntergenerationalChange
+    from pricekit.measure import xlogx
+    from pricekit.process import check_composable
+
+    q = check_composable(p, q)
+    prof = generating_profile(p)
+    prof_next = generating_profile(q)
+    ins = fitness(p).summary
+    ns = float(prof.cells.cov_ec.sum())
+    price_route = (prof_next.s_ec - prof.s_ec) - ns
+    u_bar, live = prof.cells.u_bar, prof.cells.support
+    log_ubar = np.log(u_bar, out=np.zeros_like(u_bar), where=live)
+    alpha = np.where(live, ins.u[:, None] * u_bar, 0.0) / ins.moment(2)
+    next_cells = prof_next.cells.u_bar[prof_next.cells.support]
+    formula = (alpha.sum() * np.sum(-xlogx(next_cells))
+               + next_cells.sum() * np.sum(alpha * log_ubar))
+    return IntergenerationalChange(
+        price_route=float(price_route),
+        formula_route=float(formula),
+        s_ec=prof.s_ec,
+        s_ec_next=prof_next.s_ec,
+        ns_s_ec=ns,
+    )
+
+
+def ks_entropy_curve_by_horizon(p, t_max: int) -> list[float]:
+    """``pricekit.ks_entropy_curve`` with every horizon computed from scratch:
+    its backward masses, forward masses and row entropies are rebuilt for
+    each horizon, T(T+1)/2 row-entropy arrays for T horizons."""
+    from pricekit.config import EPS_ZERO
+    from pricekit.measure import xlogx
+
+    if p.source.types != p.target.types:
+        raise ValueError("iterated entropy needs an endomorphic process")
+    if not 1 <= t_max <= 6:
+        raise ValueError("horizon T must be between 1 and 6")
+    w = p.kernel
+    k = w.shape[0]
+    out = []
+    for horizon in range(1, t_max + 1):
+        back = [np.ones(k)]
+        for _ in range(horizon):
+            back.append(w @ back[-1])
+        back.reverse()  # back[t] = mass reachable in (horizon - t) further steps
+        n_final = float(p.source.weights @ back[0])
+        if n_final <= EPS_ZERO * p.source.size:
+            raise ValueError(f"population dies out before horizon {horizon}")
+        forward = p.source.weights.copy()
+        marginal = forward * back[0] / n_final
+        h = float(np.sum(-xlogx(marginal)))
+        for t in range(horizon):
+            cond = w * back[t + 1][None, :]
+            rows = back[t] > 0
+            cond[rows] = cond[rows] / back[t][rows, None]
+            cond[~rows] = 0.0
+            row_entropy = np.sum(-xlogx(cond), axis=1)
+            h += float(marginal @ row_entropy)
+            forward = w.T @ forward
+            marginal = forward * back[t + 1] / n_final
+        out.append(h)
+    return out
+
+
 def stationarity_by_loop(p, q, tol: float = 1e-9):
     """``pricekit.laws.stationarity`` with weak and locally-constant decided
     one parent row at a time."""

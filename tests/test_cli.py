@@ -172,6 +172,30 @@ REJECTED_INPUTS = [
                  id="no-open-block"),
     pytest.param(dict(F5_DOC, open={"orphan_weights": [0.5]}), ["report", "--kgs"], None,
                  "orphan weights must match the target type set", id="orphan-length"),
+    # a field that is missing or of the wrong JSON type is named
+    pytest.param(dict(F5_DOC, quantum={"kraus": [[[1, 0], [0, 1]]]}), ["report"], None,
+                 "missing required field 'quantum.rho'", id="quantum-no-rho"),
+    pytest.param(dict(F5_DOC, quantum={"rho": 5, "kraus": [[[1, 0], [0, 1]]]}), ["report"],
+                 None, "field 'quantum.rho' must be a list", id="quantum-rho-number"),
+    pytest.param(dict(F5_DOC, quantum={"rho": [[1, 0], [0, 1]], "kraus": [[1, 2, 3]]}),
+                 ["report"], None, "field 'quantum.kraus[0]' must be a list of rows",
+                 id="kraus-entry-not-a-matrix"),
+    pytest.param(dict(F5_DOC, partitions={"source": [["a", "b"]]}), ["report"], None,
+                 "missing required field 'partitions.target'", id="partitions-no-target"),
+    pytest.param(dict(F5_DOC, open={}), ["report"], None,
+                 "missing required field 'open.orphan_weights'", id="open-no-orphans"),
+    pytest.param(dict(F5_DOC, open={"orphan_weights": 5}), ["report"], None,
+                 "field 'open.orphan_weights' must be a list", id="orphans-number"),
+    pytest.param(dict(F5_DOC, observables=[[1, 0]]), ["report"], None,
+                 "field 'observables' must be an object", id="observables-list"),
+    pytest.param(dict(F5_DOC, observables={"trait": 1}), ["report"], None,
+                 "field 'observables.trait' must be a list", id="observable-number"),
+    pytest.param(dict(F5_DOC, types=5), ["validate"], None, "field 'types' must be a list",
+                 id="types-number"),
+    pytest.param(dict(F5_DOC, kernel={}), ["validate"], None, "field 'kernel' must be a list",
+                 id="kernel-object"),
+    pytest.param(dict(F5_DOC, weights={}), ["report"], None, "field 'weights' must be a list",
+                 id="weights-object"),
 ]
 
 
@@ -204,6 +228,11 @@ NON_FINITE_INPUTS = [
                                        "superoperator": np.diag([1, 0, 0, float("inf")]).tolist()}),
                  ["report"], None, "superoperator entries must be finite, got (inf+0j) at [3, 3]",
                  id="quantum-superoperator-inf"),
+    pytest.param(dict(F5_DOC, open={"orphan_weights": [0.5, float("nan")]}), ["report"], None,
+                 "orphan weights must be finite, got nan at [1]", id="orphans-nan"),
+    # not a finite value, but no map either: a Kraus list with no operator
+    pytest.param(dict(F5_DOC, quantum={"rho": [[1, 0], [0, 1]], "kraus": []}), ["report"],
+                 None, "a Kraus list needs at least one operator", id="kraus-empty"),
 ]
 
 
@@ -225,6 +254,50 @@ def test_rejected_input_exits_two(tmp_path, monkeypatch, capsys, doc, argv, tole
 def test_non_finite_input_exits_one(tmp_path, monkeypatch, capsys, doc, argv, tolerance, message):
     assert _exit_and_error(tmp_path, monkeypatch, capsys, doc, argv, tolerance) == (
         1, f"error: {message}\n")
+
+
+SAMPLE = json.loads((Path(__file__).parents[1] / "demos" / "sample_process.json").read_text())
+SAMPLE_WITH_BLOCKS = dict(
+    SAMPLE,
+    quantum={"rho": [[0.7, 0.1], [0.1, 0.3]],
+             "kraus": [[[1.0, 0.5], [0.0, 0.2]], [[0.0, 0.0], [0.3, 1.0]]]},
+    partitions={"source": [["a", "b"]], "target": [["c0"], ["c1"]]},
+)
+DROP = object()
+
+
+def _structural_mutations():
+    """(document, key path, replacement) for every object key of both documents,
+    top level and one level down, with the key dropped or its value replaced."""
+    for doc_id, doc in (("sample", SAMPLE), ("blocks", SAMPLE_WITH_BLOCKS)):
+        paths = [(key,) for key in doc]
+        paths += [(key, sub) for key in doc if isinstance(doc[key], dict) for sub in doc[key]]
+        for path in paths:
+            for value in (DROP, 5, "x", [], {}):
+                label = "drop" if value is DROP else json.dumps(value)
+                yield pytest.param(doc, path, value, id=f"{doc_id}:{'.'.join(path)}={label}")
+
+
+@pytest.mark.parametrize("doc, path, value", list(_structural_mutations()))
+def test_structural_mutation_exits_with_one_error_line(tmp_path, capsys, doc, path, value):
+    """A document with a key dropped or its value of the wrong JSON type is
+    reported, never a traceback: report (and validate and simulate, for a top
+    level key) exits 0, 1 or 2 with nothing or one error line on stderr."""
+    doc = json.loads(json.dumps(doc))
+    parent = doc if len(path) == 1 else doc[path[0]]
+    if value is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    file = tmp_path / "mutated.json"
+    file.write_text(json.dumps(doc))
+    commands = ["report", "validate", "simulate"] if len(path) == 1 else ["report"]
+    for command in commands:
+        code = main([command, str(file), "--json", str(tmp_path / "out.json")]
+                    if command == "report" else [command, str(file)])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), command
+        assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), (command, err)
 
 
 def test_non_finite_report_value_is_never_written(tmp_path, monkeypatch, capsys):

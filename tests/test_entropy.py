@@ -1,3 +1,6 @@
+import importlib
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -34,9 +37,35 @@ from conftest import (
     random_composable_pair,
     random_process,
 )
-from oracles import path_entropy_by_enumeration, set_partitions
+from oracles import (
+    intergenerational_by_profiles,
+    ks_entropy_curve_by_horizon,
+    path_entropy_by_enumeration,
+    set_partitions,
+)
 
 LOG2 = np.log(2)
+SCALES = (0, -150, -60, 60, 150)
+
+
+def outcome(fn, *args):
+    """fn(*args) as the hex of every float it returns, or as the type and
+    message of what it raised (a RuntimeWarning included, which the suite
+    turns into an error)."""
+    try:
+        result = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    values = result if isinstance(result, list) else astuple(result)
+    return [float(v).hex() for v in values]
+
+
+def random_kernel(rng, k, k2):
+    """Entries 0 or in [0.05, 2), with a childless last row one draw in four."""
+    kernel = rng.uniform(0.05, 2.0, (k, k2)) * (rng.random((k, k2)) < 0.7)
+    if k > 1 and rng.random() < 0.25:
+        kernel[-1] = 0.0
+    return kernel
 
 
 class TestSelectiveEntropy:
@@ -184,7 +213,6 @@ class TestEnvironmentalProfile:
                     for (ba, bb), cell in fine.per_cell.items():
                         if cell.u_bar <= 0:
                             continue
-                        блок = None
                         outer_a = next(b for b in blocks_a if ba[0] in b)
                         outer_b = next(b for b in blocks_b if bb[0] in b)
                         outer = coarse.per_cell[(tuple(outer_a), tuple(outer_b))]
@@ -383,6 +411,56 @@ class TestIntergenerational:
                 r.ns_s_ec + r.price_route, rel=1e-9, abs=1e-12
             )
 
+    def test_equals_the_two_profile_route_bit_for_bit(self):
+        """q's S_EC' and next cells read from its flow equal those of its full
+        singleton profile, every field and every error alike: K = 1, K != K',
+        childless rows, weights x 1, 1e+-60 and 1e+-150, and a q whose stated
+        children its kernel does not bear."""
+        rng = np.random.default_rng(71)
+        kinds = set()
+        for draw in range(120):
+            k, k2, k3 = (int(v) for v in rng.integers(1, 6, 3))
+            kernel_p, kernel_q = random_kernel(rng, k, k2), random_kernel(rng, k2, k3)
+            if draw % 10 == 0:
+                kernel_q[:] = 0.0
+            weights = rng.uniform(0.1, 2.0, k)
+            for s in SCALES:
+                try:
+                    p = process(Population(TypeSet.range(k), weights * 10.0**s), kernel_p)
+                except ValueError:
+                    continue  # p bears no children: there is no pair
+                q = Process(p.target, Population(TypeSet.range(k3, "n"), np.ones(k3)),
+                            kernel_q, _check=False)
+                expected = outcome(intergenerational_by_profiles, p, q)
+                assert outcome(intergenerational_ec_change, p, q) == expected
+                kinds.add(expected[0] if isinstance(expected[0], type) else "change")
+        assert kinds == {"change", ValueError}
+
+    @pytest.mark.parametrize("factor", [0.5, 1.0, 2.0])
+    def test_next_cells_at_the_zero_threshold(self, factor):
+        """A q share at 0.5, 1 and 2 x EPS_ZERO is a next cell exactly when
+        q's profile counts it."""
+        share = EPS_ZERO * factor
+        k = 2.0 * share / (1.0 - share)             # k / (2 + k) = share
+        p = process(Population(TypeSet(["a", "b"]), [1, 1]), [[0.5, 0.5], [0.5, 0.5]])
+        q = process(p.target, [[1.0, k], [0.0, 1.0]])
+        assert outcome(intergenerational_ec_change, p, q) == outcome(
+            intergenerational_by_profiles, p, q)
+
+    def test_builds_one_profile(self, monkeypatch):
+        """Only p's singleton profile is built; q's side comes from its flow."""
+        entropy = importlib.import_module("pricekit.entropy")
+        calls = []
+
+        def counted(*args, _build=entropy.environmental_profile):
+            calls.append(args[0])
+            return _build(*args)
+
+        monkeypatch.setattr(entropy, "environmental_profile", counted)
+        p, q = random_composable_pair(np.random.default_rng(72))
+        intergenerational_ec_change(p, q)
+        assert calls == [p]
+
 
 class TestReversibility:
     def test_bernoulli_dispersion_left_only(self):
@@ -519,6 +597,49 @@ class TestPathEntropy:
             ks_entropy(f2, 0)
         with pytest.raises(ValueError):
             ks_entropy(f2, 7)
+
+    def test_equals_the_per_horizon_route_bit_for_bit(self):
+        """Every horizon T = 1..6 of seeded kernels, K = 1 included, with
+        childless rows, weights x 1, 1e+-60 and 1e+-150, nilpotent kernels that
+        die out and kernels x 1e+-150 whose later horizons overflow: the same
+        curve, or the same error at the same horizon."""
+        rng = np.random.default_rng(73)
+        kinds = set()
+        for draw in range(150):
+            k = int(rng.integers(1, 6))
+            kernel = random_kernel(rng, k, k)
+            if draw % 5 == 1:
+                kernel = np.triu(kernel, 1)          # every path dies within K steps
+            if draw % 5 == 2:
+                kernel = kernel * 10.0 ** rng.choice([-150, 150])
+            if not kernel.any():
+                continue
+            src = Population(TypeSet.range(k), rng.uniform(0.1, 2.0, k))
+            for s in SCALES:
+                p = Process(src, src, kernel, _check=False) if s == 0 else Process(
+                    Population(src.types, src.weights * 10.0**s), src, kernel, _check=False)
+                for t_max in range(1, 7):
+                    expected = outcome(ks_entropy_curve_by_horizon, p, t_max)
+                    assert outcome(ks_entropy_curve, p, t_max) == expected
+                    kinds.add(expected[0] if isinstance(expected[0], type) else "curve")
+        assert kinds == {"curve", ValueError, RuntimeWarning}
+
+    @pytest.mark.parametrize("t_max", range(1, 7))
+    def test_one_row_entropy_per_horizon(self, monkeypatch, t_max):
+        """x log x runs twice per horizon: on its first marginal and on its
+        one new row-entropy array."""
+        entropy = importlib.import_module("pricekit.entropy")
+        calls = []
+
+        def counted(x, _xlogx=entropy.xlogx):
+            calls.append(np.shape(x))
+            return _xlogx(x)
+
+        monkeypatch.setattr(entropy, "xlogx", counted)
+        src = Population(TypeSet.range(3), [1.0, 2.0, 0.5])
+        kernel = np.array([[0.5, 1.0, 0.0], [0.2, 0.3, 0.9], [1.1, 0.0, 0.4]])
+        ks_entropy_curve(Process(src, src, kernel, _check=False), t_max)
+        assert len(calls) == 2 * t_max
 
 
 class TestComposedEntropy:

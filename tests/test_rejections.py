@@ -109,6 +109,11 @@ LIBRARY_REJECTIONS = [
                  "full target must share the child type set", id="open-process-types"),
     pytest.param(lambda: open_process(Population(AB, [1, 2]), [[1], [1]], [-0.5]),
                  "orphan weights must be nonnegative", id="negative-orphans"),
+    # the kernel and orphans are checked before the parented children are formed
+    pytest.param(lambda: open_process(Population(AB, [1, 2]), [[float("nan")], [1]], [0.5]),
+                 r"kernel entries must be finite, got nan at \[0, 0\]", id="open-kernel-nan"),
+    pytest.param(lambda: open_process(Population(AB, [1, 2]), [[1], [1]], [float("nan")]),
+                 r"orphan weights must be finite, got nan at \[0\]", id="orphans-nan"),
     pytest.param(lambda: kgs(open_process(Population(AB, [1, 2]), [[1e-20], [0]], [1.0]),
                              on(AB), on(TypeSet(["c0"]))),
                  "all children are orphans", id="kgs-all-orphans"),
@@ -133,6 +138,8 @@ LIBRARY_REJECTIONS = [
                                                    DensityOperator(np.eye(2))),
                  r"Kraus operator entries must be finite, got \(inf\+0j\) at \[0, 1, 1\]",
                  id="kraus-inf"),
+    pytest.param(lambda: kraus_to_super([]), "a Kraus list needs at least one operator",
+                 id="kraus-empty"),
     pytest.param(lambda: QuantumProcess(np.eye(4), DensityOperator(np.eye(3))),
                  "superoperator input dimension mismatch", id="quantum-process-input"),
     pytest.param(lambda: QuantumProcess(np.ones((3, 4)), DensityOperator(np.eye(2))),
