@@ -237,9 +237,10 @@ def _complex_matrix(rows, name: str) -> np.ndarray:
     """The matrix of field ``name``: a list of rows whose entries are numbers
     or [re, im] pairs."""
     def scal(v):
-        if isinstance(v, (list, tuple)) and len(v) == 2:
-            return complex(v[0], v[1])
-        return complex(v)
+        try:
+            return complex(*v) if isinstance(v, (list, tuple)) and len(v) == 2 else complex(v)
+        except (TypeError, ValueError):
+            raise ValueError(f"field {name!r} has an entry that is not a number: {v!r}") from None
 
     if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
         raise InputError(f"field {name!r} must be a list of rows")

@@ -35,6 +35,9 @@ class Partition:
     blocks: tuple[tuple[str, ...], ...]
 
     def __init__(self, types: TypeSet, blocks):
+        blocks = tuple(blocks)
+        if not all(isinstance(block, (list, tuple)) for block in blocks):
+            raise ValueError("a partition block must be a list of labels")
         blocks = tuple(tuple(str(c) for c in block) for block in blocks)
         seen: list[str] = []
         for block in blocks:

@@ -17,7 +17,10 @@ def _as_readonly(values, dtype=float) -> np.ndarray:
 
 def finite_array(values, what: str, dtype=float) -> np.ndarray:
     """values as a float (or complex) array, rejected with the first NaN or infinite entry."""
-    arr = np.asarray(values, dtype=dtype)
+    try:
+        arr = np.asarray(values, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{what} are not an array of numbers: {exc}") from None
     if not np.isfinite(arr).all():
         at = np.argwhere(~np.isfinite(arr))[0].tolist()
         raise ValueError(f"{what} must be finite, got {arr[tuple(at)]} at {at}")

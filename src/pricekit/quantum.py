@@ -134,11 +134,10 @@ def kraus_to_super(kraus) -> np.ndarray:
     mats = finite_array(kraus, "Kraus operator entries", complex)
     if len(mats) == 0:
         raise ValueError("a Kraus list needs at least one operator")
-    d_out, d_in = mats[0].shape
-    s = np.zeros((d_out * d_out, d_in * d_in), dtype=complex)
-    for a in mats:
-        s += np.kron(a.conj(), a)
-    return s
+    if mats.ndim != 3:
+        raise ValueError("each Kraus operator must be a matrix")
+    _, d_out, d_in = mats.shape     # sum_k kron(conj A_k, A_k), entry [i d_out + a, j d_in + b]
+    return np.einsum("kij,kab->iajb", mats.conj(), mats).reshape(d_out * d_out, d_in * d_in)
 
 
 @dataclass(frozen=True)
@@ -149,9 +148,10 @@ class QuantumProcess:
     Positivity is decided by one of three rules, named by ``positivity``:
     ``"by_construction"`` for ``embed_process`` (a nonnegative dephasing map,
     whose Choi matrix is diagonal and nonnegative) and ``from_kraus`` (sum_k
-    conj(A_k) (x) A_k is completely positive), which are not tested;
-    ``"cp_certified"`` for a given superoperator that passes Choi's
-    certificate; ``"positive_on_samples"`` for one that passes only the probes.
+    conj(A_k) (x) A_k is completely positive), whose fresh maps are taken over
+    untested and uncopied; ``"cp_certified"`` for a given superoperator, copied,
+    that passes Choi's certificate; ``"positive_on_samples"`` for one that
+    passes only the probes.  The stored map is read-only.
 
     A given superoperator is decided in two steps.  First Choi's test: the
     Choi matrix J = sum_ij E_ij (x) Phi(E_ij), realigned from the map, must be
@@ -179,7 +179,8 @@ class QuantumProcess:
 
     def __init__(self, superoperator, source: DensityOperator,
                  target: DensityOperator | None = None, _cp: bool = False):
-        s = finite_array(np.array(superoperator, dtype=complex), "superoperator entries", complex)
+        s = finite_array(np.array(superoperator, complex, copy=not _cp),
+                         "superoperator entries", complex)
         d_in = source.dim
         if s.shape[1] != d_in * d_in:
             raise ValueError("superoperator input dimension mismatch")
@@ -460,8 +461,8 @@ class QPartitionResult:
     @property
     def chains_apply(self) -> bool:
         """The moment chains are derived for cells that commute with the
-        intermediate state; outside that domain they are reported but make
-        no claim."""
+        intermediate state (relative Frobenius residual within EPS_OP); outside
+        that domain they are reported but make no claim."""
         return self.commutation_residual <= EPS_OP
 
 
@@ -494,7 +495,6 @@ def q_partition_entropy(w: QuantumProcess, projs_a, projs_b) -> QPartitionResult
     u_half = _spectral(fd.eigvals, fd.eigvecs, np.sqrt, fd.support)
     u_inv_half = _spectral(fd.eigvals, fd.eigvecs, lambda v: 1.0 / np.sqrt(v), fd.support)
     inter = u_half @ rho @ u_half            # intermediate state, trace N
-    inter_scale = float(np.abs(inter).max())  # > 0: the trace is N > 0
     centered_rho = (u_op - np.eye(d_in)) @ rho
     centered_inter = u_half @ centered_rho @ u_half
     pulled_b = apply_adjoint(w.superoperator, projs_b)
@@ -530,14 +530,17 @@ def q_partition_entropy(w: QuantumProcess, projs_a, projs_b) -> QPartitionResult
     stats = [u_bar, s_ec, s_dis, s_ec - s_dis, p_tilde, phi, lam, gamma,
              _pair(h, h @ inter_q) / n, cov_ec, cov_dis, cov_ec - cov_dis]
 
-    # Commutator D-hat inter - inter D-hat = T - T-dagger, T = Q H (Q-dagger inter),
-    # one source projection at a time so that no (nA, nB, d, d) array is formed.
-    comm_residual = 0.0
-    for qa, qa_h, ha in zip(q, qh, h):
-        d_scale = np.maximum(np.abs(qa @ ha @ qa_h).max(axis=(-2, -1)), EPS_ZERO)
-        t = qa @ (ha @ (qa_h @ inter))
-        comm = np.abs(t - t.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-        comm_residual = max(comm_residual, float((comm / (d_scale * inter_scale)).max()))
+    # Residual ||[D-hat, X]||_F / ||D-hat||_F, X = inter / ||inter||_F, ' the adjoint.  With
+    # P = Q Q', [D-hat, X] has orthogonal blocks P.P = Q [H, X_q] Q', P.(1-P) = Q H Y' and
+    # (1-P).P = -Y H Q' (X_q = Q' X Q, Y = (1-P) X Q; (1-P).(1-P) = 0): its squared norm is
+    # ||[H, X_q]||^2 + 2 ||Y H||^2, and ||D-hat|| = ||H||.  No square overflows: inter / max|inter|.
+    x = inter / np.abs(inter).max()
+    x /= np.linalg.norm(x)
+    x_q = (qh @ x @ q)[:, None]
+    y = (x @ q)[:, None] - q[:, None] @ x_q
+    comm = np.hypot(np.linalg.norm(h @ x_q - x_q @ h, axis=(-2, -1)),
+                    np.sqrt(2.0) * np.linalg.norm(y @ h, axis=(-2, -1)))
+    comm_residual = float((comm / np.maximum(np.linalg.norm(h, axis=(-2, -1)), EPS_ZERO)).max())
 
     cells = CellArrays(tuple(range(len(projs_a))), tuple(range(len(projs_b))), *stats)
     profile = EntropyProfile.from_cells(fd.summary, cells, suffix="_partition")

@@ -450,7 +450,9 @@ def q_cell_stats_by_loop(w, projs_a, projs_b):
 
     ``stats`` is an (nA, nB, len(CELL_FIELDS)) array in CELL_FIELDS order.
     Every trace is taken of a formed product and the p_tilde branch is taken
-    per cell.
+    per cell.  ``commutation_residual`` is the largest ||[D-hat, X]||_F /
+    ||D-hat||_F over the cells, X the intermediate state over its Frobenius
+    norm, formed as d x d matrices.
     """
     from pricekit.config import EPS_ZERO
     from pricekit.entropy import CELL_FIELDS
@@ -472,7 +474,8 @@ def q_cell_stats_by_loop(w, projs_a, projs_b):
 
     stats = np.zeros((len(projs_a), len(projs_b), len(CELL_FIELDS)))
     comm_residual = 0.0
-    inter_scale = float(np.abs(inter).max())
+    x = inter / np.abs(inter).max()           # no square over- or underflows
+    x /= np.linalg.norm(x)
     centered = u_op - np.eye(d_in)
     pulled_b = [unvec(adjoint(w) @ vec(pb), d_in) for pb in projs_b]
     for a, pa in enumerate(projs_a):
@@ -482,11 +485,9 @@ def q_cell_stats_by_loop(w, projs_a, projs_b):
             u_bar = float(np.real(np.trace(u_cell @ rho))) / n
             d_hat = u_inv_half @ u_cell @ u_inv_half
             d_hat = 0.5 * (d_hat + d_hat.conj().T)
-            d_scale = max(float(np.abs(d_hat).max()), EPS_ZERO)
-            comm = d_hat @ inter - inter @ d_hat
-            comm_residual = max(
-                comm_residual, float(np.abs(comm).max()) / (d_scale * inter_scale)
-            )
+            d_norm = max(float(np.linalg.norm(d_hat)), EPS_ZERO)
+            comm = d_hat @ x - x @ d_hat
+            comm_residual = max(comm_residual, float(np.linalg.norm(comm)) / d_norm)
 
             s_ec = float(-xlogx(max(u_bar, 0.0)))
             d_vals, d_vecs = np.linalg.eigh(d_hat)

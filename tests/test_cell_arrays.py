@@ -362,15 +362,36 @@ def test_approximate_projection_stands_for_the_projection_onto_its_range():
 
 def test_commutation_residual_does_not_shrink_with_the_weights():
     """The Hadamard cells of the dephasing channel do not commute with the
-    intermediate state at any weight scale, down to states of trace 1e-150."""
+    intermediate state at any weight scale, from states of trace 1e-300 to
+    1e+300."""
     base = q_partition_entropy(*hadamard_dephasing())
     assert not base.chains_apply
-    for scale in (1e-13, 1e-150):
+    for scale in (1e-13, 1e-150, 1e150, 1e-300, 1e300):
         res = q_partition_entropy(*hadamard_dephasing(scale))
         assert abs(res.commutation_residual - base.commutation_residual) \
             <= CELL_TOL * base.commutation_residual
         assert not res.chains_apply
         assert_q_matches_loop(*hadamard_dephasing(scale))
+
+
+def test_commutation_residual_does_not_depend_on_the_basis():
+    """Conjugating the state, the map and every projection by one unitary
+    leaves the residual unchanged within 1e-12."""
+    rng = np.random.default_rng(312)
+    for _ in range(30):
+        d_in, d_out = (int(v) for v in rng.integers(2, 6, 2))
+        w = random_kraus_process(rng, d_in, d_out, 2)
+        projs_a, projs_b = random_resolution(rng, d_in), random_resolution(rng, d_out)
+        u_in, u_out = (np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+                       for d in (d_in, d_out))
+        # rho -> U rho U-dagger is vec -> kron(conj U, U) vec in column-major order
+        s = np.kron(u_out.conj(), u_out) @ w.superoperator @ np.kron(u_in.conj(), u_in).conj().T
+        turned = QuantumProcess(s, DensityOperator(u_in @ w.source.matrix @ u_in.conj().T))
+        res = q_partition_entropy(w, projs_a, projs_b).commutation_residual
+        res_turned = q_partition_entropy(
+            turned, [u_in @ pa @ u_in.conj().T for pa in projs_a],
+            [u_out @ pb @ u_out.conj().T for pb in projs_b]).commutation_residual
+        assert abs(res - res_turned) <= CELL_TOL, (res, res_turned)
 
 
 def test_factorization_matches_kron_products():

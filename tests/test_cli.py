@@ -233,6 +233,20 @@ NON_FINITE_INPUTS = [
     # not a finite value, but no map either: a Kraus list with no operator
     pytest.param(dict(F5_DOC, quantum={"rho": [[1, 0], [0, 1]], "kraus": []}), ["report"],
                  None, "a Kraus list needs at least one operator", id="kraus-empty"),
+    # not numbers, nor a block of labels, nor a matrix
+    pytest.param(dict(F5_DOC, weights=[1, {}]), ["validate"], None,
+                 "population weights are not an array of numbers: float() argument must be"
+                 " a string or a real number, not 'dict'", id="weights-object"),
+    pytest.param(dict(F5_DOC, quantum={"rho": [[1, 0], [0, 1]],
+                                       "superoperator": [[{}, 0], [0, 1]]}),
+                 ["report"], None,
+                 "field 'quantum.superoperator' has an entry that is not a number: {}",
+                 id="quantum-superoperator-object"),
+    pytest.param(dict(F5_DOC, partitions={"source": [5], "target": [["c0", "c1"]]}),
+                 ["report"], None, "a partition block must be a list of labels",
+                 id="partition-block-number"),
+    pytest.param(dict(F5_DOC, quantum={"rho": [[1, 0], [0, 1]], "kraus": [[]]}), ["report"],
+                 None, "each Kraus operator must be a matrix", id="kraus-not-a-matrix"),
 ]
 
 
@@ -266,32 +280,50 @@ SAMPLE_WITH_BLOCKS = dict(
 DROP = object()
 
 
+def _first_entries(value, path=()):
+    """Paths to the first entry of every nonempty list in value, following
+    first entries down."""
+    if isinstance(value, dict):
+        for key, sub in value.items():
+            yield from _first_entries(sub, path + (key,))
+    elif isinstance(value, list) and value:
+        yield path + (0,)
+        yield from _first_entries(value[0], path + (0,))
+
+
 def _structural_mutations():
     """(document, key path, replacement) for every object key of both documents,
-    top level and one level down, with the key dropped or its value replaced."""
+    top level and one level down, with the key dropped or its value replaced,
+    and for the first entry of every list, replaced by a value that is no number."""
     for doc_id, doc in (("sample", SAMPLE), ("blocks", SAMPLE_WITH_BLOCKS)):
         paths = [(key,) for key in doc]
         paths += [(key, sub) for key in doc if isinstance(doc[key], dict) for sub in doc[key]]
-        for path in paths:
-            for value in (DROP, 5, "x", [], {}):
-                label = "drop" if value is DROP else json.dumps(value)
-                yield pytest.param(doc, path, value, id=f"{doc_id}:{'.'.join(path)}={label}")
+        cases = [(path, value) for path in paths for value in (DROP, 5, "x", [], {})]
+        cases += [(path, value) for path in _first_entries(doc) for value in ({}, [], "x", None)]
+        for path, value in cases:
+            label = "drop" if value is DROP else json.dumps(value)
+            yield pytest.param(doc, path, value,
+                               id=f"{doc_id}:{'.'.join(map(str, path))}={label}")
 
 
 @pytest.mark.parametrize("doc, path, value", list(_structural_mutations()))
 def test_structural_mutation_exits_with_one_error_line(tmp_path, capsys, doc, path, value):
-    """A document with a key dropped or its value of the wrong JSON type is
-    reported, never a traceback: report (and validate and simulate, for a top
-    level key) exits 0, 1 or 2 with nothing or one error line on stderr."""
+    """A document with a key dropped, its value of the wrong JSON type or a
+    list entry that is no number is reported, never a traceback: report (and
+    validate and simulate, for a top-level key or an entry of a top-level
+    list) exits 0, 1 or 2 with nothing or one error line on stderr."""
     doc = json.loads(json.dumps(doc))
-    parent = doc if len(path) == 1 else doc[path[0]]
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
     if value is DROP:
         del parent[path[-1]]
     else:
         parent[path[-1]] = value
     file = tmp_path / "mutated.json"
     file.write_text(json.dumps(doc))
-    commands = ["report", "validate", "simulate"] if len(path) == 1 else ["report"]
+    top_level = len(path) == 1 or isinstance(path[1], int)
+    commands = ["report", "validate", "simulate"] if top_level else ["report"]
     for command in commands:
         code = main([command, str(file), "--json", str(tmp_path / "out.json")]
                     if command == "report" else [command, str(file)])

@@ -688,6 +688,12 @@ def _peak_bytes(call) -> int:
         tracemalloc.stop()
 
 
+def _k32_process():
+    rng = np.random.default_rng(32)
+    kernel = np.where(rng.uniform(size=(32, 32)) < 0.5, rng.uniform(0.05, 2, (32, 32)), 0.0)
+    return process(Population(TypeSet.range(32), rng.uniform(0.1, 2, 32)), kernel), rng
+
+
 class TestPullbackMemory:
     def test_no_call_copies_the_map(self):
         """Each pullback reads the superoperator in place: at K = 32 the
@@ -695,9 +701,7 @@ class TestPullbackMemory:
         q_partition_entropy over singletons each peak below half of that.
         q_factorize returns one map-sized array, its environmental factor,
         and peaks below twice the map."""
-        rng = np.random.default_rng(32)
-        kernel = np.where(rng.uniform(size=(32, 32)) < 0.5, rng.uniform(0.05, 2, (32, 32)), 0.0)
-        p = process(Population(TypeSet.range(32), rng.uniform(0.1, 2, 32)), kernel)
+        p, rng = _k32_process()
         w = embed_process(p)
         x, y = (embed_observable(rng.normal(size=32)) for _ in range(2))
         singletons = singleton_projections(32)
@@ -709,6 +713,32 @@ class TestPullbackMemory:
         peaks = {name: _peak_bytes(call) for name, call in calls.items()}
         assert max(peaks.values()) < w.superoperator.nbytes / 2, peaks
         assert _peak_bytes(lambda: q_factorize(w)) < 2 * w.superoperator.nbytes
+
+    def test_embedding_builds_the_map_once(self):
+        """embed_process hands its fresh map to QuantumProcess, which takes it
+        over without a copy: the peak stays within 1.25 maps at K = 32."""
+        p, _ = _k32_process()
+        built = []
+        peak = _peak_bytes(lambda: built.append(embed_process(p)))
+        assert peak <= 1.25 * built[0].superoperator.nbytes, peak
+
+
+class TestOwnership:
+    def test_a_callers_map_is_copied(self):
+        s = kraus_to_super([np.diag([1.0, 0.5]), np.array([[0.0, 0.3], [0.2, 0.0]])])
+        w = QuantumProcess(s, DensityOperator(np.diag([0.7, 0.3])))
+        assert s.flags.writeable
+        kept = w.superoperator.copy()
+        s[:] = 0.0
+        np.testing.assert_array_equal(w.superoperator, kept)
+
+    def test_the_map_is_read_only_on_every_route(self):
+        rho = DensityOperator(np.diag([0.7, 0.3]))
+        kraus = [np.diag([1.0, 0.5]), np.array([[0.0, 0.3], [0.2, 0.0]])]
+        p = process(Population(TypeSet.range(2), [0.7, 0.3]), [[1.0, 0.5], [0.2, 1.5]])
+        for w in (QuantumProcess(kraus_to_super(kraus), rho),
+                  QuantumProcess.from_kraus(kraus, rho), embed_process(p)):
+            assert not w.superoperator.flags.writeable
 
 
 class TestValidation:

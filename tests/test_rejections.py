@@ -73,6 +73,8 @@ LIBRARY_REJECTIONS = [
                  r"population weights must be finite, got nan at \[1\]", id="population-nan"),
     pytest.param(lambda: Population(AB, [float("inf"), 1]),
                  r"population weights must be finite, got inf at \[0\]", id="population-inf"),
+    pytest.param(lambda: Population(AB, [1, {}]),
+                 "population weights are not an array of numbers", id="population-object"),
     pytest.param(lambda: Observable(AB, [float("nan"), 1]),
                  r"observable values must be finite, got nan at \[0\]", id="observable-nan"),
     pytest.param(lambda: Observable(AB, [1]), "one value per type required",
@@ -102,6 +104,8 @@ LIBRARY_REJECTIONS = [
                  id="partition-empty-block"),
     pytest.param(lambda: Partition(AB, [["a"]]), "blocks must cover the type set",
                  id="partition-not-covering"),
+    pytest.param(lambda: Partition(AB, [["a"], "b"]), "a partition block must be a list of labels",
+                 id="partition-block-string"),
     pytest.param(lambda: cell_arrays(f5(), Partition.singletons(AB), Partition.singletons(AB)),
                  "partitions must match the process type sets", id="cell-arrays-types"),
     # open processes
@@ -140,6 +144,10 @@ LIBRARY_REJECTIONS = [
                  id="kraus-inf"),
     pytest.param(lambda: kraus_to_super([]), "a Kraus list needs at least one operator",
                  id="kraus-empty"),
+    pytest.param(lambda: kraus_to_super([[1.0, 0.0]]), "each Kraus operator must be a matrix",
+                 id="kraus-not-a-matrix"),
+    pytest.param(lambda: kraus_to_super([np.eye(2), np.eye(3)]),
+                 "Kraus operator entries are not an array of numbers", id="kraus-ragged"),
     pytest.param(lambda: QuantumProcess(np.eye(4), DensityOperator(np.eye(3))),
                  "superoperator input dimension mismatch", id="quantum-process-input"),
     pytest.param(lambda: QuantumProcess(np.ones((3, 4)), DensityOperator(np.eye(2))),
