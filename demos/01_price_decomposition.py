@@ -41,7 +41,7 @@ print("  residual:         ", d.residual)
 # Every process is "scale then shuffle": a diagonal fitness scaling into an
 # intermediate population, followed by a row-stochastic redistribution.
 fac = price_factorize(p)
-print("\nfitness diagonal:", fac.fitness_diagonal)
+print("\nfitness diagonal:", fd.W.values)
 print("redistribution rows:\n", fac.environmental.kernel)
 print("product reproduces the kernel:",
       np.allclose(fac.selective.kernel @ fac.environmental.kernel, p.kernel))

@@ -5,7 +5,6 @@ from .measure import (
     Observable,
     Population,
     TypeSet,
-    childbearing_stats,
     covariance,
     expectation,
     variance,

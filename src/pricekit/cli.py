@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -235,12 +236,15 @@ def _quantum_section(doc: dict) -> dict:
 
 def _complex_matrix(rows, name: str) -> np.ndarray:
     """The matrix of field ``name``: a list of rows whose entries are numbers
-    or [re, im] pairs."""
+    or [re, im] pairs of numbers; booleans and strings are not numbers."""
     def scal(v):
-        try:
-            return complex(*v) if isinstance(v, (list, tuple)) and len(v) == 2 else complex(v)
-        except (TypeError, ValueError):
-            raise ValueError(f"field {name!r} has an entry that is not a number: {v!r}") from None
+        parts = v if isinstance(v, (list, tuple)) and len(v) == 2 else (v,)
+        if not any(isinstance(x, (bool, str)) for x in parts):
+            try:
+                return complex(*parts)
+            except (TypeError, ValueError):
+                pass
+        raise ValueError(f"field {name!r} has an entry that is not a number: {v!r}")
 
     if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
         raise InputError(f"field {name!r} must be a list of rows")
@@ -259,15 +263,7 @@ def _kgs_section(doc: dict, p: Process) -> dict:
     u = fitness(p).U
     ones = Observable(p.target.types, np.ones(len(p.target.types)))
     comp = kgs(op, u, ones)
-    return {
-        "parented_share": comp.parented_share,
-        "selective": comp.selective,
-        "environmental": comp.environmental,
-        "orphan_nu": comp.orphan_nu,
-        "orphan_pi": comp.orphan_pi,
-        "delta": comp.delta,
-        "residual": comp.residual,
-    }
+    return dict(dataclasses.asdict(comp), residual=comp.residual)
 
 
 def cmd_report(args) -> int:
@@ -288,7 +284,7 @@ def cmd_report(args) -> int:
         },
         "purity": classify_purity(p).value,
         "factorization": {
-            "fitness_diagonal": list(factors.fitness_diagonal),
+            "fitness_diagonal": list(fd.W.values),
             "dropped_types": list(factors.dropped_types),
             "environmental_rows": len(factors.environmental.source.types),
         },
@@ -309,13 +305,7 @@ def cmd_report(args) -> int:
     if (want_all and "open" in doc) or args.kgs:
         report["kgs"] = _kgs_section(doc, p)
     if q is not None:
-        st = stationarity(p, q)
-        report["stationarity"] = {
-            "strong": st.strong,
-            "weak": st.weak,
-            "locally_homogeneous": st.locally_homogeneous,
-            "locally_constant": st.locally_constant,
-        }
+        report["stationarity"] = dataclasses.asdict(stationarity(p, q))
 
     text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     if args.json:
@@ -404,7 +394,7 @@ def main(argv=None) -> int:
     command = globals()["cmd_" + args.command]
     try:
         return command(args)
-    except InputError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

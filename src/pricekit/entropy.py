@@ -11,7 +11,7 @@ the mass flow certifies one-sided invertibility of the redistribution stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -107,28 +107,9 @@ def local_selective_entropy(p: Process, block_a, block_b,
 # Environmental profile
 
 
-@dataclass(frozen=True)
-class CellStats:
-    u_bar: float
-    s_ec: float
-    s_dis: float
-    s_mix: float
-    p_tilde: float
-    phi: float
-    lam: float
-    gamma: float
-    mean_d2: float           # E[U D^2 1_cell], the intermediate mean of D^2
-    cov_ec: float            # cov(-U_cell log u_bar, U)
-    cov_dis: float           # cov(-U_cell log D, U)
-    cov_mix: float           # cov(U_cell log(D / u_bar), U)
-
-
-CELL_FIELDS = tuple(f.name for f in fields(CellStats))
-
-
 @dataclass(frozen=True, eq=False)
 class CellArrays:
-    """Every CellStats field of every cell, as (source cell, target cell) arrays.
+    """Twelve statistics of every cell, as (source cell, target cell) arrays.
 
     Row a and column b belong to the cells labelled keys_a[a] and
     keys_b[b].  ``support`` and ``d`` are indexed by (parent, target cell):
@@ -148,10 +129,10 @@ class CellArrays:
     phi: np.ndarray
     lam: np.ndarray
     gamma: np.ndarray
-    mean_d2: np.ndarray
-    cov_ec: np.ndarray
-    cov_dis: np.ndarray
-    cov_mix: np.ndarray
+    mean_d2: np.ndarray      # E[U D^2 1_cell], the intermediate mean of D^2
+    cov_ec: np.ndarray       # cov(-U_cell log u_bar, U)
+    cov_dis: np.ndarray      # cov(-U_cell log D, U)
+    cov_mix: np.ndarray      # cov(U_cell log(D / u_bar), U)
     support: np.ndarray | None = None
     d: np.ndarray | None = None
 
@@ -240,16 +221,6 @@ class EntropyProfile:
     @property
     def s_tot(self) -> float:
         return self.s_ns + self.s_ec
-
-    @cached_property
-    def per_cell(self) -> dict:
-        """CellStats keyed by (source cell, target cell) label."""
-        c = self.cells
-        rows = np.stack([getattr(c, name) for name in CELL_FIELDS], axis=-1).tolist()
-        return {
-            (ka, kb): CellStats(*rows[a][b])
-            for a, ka in enumerate(c.keys_a) for b, kb in enumerate(c.keys_b)
-        }
 
     @cached_property
     def bounds(self) -> tuple[LawReport, LawReport]:

@@ -18,6 +18,7 @@ import numpy as np
 
 from .config import EPS_BISECT, EPS_REL, EPS_ROOT, EPS_SAT, EPS_ZERO, IdentityViolation
 from .measure import Observable, xlogx
+from .price import multilevel_variance
 from .process import FitnessSummary, Process, check_composable, fitness, flow_cells, local_average
 
 
@@ -406,8 +407,6 @@ def ec_selective_entropy_bound(p: Process, q: Process) -> LawReport:
 def multilevel_second_law(p: Process, q: Process) -> LawReport:
     """Second law for the second stage, with the variance bound re-derived
     from the two-level variance split; both routes must agree."""
-    from .price import multilevel_variance
-
     q = check_composable(p, q)
     ins_q = fitness(q).summary
     direct = -ins_q.var_u * np.log1p(ins_q.var_u)

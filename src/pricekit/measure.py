@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
-
-from .config import EPS_ZERO
 
 
 def _as_readonly(values, dtype=float) -> np.ndarray:
@@ -16,11 +15,19 @@ def _as_readonly(values, dtype=float) -> np.ndarray:
 
 
 def finite_array(values, what: str, dtype=float) -> np.ndarray:
-    """values as a float (or complex) array, rejected with the first NaN or infinite entry."""
+    """values as a float (or complex) array, rejected with the first NaN or infinite
+    entry; the leaves of a nested list must not be booleans or strings, which
+    numpy would read as numbers."""
     try:
         arr = np.asarray(values, dtype=dtype)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{what} are not an array of numbers: {exc}") from None
+    leaves = values if isinstance(values, (list, tuple)) else []
+    while leaves and isinstance(leaves[0], (list, tuple)):
+        leaves = list(chain.from_iterable(leaves))
+    if {bool, str} & set(map(type, leaves)):
+        bad = next(v for v in leaves if type(v) in (bool, str))
+        raise ValueError(f"{what} are not an array of numbers: got {type(bad).__name__} {bad!r}")
     if not np.isfinite(arr).all():
         at = np.argwhere(~np.isfinite(arr))[0].tolist()
         raise ValueError(f"{what} must be finite, got {arr[tuple(at)]} at {at}")
@@ -114,27 +121,6 @@ def covariance(pop: Population, x: Observable, y: Observable) -> float:
 
 def variance(pop: Population, x: Observable) -> float:
     return covariance(pop, x, x)
-
-
-def childbearing_stats(pop: Population, u: Observable) -> tuple[float, Population]:
-    """Childbearing weight fraction and the population restricted to u > 0.
-
-    The childbearing types are the fitness summary's support, so the u > 0 /
-    u = 0 dichotomy is the one every law reads, stable under rounding noise.
-    """
-    from .process import summarize_fitness   # process imports this module
-
-    _check_same_types(pop, u)
-    if np.any(u.values < -EPS_ZERO):
-        raise ValueError("childbearing statistics need a nonnegative observable")
-    alive = summarize_fitness(u.values, pop.weights / pop.size).support
-    p_star = float(pop.weights[alive].sum()) / pop.size
-    if not alive.any():
-        raise ValueError("no childbearing mass: u vanishes everywhere")
-    restricted = Population(
-        TypeSet(np.asarray(pop.types.labels)[alive]), pop.weights[alive]
-    )
-    return p_star, restricted
 
 
 def xlogx(x: np.ndarray | float) -> np.ndarray | float:

@@ -260,7 +260,6 @@ class Factorization:
 
     selective: Process
     environmental: Process
-    fitness_diagonal: np.ndarray
     dropped_types: tuple[str, ...]
 
 
@@ -283,7 +282,6 @@ def price_factorize(p: Process) -> Factorization:
     return Factorization(
         selective=selective,
         environmental=environmental,
-        fitness_diagonal=w.copy(),
         dropped_types=tuple(labels[~support]),
     )
 

@@ -377,14 +377,8 @@ def q_price(w: QuantumProcess, x: QuantumObservable, y: QuantumObservable) -> QP
 @dataclass(frozen=True)
 class QFactorization:
     environmental: np.ndarray = field(repr=False)  # process after undoing W
-    fitness_operator: np.ndarray = field(repr=False)
+    fitness_operator: np.ndarray = field(repr=False)  # selective factor: vec(rho) -> vec(W rho)
     support: np.ndarray = field(repr=False)
-
-    @property
-    def selective(self) -> np.ndarray:
-        """vec(rho) -> vec(W rho), formed when read."""
-        w_op = self.fitness_operator
-        return np.kron(np.eye(len(w_op), dtype=complex), w_op)
 
 
 def q_factorize(w: QuantumProcess) -> QFactorization:
@@ -527,8 +521,6 @@ def q_partition_entropy(w: QuantumProcess, projs_a, projs_b) -> QPartitionResult
     cov_ec = -log_ubar * _pair(m, (vh @ centered_rho @ v)[:, None]) / n
     cov_dis = -_pair(d_log_d, (qh @ centered_inter @ q)[:, None]) / n
     phi, lam, gamma = (_ratio(_pair(x, sigma_n), norm) for x in (u_q, ud, h @ ud))
-    stats = [u_bar, s_ec, s_dis, s_ec - s_dis, p_tilde, phi, lam, gamma,
-             _pair(h, h @ inter_q) / n, cov_ec, cov_dis, cov_ec - cov_dis]
 
     # Residual ||[D-hat, X]||_F / ||D-hat||_F, X = inter / ||inter||_F, ' the adjoint.  With
     # P = Q Q', [D-hat, X] has orthogonal blocks P.P = Q [H, X_q] Q', P.(1-P) = Q H Y' and
@@ -542,7 +534,11 @@ def q_partition_entropy(w: QuantumProcess, projs_a, projs_b) -> QPartitionResult
                     np.sqrt(2.0) * np.linalg.norm(y @ h, axis=(-2, -1)))
     comm_residual = float((comm / np.maximum(np.linalg.norm(h, axis=(-2, -1)), EPS_ZERO)).max())
 
-    cells = CellArrays(tuple(range(len(projs_a))), tuple(range(len(projs_b))), *stats)
+    cells = CellArrays(
+        tuple(range(len(projs_a))), tuple(range(len(projs_b))), u_bar=u_bar, s_ec=s_ec,
+        s_dis=s_dis, s_mix=s_ec - s_dis, p_tilde=p_tilde, phi=phi, lam=lam, gamma=gamma,
+        mean_d2=_pair(h, h @ inter_q) / n, cov_ec=cov_ec, cov_dis=cov_dis,
+        cov_mix=cov_ec - cov_dis)
     profile = EntropyProfile.from_cells(fd.summary, cells, suffix="_partition")
     dis, mix = profile.bounds
     return QPartitionResult(

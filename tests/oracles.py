@@ -10,6 +10,11 @@ import itertools
 
 import numpy as np
 
+# The twelve statistics of ``pricekit.entropy.CellArrays``, in the order the
+# loops below compute them.
+CELL_FIELDS = ("u_bar", "s_ec", "s_dis", "s_mix", "p_tilde", "phi", "lam", "gamma",
+               "mean_d2", "cov_ec", "cov_dis", "cov_mix")
+
 
 def path_entropy_by_enumeration(p, horizon: int) -> float:
     """Entropy of the path-mass distribution by explicit enumeration."""
@@ -455,7 +460,6 @@ def q_cell_stats_by_loop(w, projs_a, projs_b):
     norm, formed as d x d matrices.
     """
     from pricekit.config import EPS_ZERO
-    from pricekit.entropy import CELL_FIELDS
     from pricekit.measure import xlogx
     from pricekit.quantum import (
         _check_resolution, _projector, _spectral, _support, q_fitness, unvec, vec,
@@ -516,9 +520,9 @@ def q_cell_stats_by_loop(w, projs_a, projs_b):
 
 
 def q_factorize_by_kron(w):
-    """(selective, environmental, fitness_operator, support) of
-    ``pricekit.q_factorize``, with every product against kron(1, A) formed
-    from the Kronecker product itself."""
+    """(selective, environmental, fitness_operator, support): the selective
+    factor kron(1, W) and the three fields of ``pricekit.q_factorize``, with
+    every product against kron(1, A) formed from the Kronecker product itself."""
     from pricekit.quantum import _projector, q_fitness
 
     d_in, _ = w.dims

@@ -23,7 +23,7 @@ from pricekit import (
 from pricekit.cli import main
 from pricekit.config import IdentityViolation
 
-PRICE_MODULE = importlib.import_module("pricekit.price")  # pricekit.price is the function
+LAWS_MODULE = importlib.import_module("pricekit.laws")
 
 F5_DOC = {
     "types": ["a", "b"],
@@ -133,8 +133,8 @@ class TestErrorMapping:
         follow = tmp_path / "follow.json"
         follow.write_text(json.dumps(
             {"types": ["c0", "c1"], "weights": [2, 1], "kernel": [[0.5, 1.5], [1.0, 0.0]]}))
-        true_split = PRICE_MODULE.multilevel_variance
-        monkeypatch.setattr(PRICE_MODULE, "multilevel_variance",
+        true_split = LAWS_MODULE.multilevel_variance
+        monkeypatch.setattr(LAWS_MODULE, "multilevel_variance",
                             lambda p, q: np.add(true_split(p, q), (1e-3, 0.0)))
         p = process(Population(TypeSet(["a", "b"]), [1, 2]), [[1, 1], [0.5, 0]])
         with pytest.raises(IdentityViolation) as info:
@@ -247,7 +247,56 @@ NON_FINITE_INPUTS = [
                  id="partition-block-number"),
     pytest.param(dict(F5_DOC, quantum={"rho": [[1, 0], [0, 1]], "kraus": [[]]}), ["report"],
                  None, "each Kraus operator must be a matrix", id="kraus-not-a-matrix"),
+    # booleans and numeric strings, which numpy and complex() would read as numbers
+    pytest.param(dict(F5_DOC, weights=[True, 2]), ["report", "--laws"], None,
+                 "population weights are not an array of numbers: got bool True",
+                 id="weights-bool"),
+    pytest.param(dict(F5_DOC, weights=["1", "2"]), ["report", "--laws"], None,
+                 "population weights are not an array of numbers: got str '1'",
+                 id="weights-str"),
+    pytest.param(dict(F5_DOC, kernel=[[1, 1], [0.5, False]]), ["validate"], None,
+                 "kernel entries are not an array of numbers: got bool False", id="kernel-bool"),
+    pytest.param(dict(F5_DOC, target_weights=[2, "1"]), ["validate"], None,
+                 "population weights are not an array of numbers: got str '1'",
+                 id="target-weights-str"),
+    pytest.param(dict(F5_DOC, observables={"trait": [True, 0], "off": [1, 0]}), ["report"],
+                 None, "observable values are not an array of numbers: got bool True",
+                 id="observable-bool"),
+    pytest.param(dict(F5_DOC, open={"orphan_weights": ["0.5", 0]}), ["report"], None,
+                 "orphan weights are not an array of numbers: got str '0.5'", id="orphans-str"),
+    pytest.param(dict(F5_DOC, quantum={"rho": [[True, 0], [0, 1]],
+                                       "kraus": [[[1, 0], [0, 1]]]}),
+                 ["report", "--quantum"], None,
+                 "field 'quantum.rho' has an entry that is not a number: True", id="rho-bool"),
+    pytest.param(dict(F5_DOC, quantum={"rho": [[1, 0], [0, 1]],
+                                       "kraus": [[[1, [0, True]], [0, 1]]]}),
+                 ["report", "--quantum"], None,
+                 "field 'quantum.kraus[0]' has an entry that is not a number: [0, True]",
+                 id="kraus-imaginary-part-bool"),
+    pytest.param(dict(F5_DOC, quantum={"rho": [[1, 0], [0, 1]],
+                                       "kraus": [[[["1", 0], 0], [0, 1]]]}),
+                 ["report", "--quantum"], None,
+                 "field 'quantum.kraus[0]' has an entry that is not a number: ['1', 0]",
+                 id="kraus-real-part-str"),
+    pytest.param(dict(F5_DOC, quantum={"rho": [[1, 0], [0, 1]],
+                                       "superoperator": [["1", 0, 0, 0], [0, 1, 0, 0],
+                                                         [0, 0, 1, 0], [0, 0, 0, 1]]}),
+                 ["report", "--quantum"], None,
+                 "field 'quantum.superoperator' has an entry that is not a number: '1'",
+                 id="superoperator-str"),
 ]
+
+
+@pytest.mark.parametrize("command, flag", [("report", "--json"), ("simulate", "--out")])
+def test_unwritable_output_exits_two(tmp_path, capsys, command, flag):
+    """An output path in a missing directory is an I/O failure: one error line, exit 2."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(dict(F5_DOC, target_types=["a", "b"])))
+    out = tmp_path / "missing" / "out"
+    assert main([command, str(path), flag, str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert str(out) in err
 
 
 def _exit_and_error(tmp_path, monkeypatch, capsys, doc, argv, tolerance):
@@ -395,14 +444,13 @@ class TestReport:
         follow = tmp_path / "follow.json"
         follow.write_text(json.dumps(
             {"types": ["c0", "c1"], "weights": [2, 1], "kernel": [[0.5, 1.5], [1.0, 0.0]]}))
-        laws = importlib.import_module("pricekit.laws")
         calls = []
 
-        def counted(p, q, *args, _classify=laws.stationarity, **kwargs):
+        def counted(p, q, *args, _classify=LAWS_MODULE.stationarity, **kwargs):
             calls.append((p, q))
             return _classify(p, q, *args, **kwargs)
 
-        monkeypatch.setattr(laws, "stationarity", counted)
+        monkeypatch.setattr(LAWS_MODULE, "stationarity", counted)
         monkeypatch.setattr("pricekit.cli.stationarity", counted)
         assert main(["report", f5_file, "--next", str(follow)]) == 0
         report = json.loads(capsys.readouterr().out)

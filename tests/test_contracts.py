@@ -1,8 +1,10 @@
 """Package-wide contracts: each benchmark workload, run on its recorded
 seed-0 inputs, gives the recorded outputs field by field
 (``perfbench/reference``), no source module outside ``config.py`` holds
-a threshold literal, and only the law modules build law reports."""
+a threshold literal, only the law modules build law reports, and every
+import sits at the top of its module."""
 
+import ast
 import io
 import sys
 import tokenize
@@ -49,3 +51,15 @@ def test_law_reports_are_built_only_by_the_law_modules():
              for tok, nxt in zip(tokens, tokens[1:])
              if tok.type == tokenize.NAME and tok.string == "LawReport" and nxt.string == "("]
     assert found == []
+
+
+def test_no_imports_inside_functions():
+    """An import inside a function hides a dependency (or an import cycle)
+    until the function runs; every module imports at its top."""
+    found = set()
+    for path in sorted((ROOT / "src" / "pricekit").glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                found |= {f"{path.name}:{node.lineno}" for node in ast.walk(func)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))}
+    assert sorted(found) == []

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 from dataclasses import astuple
 
 import numpy as np
@@ -175,22 +176,22 @@ class TestEnvironmentalProfile:
             assert prof.s_ec == pytest.approx(prof.s_dis + prof.s_mix, rel=1e-9, abs=1e-12)
             assert prof.s_dis >= -1e-12 and prof.s_mix >= -1e-12 and prof.s_ec >= -1e-12
             assert prof.s_ns <= 1e-12
-            for cell in prof.per_cell.values():
-                if cell.p_tilde > 0:
-                    assert cell.gamma <= cell.lam + 1e-12 <= cell.phi + 2e-12
+            c = prof.cells
+            live = c.p_tilde > 0
+            assert np.all(c.gamma[live] <= c.lam[live] + 1e-12)
+            assert np.all(c.lam[live] + 1e-12 <= c.phi[live] + 2e-12)
 
     def test_fluctuation_equality_iff_purely_dispersive_cell(self):
-        prof = generating_profile(bernoulli_dispersion(0.4))
-        for cell in prof.per_cell.values():
-            if cell.p_tilde > 0:
-                # single-parent cells here have D < 1, so inequalities strict
-                assert cell.gamma < cell.lam < cell.phi
+        c = generating_profile(bernoulli_dispersion(0.4)).cells
+        live = c.p_tilde > 0
+        # single-parent cells here have D < 1, so inequalities strict
+        assert np.all(c.gamma[live] < c.lam[live]) and np.all(c.lam[live] < c.phi[live])
         ident = Process(
             Population(TypeSet(["a"]), [1.0]), Population(TypeSet(["a"]), [1.0]),
             np.eye(1),
         )
-        for cell in generating_profile(ident).per_cell.values():
-            assert cell.gamma == pytest.approx(cell.lam) == pytest.approx(cell.phi)
+        c = generating_profile(ident).cells
+        assert c.gamma == pytest.approx(c.lam) and c.lam == pytest.approx(c.phi)
 
     def test_partition_refinement_conservation(self):
         """Coarsening never raises the partition entropy, and the gap is the
@@ -210,13 +211,14 @@ class TestEnvironmentalProfile:
                     coarse = environmental_profile(p, part_a, part_b)
                     assert coarse.s_ec <= fine.s_ec + 1e-9
                     conditional = 0.0
-                    for (ba, bb), cell in fine.per_cell.items():
-                        if cell.u_bar <= 0:
+                    for (i, ba), (j, bb) in itertools.product(
+                            enumerate(fine.cells.keys_a), enumerate(fine.cells.keys_b)):
+                        u_bar = fine.cells.u_bar[i, j]
+                        if u_bar <= 0:
                             continue
-                        outer_a = next(b for b in blocks_a if ba[0] in b)
-                        outer_b = next(b for b in blocks_b if bb[0] in b)
-                        outer = coarse.per_cell[(tuple(outer_a), tuple(outer_b))]
-                        conditional += -cell.u_bar * np.log(cell.u_bar / outer.u_bar)
+                        a = next(k for k, b in enumerate(coarse.cells.keys_a) if ba[0] in b)
+                        b = next(k for k, b in enumerate(coarse.cells.keys_b) if bb[0] in b)
+                        conditional += -u_bar * np.log(u_bar / coarse.cells.u_bar[a, b])
                     assert fine.s_ec == pytest.approx(
                         coarse.s_ec + conditional, rel=1e-9, abs=1e-9
                     )
@@ -353,6 +355,35 @@ class TestThirdLaw:
         assert reports["ns_s_ec"].lhs == pytest.approx(np.log(3) / 9)
         assert reports["ns_s_dis"].lhs == pytest.approx(2 * LOG2 / 9)
         assert reports["ns_s_mix"].lhs == pytest.approx(np.log(3 / 4) / 9)
+
+    def test_closed_form_at_singleton_cells(self):
+        """At singleton cells the selective change of S_EC is
+        -E[(U-1) U (log(pi U) - H)], pi = mu/N and H_i the entropy of row i of
+        d = W_ij / W_i; a childless row contributes 0.  This is why 8a's
+        changes are generically nonzero."""
+        def closed_form(mu, w):
+            pi = mu / mu.sum()
+            w_row = w.sum(axis=1)
+            live = w_row > 0
+            u = w_row[live] / (pi @ w_row)
+            d = w[live] / w_row[live, None]
+            h = -np.sum(d * np.log(np.where(d > 0, d, 1.0)), axis=1)
+            return -float(np.sum(pi[live] * (u - 1.0) * u * (np.log(pi[live] * u) - h)))
+
+        assert closed_form(np.array([1.0, 1.0]), np.array([[1.0, 1.0], [1.0, 0.0]])) == \
+            pytest.approx(np.log(3) / 9, rel=1e-15)
+        rng = np.random.default_rng(58)
+        for _ in range(300):
+            k, k2 = (int(v) for v in rng.integers(1, 7, 2))
+            mu = rng.uniform(0.1, 2.0, k) * 10.0 ** rng.integers(-3, 4)
+            w = rng.uniform(0.05, 2.0, (k, k2)) * (rng.random((k, k2)) < 0.8)
+            w[rng.random(k) < 0.2] = 0.0             # childless rows
+            if not w.any():
+                w[0, 0] = 1.0
+            w *= 10.0 ** rng.integers(-3, 4)
+            p = process(Population(TypeSet.range(k), mu), w)
+            assert third_law(p)["ns_s_ec"].lhs == pytest.approx(
+                closed_form(mu, w), rel=1e-12, abs=1e-14)
 
     def test_block_partition_window_brackets_lhs(self):
         src = Population(TypeSet(["a", "b"]), [1, 1])

@@ -7,7 +7,6 @@ from pricekit import (
     Observable,
     Population,
     TypeSet,
-    childbearing_stats,
     covariance,
     expectation,
     variance,
@@ -53,40 +52,6 @@ def test_population_invariants():
         TypeSet(["a", "a"])
     with pytest.raises(ValueError):
         TypeSet([])
-
-
-def test_childbearing_examples():
-    pop = Population(AB, [1, 1])
-    p_star, restricted = childbearing_stats(pop, Observable(AB, [2, 0]))
-    assert p_star == pytest.approx(0.5)
-    assert restricted.types.labels == ("a",)
-
-    p_star, _ = childbearing_stats(pop, Observable(AB, [1.5, 0.25]))
-    assert p_star == pytest.approx(1.0)
-
-    abc = TypeSet(["a", "b", "c"])
-    pop3 = Population(abc, [1, 2, 1])
-    p_star, restricted = childbearing_stats(pop3, Observable(abc, [1, 0, 3]))
-    assert p_star == pytest.approx(0.5)
-    assert restricted.types.labels == ("a", "c")
-
-    with pytest.raises(ValueError):
-        childbearing_stats(pop, Observable(AB, [1, -1]))
-
-
-def test_childbearing_expectation_identity():
-    """Restricted mean equals (1/p_*) E[1_{u>0} x]."""
-    rng = np.random.default_rng(11)
-    types = TypeSet.range(6)
-    pop = Population(types, rng.uniform(0.1, 2.0, 6))
-    u_vals = rng.uniform(0, 2, 6) * (rng.random(6) < 0.7)
-    u_vals[0] = 1.0  # keep some childbearing mass
-    x_vals = rng.normal(size=6)
-    p_star, restricted = childbearing_stats(pop, Observable(types, u_vals))
-    alive = u_vals > 0
-    lhs = expectation(restricted, Observable(restricted.types, x_vals[alive]))
-    rhs = expectation(pop, Observable(types, x_vals * alive)) / p_star
-    assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 @settings(max_examples=60, deadline=None)

@@ -230,7 +230,7 @@ def test_check_composable_returns_q_on_the_exact_target():
 class TestFactorization:
     def test_f5_factors(self, f5):
         fac = price_factorize(f5)
-        np.testing.assert_allclose(fac.fitness_diagonal, [2, 0.5])
+        np.testing.assert_allclose(fac.selective.kernel.sum(axis=1), [2, 0.5])
         np.testing.assert_allclose(fac.environmental.kernel, [[0.5, 0.5], [1, 0]])
         assert fac.dropped_types == ()
         product = fac.selective.kernel @ fac.environmental.kernel
@@ -238,14 +238,14 @@ class TestFactorization:
 
     def test_purely_environmental_factor_is_uniform_scaling(self, f2):
         fac = price_factorize(f2)
-        np.testing.assert_allclose(fac.fitness_diagonal, [1, 1])
+        np.testing.assert_allclose(fac.selective.kernel.sum(axis=1), [1, 1])
         np.testing.assert_allclose(
             fac.selective.kernel, np.eye(2) * fitness(f2).wbar
         )
 
     def test_f1_drops_childless_type(self, f1):
         fac = price_factorize(f1)
-        np.testing.assert_allclose(fac.fitness_diagonal, [2, 0])
+        np.testing.assert_allclose(fac.selective.kernel.sum(axis=1), [2, 0])
         assert fac.dropped_types == ("b",)
         np.testing.assert_allclose(fac.environmental.kernel, [[1.0]])
 

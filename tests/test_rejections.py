@@ -17,7 +17,6 @@ from pricekit import (
     QuantumProcess,
     TypeSet,
     cell_arrays,
-    childbearing_stats,
     kgs,
     kraus_to_super,
     local_average,
@@ -75,12 +74,20 @@ LIBRARY_REJECTIONS = [
                  r"population weights must be finite, got inf at \[0\]", id="population-inf"),
     pytest.param(lambda: Population(AB, [1, {}]),
                  "population weights are not an array of numbers", id="population-object"),
+    # numpy reads booleans and numeric strings as numbers; a nested list may not hold them
+    pytest.param(lambda: Population(AB, [True, 2]),
+                 "population weights are not an array of numbers: got bool True",
+                 id="population-bool"),
+    pytest.param(lambda: Observable(AB, ["1", 0]),
+                 "observable values are not an array of numbers: got str '1'",
+                 id="observable-str"),
+    pytest.param(lambda: process(Population(AB, [1, 2]), [[1, 1], [0.5, False]]),
+                 "kernel entries are not an array of numbers: got bool False",
+                 id="kernel-bool"),
     pytest.param(lambda: Observable(AB, [float("nan"), 1]),
                  r"observable values must be finite, got nan at \[0\]", id="observable-nan"),
     pytest.param(lambda: Observable(AB, [1]), "one value per type required",
                  id="observable-length"),
-    pytest.param(lambda: childbearing_stats(Population(AB, [1, 2]), Observable(AB, [0, 0])),
-                 "no childbearing mass", id="no-childbearing-mass"),
     # process and Price; the kernel is checked before a target is derived from it
     pytest.param(lambda: process(Population(AB, [1, 2]), [[1.0, float("nan")], [0.5, 0.0]]),
                  r"kernel entries must be finite, got nan at \[0, 1\]", id="process-kernel-nan"),
