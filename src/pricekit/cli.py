@@ -32,7 +32,7 @@ from .laws import (
     stationarity,
 )
 from .measure import Observable, Population, TypeSet, finite_array
-from .openproc import OpenProcess, kgs
+from .openproc import OpenProcess, _orphan_weights, kgs
 from .price import price
 from .process import (
     Process,
@@ -220,10 +220,7 @@ def _quantum_section(doc: dict) -> dict:
     else:
         raise InputError("quantum block needs a superoperator or kraus list")
     fd = q_fitness(w)
-    d_out = w.target.dim
-    result = q_price(
-        w, QuantumObservable(fd.U.matrix), QuantumObservable(np.eye(d_out))
-    )
+    result = q_price(w, fd.U, QuantumObservable(np.eye(w.target.dim)))
     return {
         "wbar": fd.wbar,
         "p_star": fd.p_star,
@@ -255,7 +252,7 @@ def _kgs_section(doc: dict, p: Process) -> dict:
     if "open" not in doc:
         raise InputError("no open block in the input file")
     block = _field(doc, "open", dict)
-    orphan = finite_array(_field(block, "orphan_weights", list, "open."), "orphan weights")
+    orphan = _orphan_weights(_field(block, "orphan_weights", list, "open."))
     if len(orphan) != len(p.target.types):
         raise InputError("orphan weights must match the target type set")
     full = Population(p.target.types, p.target.weights + orphan)

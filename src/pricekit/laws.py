@@ -17,8 +17,8 @@ from functools import cached_property
 import numpy as np
 
 from .config import EPS_BISECT, EPS_REL, EPS_ROOT, EPS_SAT, EPS_ZERO, IdentityViolation
-from .measure import Observable, xlogx
-from .price import multilevel_variance
+from .measure import Observable
+from .price import multilevel_variance, price
 from .process import FitnessSummary, Process, check_composable, fitness, flow_cells, local_average
 
 
@@ -358,10 +358,10 @@ def ec_variance_bound(p: Process, q: Process) -> LawReport:
     """Lower bound for the environmental change of relative-fitness variance."""
     q = check_composable(p, q)
     ins = fitness(p).summary
-    u_next = fitness(q).U
+    u, u_next = fitness(p).U, fitness(q).U
     m3 = ins.moment(3.0)
-    avg_sq = local_average(p, Observable(q.source.types, u_next.values**2)).values
-    lhs = ins.mean((avg_sq - ins.u**2) * ins.u)
+    lhs = price(p, Observable(u.types, u.values**2),
+                Observable(u_next.types, u_next.values**2)).ec
     # E[U^3 Rbar] written as E[U^2 <U'>] so childless rows contribute zero.
     a = ins.mean(ins.u**2 * local_average(p, u_next).values)
     bound = (a - m3) * (a + m3) / m3
@@ -387,10 +387,8 @@ def ec_selective_entropy_bound(p: Process, q: Process) -> LawReport:
     q = check_composable(p, q)
     ins = fitness(p).summary
     m2, m3 = ins.moment(2.0), ins.moment(3.0)
-    u_next = fitness(q).U
-    ent_next = Observable(q.source.types, -xlogx(u_next.values))
-    carried = local_average(p, ent_next).values
-    lhs = ins.mean((carried + ins.u_log_u) * ins.u)
+    lhs = price(p, Observable(p.source.types, -ins.u_log_u),
+                Observable(q.source.types, -fitness(q).summary.u_log_u)).ec
     return LawReport(
         name="ec_selective_entropy_bound",
         lhs=lhs,

@@ -52,12 +52,18 @@ class OpenProcess:
         return self.closed.target.size / self.full_target.size
 
 
+def _orphan_weights(values) -> np.ndarray:
+    """The orphan increment of each child type: finite and nonnegative."""
+    orphan = finite_array(values, "orphan weights")
+    if np.any(orphan < 0):
+        raise ValueError("orphan weights must be nonnegative")
+    return orphan
+
+
 def open_process(source: Population, kernel, orphan_weights) -> OpenProcess:
     """Build an open process from a kernel image plus an orphan increment."""
     kernel = finite_array(kernel, "kernel entries")
-    orphan = finite_array(orphan_weights, "orphan weights")
-    if np.any(orphan < 0):
-        raise ValueError("orphan weights must be nonnegative")
+    orphan = _orphan_weights(orphan_weights)
     parented = kernel.T @ source.weights
     child_types = TypeSet.range(kernel.shape[1], prefix="c")
     closed = Process(source, Population(child_types, parented), kernel, _check=False)

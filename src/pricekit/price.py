@@ -1,9 +1,10 @@
 """Change operators: average, selective, environmental, aggregate, multi-level.
 
-Everything here reduces to three ingredients: the covariance of a parent
-observable with relative fitness (selective change), the fitness-weighted
-mean of local change (environmental change), and the plain difference of
-averages they must add up to.
+``price`` is the one route to the two terms of a change: the covariance of a
+parent observable with relative fitness (selective change) and the
+fitness-weighted mean of local change (environmental change), which add up
+to the plain difference of averages.  The aggregate, Fisher and multi-level
+splits read its terms.
 """
 
 from __future__ import annotations
@@ -37,30 +38,19 @@ class PriceDecomposition:
         return abs(self.residual) <= EPS_REL * scale
 
 
-def selective_change(p: Process, x: Observable) -> float:
-    """cov(x, U); equals E[x (U - 1)] because U has unit mean."""
-    return covariance(p.source, x, fitness(p).U)
-
-
-def environmental_change(p: Process, x: Observable, y: Observable) -> float:
-    """E[(brood average of y - x) U]."""
-    u = fitness(p).U
-    delta_w = local_change(p, x, y)
-    return expectation(
-        p.source, Observable(p.source.types, delta_w.values * u.values)
-    )
-
-
 def price(p: Process, x: Observable, y: Observable) -> PriceDecomposition:
+    """delta = ns + ec with ns = cov(x, U) (E[x (U - 1)], as U has unit mean) and
+    ec = E[(brood average of y - x) U]: the one route to both terms."""
     if x.types != p.source.types:
         raise ValueError("x must live on the source type set")
     if y.types != p.target.types:
         raise ValueError("y must live on the target type set")
-    delta = expectation(p.target, y) - expectation(p.source, x)
+    u = fitness(p).U
+    delta_w = local_change(p, x, y)
     return PriceDecomposition(
-        delta=delta,
-        ns=selective_change(p, x),
-        ec=environmental_change(p, x, y),
+        delta=expectation(p.target, y) - expectation(p.source, x),
+        ns=covariance(p.source, x, u),
+        ec=expectation(p.source, Observable(p.source.types, delta_w.values * u.values)),
     )
 
 
@@ -78,15 +68,12 @@ class AggregatePrice:
 
 
 def aggregate_price(p: Process, x: Observable, y: Observable) -> AggregatePrice:
-    fd = fitness(p)
+    """N wbar times price's terms (W = wbar U), plus the growth term."""
+    d = price(p, x, y)
     n = p.source.size
-    sel = n * covariance(p.source, x, fd.W)
-    delta_w = local_change(p, x, y)
-    env = n * expectation(
-        p.source, Observable(p.source.types, delta_w.values * fd.W.values)
-    )
+    scale = n * fitness(p).wbar
     growth = (p.target.size - n) * expectation(p.source, x)
-    return AggregatePrice(sel, env, growth)
+    return AggregatePrice(scale * d.ns, scale * d.ec, growth)
 
 
 def fisher(p: Process, q: Process) -> tuple[float, float]:
@@ -96,12 +83,9 @@ def fisher(p: Process, q: Process) -> tuple[float, float]:
     environmental change of relative fitness is minus its variance.
     """
     q = check_composable(p, q)
-    u = fitness(p).U
-    u_next = fitness(q).U
-    ns = variance(p.source, u)
-    ec = environmental_change(p, u, u_next)
-    IdentityViolation.check("fisher", abs(ns + ec), EPS_REL * max(ns, 1.0))
-    return ns, ec
+    d = price(p, fitness(p).U, fitness(q).U)
+    IdentityViolation.check("fisher", abs(d.ns + d.ec), EPS_REL * max(d.ns, 1.0))
+    return d.ns, d.ec
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +115,7 @@ def _conditional_cov(p: Process, y: Observable, z: Observable) -> Observable:
 class MultiLevelPrice:
     between_group: float      # cov(E'_w[y], E'_w[U'])
     within_group: float       # E[cov_w(y, U')]
-    environmental: float      # E[E'_w[local change of (y -> z) times U']]
+    environmental: float      # price(q, y, z).ec = E[E'_w[(<z> - y) U']]
     delta: float
 
     @property
@@ -151,11 +135,9 @@ def multilevel_price(p: Process, q: Process, y: Observable, z: Observable) -> Mu
     m_u = _conditional_mean(p, u_next)
     between = covariance(p.source, m_y, m_u)
     within = expectation(p.source, _conditional_cov(p, y, u_next))
-    dw = local_change(q, y, z)
-    carried = Observable(q.source.types, dw.values * u_next.values)
-    env = expectation(p.source, _conditional_mean(p, carried))
-    delta = expectation(q.target, z) - expectation(q.source, y)
-    return MultiLevelPrice(between, within, env, delta)
+    # E[E'_w[f]] = E'[f] (the tower rule): q's own terms, read from price
+    second = price(q, y, z)
+    return MultiLevelPrice(between, within, second.ec, second.delta)
 
 
 def multilevel_variance(p: Process, q: Process) -> tuple[float, float]:

@@ -447,8 +447,6 @@ def _check_resolution(projs, dim: int, label: str) -> np.ndarray:
 @dataclass(frozen=True)
 class QPartitionResult:
     profile: EntropyProfile
-    dispersion_bounds: LawReport
-    mixing_bounds: LawReport
     third_law: dict[str, LawReport]
     commutation_residual: float
 
@@ -540,11 +538,8 @@ def q_partition_entropy(w: QuantumProcess, projs_a, projs_b) -> QPartitionResult
         mean_d2=_pair(h, h @ inter_q) / n, cov_ec=cov_ec, cov_dis=cov_dis,
         cov_mix=cov_ec - cov_dis)
     profile = EntropyProfile.from_cells(fd.summary, cells, suffix="_partition")
-    dis, mix = profile.bounds
-    return QPartitionResult(
-        profile=profile, dispersion_bounds=dis, mixing_bounds=mix,
-        third_law=profile.third_law, commutation_residual=comm_residual,
-    )
+    return QPartitionResult(profile=profile, third_law=profile.third_law,
+                            commutation_residual=comm_residual)
 
 
 # ---------------------------------------------------------------------------

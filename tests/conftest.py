@@ -58,6 +58,22 @@ def random_composable_pair(rng, kmax: int = 6):
     return p, q
 
 
+def childless_composable_pair(rng, scale: float = 1.0, kmax: int = 6):
+    """A composable pair on K, K', K'' <= kmax types whose kernels each have
+    about a third of their rows childless, with parent weights times scale."""
+    k, k2, k3 = (int(v) for v in rng.integers(1, kmax + 1, 3))
+    kernel = rng.uniform(0.05, 2.0, (k, k2)) * (rng.random((k, k2)) < 0.8)
+    kernel[rng.random(k) < 0.3] = 0.0
+    if not kernel.any():
+        kernel[0, 0] = 1.0
+    p = process(Population(TypeSet.range(k), rng.uniform(0.1, 2.0, k) * scale), kernel)
+    kernel = rng.uniform(0.05, 2.0, (k2, k3)) * (rng.random((k2, k3)) < 0.8)
+    kernel[rng.random(k2) < 0.3] = 0.0
+    if not (kernel.T @ p.target.weights).any():
+        kernel[int(np.argmax(p.target.weights)), 0] = 1.0
+    return p, process(p.target, kernel)
+
+
 def selective_equilibrium_process(rng, kmax: int = 8) -> Process:
     """U takes the two values 0 and 1/p_* exactly; p_* strictly inside (0,1)."""
     k = int(rng.integers(2, kmax + 1))

@@ -197,6 +197,50 @@ def aggregate_price_compact(p, x, y) -> float:
     return float(p.source.weights @ integrand)
 
 
+def price_terms_by_hand(p, x, y, weight=None) -> tuple[float, float]:
+    """(cov(x, V), E[(brood average of y - x) V]) with V = U, or the given
+    parent observable ``weight`` (W for the aggregate change): the selective
+    and environmental terms built directly."""
+    from pricekit import Observable, covariance, expectation, fitness, local_change
+
+    v = fitness(p).U if weight is None else weight
+    delta_w = local_change(p, x, y)
+    ec = expectation(p.source, Observable(p.source.types, delta_w.values * v.values))
+    return covariance(p.source, x, v), ec
+
+
+def multilevel_environmental_by_hand(p, q, y, z) -> float:
+    """E[E'_w[(<z>_q - y) U']]: q's environmental change taken through p's
+    brood averages, each weighted by p's U."""
+    from pricekit import Observable, expectation, fitness, local_average, local_change
+
+    u_next = fitness(q).U
+    carried = Observable(q.source.types, local_change(q, y, z).values * u_next.values)
+    per_parent = local_average(p, carried).values * fitness(p).U.values
+    return expectation(p.source, Observable(p.source.types, per_parent))
+
+
+def ec_variance_lhs_by_hand(p, q) -> float:
+    """E[(<U'^2> - U^2) U], on the fitness summary's U."""
+    from pricekit import Observable, fitness, local_average
+
+    ins = fitness(p).summary
+    u_next = fitness(q).U
+    avg_sq = local_average(p, Observable(q.source.types, u_next.values**2)).values
+    return ins.mean((avg_sq - ins.u**2) * ins.u)
+
+
+def ec_selective_entropy_lhs_by_hand(p, q) -> float:
+    """E[(<-U' log U'> + U log U) U], with U' log U' formed afresh."""
+    from pricekit import Observable, fitness, local_average
+    from pricekit.measure import xlogx
+
+    ins = fitness(p).summary
+    ent_next = Observable(q.source.types, -xlogx(fitness(q).U.values))
+    carried = local_average(p, ent_next).values
+    return ins.mean((carried + ins.u_log_u) * ins.u)
+
+
 def intergenerational_by_loops(p, q) -> tuple[float, float]:
     """(ns_s_ec, formula_route) of ``intergenerational_ec_change`` summed
     term by term over parent-child cells and next-generation cells."""

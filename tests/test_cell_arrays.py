@@ -267,7 +267,7 @@ def assert_q_matches_loop(w, projs_a, projs_b, oracle_a=None, tol=CELL_TOL):
     cells = CellArrays(tuple(range(stats.shape[0])), tuple(range(stats.shape[1])),
                        *np.moveaxis(stats, -1, 0))
     oracle = EntropyProfile.from_cells(q_fitness(w).summary, cells, suffix="_partition")
-    for got, want in zip((res.dispersion_bounds, res.mixing_bounds), oracle.bounds):
+    for got, want in zip(res.profile.bounds, oracle.bounds):
         assert_laws_close(got, want, tol)
     assert set(res.third_law) == set(oracle.third_law)
     for key, want in oracle.third_law.items():

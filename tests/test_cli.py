@@ -230,6 +230,12 @@ NON_FINITE_INPUTS = [
                  id="quantum-superoperator-inf"),
     pytest.param(dict(F5_DOC, open={"orphan_weights": [0.5, float("nan")]}), ["report"], None,
                  "orphan weights must be finite, got nan at [1]", id="orphans-nan"),
+    # the CLI reads orphan weights through the library's check: a negative one
+    # is rejected whatever its size
+    pytest.param(dict(F5_DOC, open={"orphan_weights": [-1e-10, 0.25]}), ["report", "--kgs"], None,
+                 "orphan weights must be nonnegative", id="orphans-slightly-negative"),
+    pytest.param(dict(F5_DOC, open={"orphan_weights": [-0.1, 0.25]}), ["report", "--kgs"], None,
+                 "orphan weights must be nonnegative", id="orphans-negative"),
     # not a finite value, but no map either: a Kraus list with no operator
     pytest.param(dict(F5_DOC, quantum={"rho": [[1, 0], [0, 1]], "kraus": []}), ["report"],
                  None, "a Kraus list needs at least one operator", id="kraus-empty"),
@@ -329,6 +335,29 @@ SAMPLE_WITH_BLOCKS = dict(
 DROP = object()
 
 
+def _write_mutated(tmp_path, doc, path, value) -> Path:
+    """A copy of doc with the entry at the key path set to value (or deleted,
+    for DROP), written to a file."""
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    file = tmp_path / "mutated.json"
+    file.write_text(json.dumps(doc))
+    return file
+
+
+def _commands(path) -> list[str]:
+    """report, plus validate and simulate for a top-level key or an entry of a
+    top-level list."""
+    top_level = len(path) == 1 or isinstance(path[1], int)
+    return ["report", "validate", "simulate"] if top_level else ["report"]
+
+
 def _first_entries(value, path=()):
     """Paths to the first entry of every nonempty list in value, following
     first entries down."""
@@ -361,24 +390,75 @@ def test_structural_mutation_exits_with_one_error_line(tmp_path, capsys, doc, pa
     list entry that is no number is reported, never a traceback: report (and
     validate and simulate, for a top-level key or an entry of a top-level
     list) exits 0, 1 or 2 with nothing or one error line on stderr."""
-    doc = json.loads(json.dumps(doc))
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
-    if value is DROP:
-        del parent[path[-1]]
-    else:
-        parent[path[-1]] = value
-    file = tmp_path / "mutated.json"
-    file.write_text(json.dumps(doc))
-    top_level = len(path) == 1 or isinstance(path[1], int)
-    commands = ["report", "validate", "simulate"] if top_level else ["report"]
-    for command in commands:
+    file = _write_mutated(tmp_path, doc, path, value)
+    for command in _commands(path):
         code = main([command, str(file), "--json", str(tmp_path / "out.json")]
                     if command == "report" else [command, str(file)])
         err = capsys.readouterr().err
         assert code in (0, 1, 2), command
         assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), (command, err)
+
+
+def _nodes(value, path=()):
+    """(key path, node) for value and every object member and list entry below it."""
+    yield path, value
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, sub in items:
+        yield from _nodes(sub, path + (key,))
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_numeric(value) -> bool:
+    """A number, or a nonempty list whose entries are all numeric."""
+    return _is_number(value) or (
+        isinstance(value, list) and value != [] and all(map(_is_numeric, value)))
+
+
+LEAF_VALUES = (float("nan"), float("inf"), -float("inf"), -1, 0, 1e300, -1e300, 1e-300)
+
+
+def _numeric_mutations():
+    """(document, key path, replacement) for every numeric leaf of both documents,
+    set to each of LEAF_VALUES, and for every numeric list, with its last entry
+    dropped or a copy of it appended."""
+    for doc_id, doc in (("sample", SAMPLE), ("blocks", SAMPLE_WITH_BLOCKS)):
+        for path, node in _nodes(doc):
+            if _is_number(node):
+                cases = [(f"={json.dumps(v)}", v) for v in LEAF_VALUES]
+            elif isinstance(node, list) and _is_numeric(node):
+                cases = [(":drop-last", node[:-1]), (":append", node + node[-1:])]
+            else:
+                continue
+            for label, value in cases:
+                yield pytest.param(doc, path, value, id=f"{doc_id}:{'.'.join(map(str, path))}{label}")
+
+
+def _reject_constant(name):
+    raise ValueError(f"report wrote {name}")
+
+
+@pytest.mark.parametrize("doc, path, value", list(_numeric_mutations()))
+def test_numeric_mutation_exits_with_one_error_line(tmp_path, capsys, doc, path, value):
+    """A numeric leaf set to NaN, an infinity, a sign flip, zero or an extreme
+    magnitude, or a numeric list one entry short or long, is reported, never a
+    traceback: report (and validate and simulate, for an entry of a top-level
+    list) exits 0, 1 or 2, with one error line when nonzero and, for a report
+    that succeeds, strict JSON on stdout."""
+    file = _write_mutated(tmp_path, doc, path, value)
+    for command in _commands(path):
+        code = main([command, str(file)])
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2), command
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1, (command, err)
+        else:
+            assert err == "", command
+            if command == "report":
+                json.loads(out, parse_constant=_reject_constant)
 
 
 def test_non_finite_report_value_is_never_written(tmp_path, monkeypatch, capsys):
@@ -640,7 +720,7 @@ class TestSimulate:
         for S_EC.  The laws themselves call it on no U."""
         path, _, _ = self._random_doc(tmp_path)
         calls = {}
-        for name in ("measure", "process", "laws", "entropy", "quantum"):
+        for name in ("measure", "process", "entropy", "quantum"):
             module = importlib.import_module(f"pricekit.{name}")
 
             def counted(x, _name=name, _xlogx=module.xlogx):

@@ -2,7 +2,7 @@
 seed-0 inputs, gives the recorded outputs field by field
 (``perfbench/reference``), no source module outside ``config.py`` holds
 a threshold literal, only the law modules build law reports, and every
-import sits at the top of its module."""
+import sits at the top of its module and is read there."""
 
 import ast
 import io
@@ -63,3 +63,21 @@ def test_no_imports_inside_functions():
                 found |= {f"{path.name}:{node.lineno}" for node in ast.walk(func)
                           if isinstance(node, (ast.Import, ast.ImportFrom))}
     assert sorted(found) == []
+
+
+def test_no_unused_imports():
+    """Every name a module imports is read in it, so a deletion leaves no
+    import behind; ``__init__.py`` imports to re-export."""
+    found = []
+    for path in sorted((ROOT / "src" / "pricekit").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", "") != "__future__"):
+                found += [f"{path.name}:{node.lineno}: {alias.asname or alias.name}"
+                          for alias in node.names
+                          if (alias.asname or alias.name).split(".")[0] not in read]
+    assert found == []

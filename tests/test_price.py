@@ -7,6 +7,8 @@ from pricekit import (
     TypeSet,
     aggregate_price,
     compose,
+    ec_selective_entropy_bound,
+    ec_variance_bound,
     expectation,
     fisher,
     fitness,
@@ -17,11 +19,17 @@ from pricekit import (
     variance,
 )
 from pricekit.measure import xlogx
-from pricekit.price import selective_change
 from pricekit.process import Process
 
-from conftest import random_composable_pair, random_observable, random_process
-from oracles import aggregate_price_compact
+from conftest import (childless_composable_pair, random_composable_pair, random_observable,
+                      random_process)
+from oracles import (
+    aggregate_price_compact,
+    ec_selective_entropy_lhs_by_hand,
+    ec_variance_lhs_by_hand,
+    multilevel_environmental_by_hand,
+    price_terms_by_hand,
+)
 
 
 class TestPrice:
@@ -57,8 +65,9 @@ class TestPrice:
         for _ in range(50):
             p = random_process(rng)
             x = random_observable(rng, p.source.types)
+            y = random_observable(rng, p.target.types)
             u = fitness(p).U
-            route_a = selective_change(p, x)
+            route_a = price(p, x, y).ns
             route_b = expectation(
                 p.source, Observable(p.source.types, x.values * (u.values - 1.0))
             )
@@ -269,3 +278,72 @@ class TestThreeStage:
             d = price(r, y, z)
             assert via_q.environmental == pytest.approx(d.ec, rel=1e-9, abs=1e-9)
             assert via_pq.environmental == pytest.approx(d.ec, rel=1e-9, abs=1e-9)
+
+
+def _scaled_pairs(seed: int, n: int = 100):
+    """n seeded composable pairs with childless rows, parent weights times
+    10^0, 10^60 or 10^-60, with random observables x, y, z on the three
+    type sets."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        p, q = childless_composable_pair(rng, scale=10.0 ** rng.choice([0, 60, -60]))
+        yield (p, q, *(random_observable(rng, t) for t in (p.source.types, q.source.types,
+                                                            q.target.types)))
+
+
+def _magnitude(values, weights) -> float:
+    """max|values| * max|weights|: the size of an integrand values * weights,
+    the scale against which a term's two routes are compared."""
+    return float(np.abs(np.concatenate(values)).max() * np.abs(weights).max())
+
+
+def _agree(a: float, b: float, magnitude: float) -> bool:
+    return abs(a - b) <= 1e-12 * magnitude
+
+
+class TestEveryDecompositionReadsPrice:
+    """Each change decomposition returns price's terms bit for bit, and these
+    match the same terms built by hand in ``oracles``."""
+
+    def test_fisher(self):
+        for p, q, *_ in _scaled_pairs(201):
+            u, u_next = fitness(p).U, fitness(q).U
+            d = price(p, u, u_next)
+            assert fisher(p, q) == (d.ns, d.ec)
+            assert (d.ns, d.ec) == price_terms_by_hand(p, u, u_next)
+
+    def test_aggregate_price(self):
+        for p, q, x, y, _ in _scaled_pairs(202):
+            fd = fitness(p)
+            scale = p.source.size * fd.wbar
+            d, agg = price(p, x, y), aggregate_price(p, x, y)
+            assert (agg.selection_term, agg.environment_term) == (scale * d.ns, scale * d.ec)
+            by_hand = price_terms_by_hand(p, x, y, weight=fd.W)
+            mag = scale * _magnitude([x.values, y.values], fd.U.values)
+            assert _agree(agg.selection_term, p.source.size * by_hand[0], mag)
+            assert _agree(agg.environment_term, p.source.size * by_hand[1], mag)
+
+    def test_multilevel_price(self):
+        for p, q, _, y, z in _scaled_pairs(203):
+            d, ml = price(q, y, z), multilevel_price(p, q, y, z)
+            assert (ml.environmental, ml.delta) == (d.ec, d.delta)
+            mag = _magnitude([y.values, z.values], fitness(q).U.values)
+            assert _agree(ml.environmental, multilevel_environmental_by_hand(p, q, y, z), mag)
+
+    def test_ec_variance_bound(self):
+        for p, q, *_ in _scaled_pairs(204):
+            u, u_next = fitness(p).U.values, fitness(q).U.values
+            d = price(p, Observable(p.source.types, u**2), Observable(q.source.types, u_next**2))
+            lhs = ec_variance_bound(p, q).lhs
+            assert lhs == d.ec
+            assert _agree(lhs, ec_variance_lhs_by_hand(p, q), _magnitude([u**2, u_next**2], u))
+
+    def test_ec_selective_entropy_bound(self):
+        for p, q, *_ in _scaled_pairs(205):
+            u_log_u, next_u_log_u = fitness(p).summary.u_log_u, fitness(q).summary.u_log_u
+            d = price(p, Observable(p.source.types, -u_log_u),
+                      Observable(q.source.types, -next_u_log_u))
+            lhs = ec_selective_entropy_bound(p, q).lhs
+            assert lhs == d.ec
+            assert _agree(lhs, ec_selective_entropy_lhs_by_hand(p, q),
+                          _magnitude([u_log_u, next_u_log_u], fitness(p).U.values))

@@ -788,7 +788,7 @@ class TestPartitionChainDomain:
             r = q_partition_entropy(w, projs, projs)
             if r.chains_apply:
                 applied += 1
-                assert r.dispersion_bounds.satisfied and r.mixing_bounds.satisfied
+                assert all(b.satisfied for b in r.profile.bounds)
 
     def test_diagonal_embedding_is_in_domain(self):
         rng = np.random.default_rng(201)
@@ -799,7 +799,7 @@ class TestPartitionChainDomain:
         projs_b = [np.diag((np.arange(k2) == j).astype(complex)) for j in range(k2)]
         r = q_partition_entropy(w, projs_a, projs_b)
         assert r.chains_apply
-        assert r.dispersion_bounds.satisfied and r.mixing_bounds.satisfied
+        assert all(b.satisfied for b in r.profile.bounds)
 
     def test_noncommuting_partitions_are_flagged(self):
         # rotated projections against a state with coherences leave the
