@@ -17,10 +17,10 @@ from pricekit import (
     TypeSet,
     embed_observable,
     embed_process,
+    fitness,
     kraus_to_super,
     price,
     process,
-    q_fitness,
     q_laws,
     q_price,
 )
@@ -40,7 +40,7 @@ print("embedded terms: ", quantum_result.left.ns.real, quantum_result.left.ec.re
 # A genuinely quantum pair: an off-diagonal observable against a damping map.
 a = np.diag([np.sqrt(2), 0.0]).astype(complex)
 damp = QuantumProcess(kraus_to_super([a]), DensityOperator(np.eye(2)))
-fd = q_fitness(damp)
+fd = fitness(damp)
 print("\nfitness operator:\n", fd.W.matrix.real)
 print("childbearing share of the state:", fd.p_star)
 

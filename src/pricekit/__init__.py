@@ -81,7 +81,6 @@ from .quantum import (
     kraus_to_super,
     q_expectation,
     q_factorize,
-    q_fitness,
     q_kgs,
     q_laws,
     q_partition_entropy,

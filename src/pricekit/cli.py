@@ -36,6 +36,7 @@ from .openproc import OpenProcess, _orphan_weights, kgs
 from .price import price
 from .process import (
     Process,
+    _kernel_image,
     classify_purity,
     fitness,
     price_factorize,
@@ -45,7 +46,6 @@ from .quantum import (
     DensityOperator,
     QuantumObservable,
     QuantumProcess,
-    q_fitness,
     q_laws,
     q_price,
 )
@@ -110,7 +110,7 @@ def build_unchecked(doc: dict) -> Process:
     if "target_weights" in doc:
         target = Population(t_types, _field(doc, "target_weights", list))
     else:
-        target = Population(t_types, kernel.T @ source.weights)
+        target = Population(t_types, _kernel_image(kernel, source.weights))
     return Process(source, target, kernel, _check=False)
 
 
@@ -219,7 +219,7 @@ def _quantum_section(doc: dict) -> dict:
             [_complex_matrix(a, f"quantum.kraus[{i}]") for i, a in enumerate(kraus)], rho)
     else:
         raise InputError("quantum block needs a superoperator or kraus list")
-    fd = q_fitness(w)
+    fd = fitness(w)
     result = q_price(w, fd.U, QuantumObservable(np.eye(w.target.dim)))
     return {
         "wbar": fd.wbar,
@@ -323,12 +323,8 @@ def cmd_simulate(args) -> int:
     rows = []
     current = p.source
     for t in range(args.generations + 1):
-        step = Process(
-            current,
-            Population(p.source.types, p.kernel.T @ current.weights),
-            p.kernel,
-            _check=False,
-        )
+        weights = _kernel_image(p.kernel, current.weights, f"generation {t + 1} weights")
+        step = Process(current, Population(p.source.types, weights), p.kernel, _check=False)
         sec = second_law(step)
         spd = speed_limits(step)
         rows.append(
@@ -336,7 +332,7 @@ def cmd_simulate(args) -> int:
                 t,
                 current.size,
                 sec.extras["var_u"],
-                fitness(step).summary.s_ns,
+                fitness(step).s_ns,
                 environmental_entropy(step),
                 min(sec.slacks),
                 min(spd.slacks),

@@ -49,6 +49,6 @@ class IdentityViolation(ValueError):
 
     @classmethod
     def check(cls, name: str, residual: float, tolerance: float) -> None:
-        """Raise one unless residual <= tolerance (a NaN residual passes)."""
-        if residual > tolerance:
+        """Raise one unless residual <= tolerance, so a NaN residual fails."""
+        if not residual <= tolerance:
             raise cls(name, float(residual), float(tolerance))

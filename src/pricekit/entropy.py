@@ -19,7 +19,7 @@ import numpy as np
 from .config import EPS_INVERSE, EPS_SAT, EPS_ZERO
 from .laws import LawReport
 from .measure import Population, TypeSet, xlogx
-from .process import (FitnessSummary, Process, check_composable, fitness, flow_cells,
+from .process import (FitnessData, Process, check_composable, fitness, flow_cells,
                       flow_shares, price_factorize)
 
 
@@ -69,7 +69,7 @@ class Partition:
 
 def selective_entropy(p: Process) -> float:
     """Mean of -U log U; nonpositive, zero only for constant fitness."""
-    return fitness(p).summary.s_ns
+    return fitness(p).s_ns
 
 
 def local_selective_entropy(p: Process, block_a, block_b,
@@ -201,7 +201,7 @@ def cell_arrays(p: Process, part_a: Partition, part_b: Partition) -> CellArrays:
 @dataclass(frozen=True)
 class EntropyProfile:
     """Totals of one joint partition's cells, and every chain derived from
-    them.  ``equilibrium_class`` is that of the fitness summary the profile
+    them.  ``equilibrium_class`` is that of the fitness record the profile
     was built from; ``suffix`` ends each third-law window name."""
 
     s_ns: float
@@ -213,10 +213,10 @@ class EntropyProfile:
     suffix: str = ""
 
     @classmethod
-    def from_cells(cls, ins: FitnessSummary, cells: CellArrays,
+    def from_cells(cls, fd: FitnessData, cells: CellArrays,
                    suffix: str = "") -> "EntropyProfile":
-        return cls(ins.s_ns, float(cells.s_ec.sum()), float(cells.s_dis.sum()),
-                   float(cells.s_mix.sum()), cells, ins.equilibrium_class, suffix)
+        return cls(fd.s_ns, float(cells.s_ec.sum()), float(cells.s_dis.sum()),
+                   float(cells.s_mix.sum()), cells, fd.equilibrium_class, suffix)
 
     @property
     def s_tot(self) -> float:
@@ -299,7 +299,7 @@ class EntropyProfile:
 
 def environmental_profile(p: Process, part_a: Partition, part_b: Partition) -> EntropyProfile:
     """Per-cell and total environmental, dispersion, and mixing entropies."""
-    return EntropyProfile.from_cells(fitness(p).summary, cell_arrays(p, part_a, part_b))
+    return EntropyProfile.from_cells(fitness(p), cell_arrays(p, part_a, part_b))
 
 
 def _partitions(p: Process, part_a: Partition | None, part_b: Partition | None):
@@ -405,7 +405,7 @@ def intergenerational_ec_change(p: Process, q: Process) -> IntergenerationalChan
     """
     q = check_composable(p, q)
     prof = generating_profile(p)
-    ins = fitness(p).summary
+    fd = fitness(p)
 
     # The selective change is the sum of the singleton cells' covariances
     # cov(-U_cell log u_bar, U); singleton cells are (parent, child) pairs.
@@ -419,7 +419,7 @@ def intergenerational_ec_change(p: Process, q: Process) -> IntergenerationalChan
     # (sum alpha)(sum -u' log u') + (sum u')(sum alpha log u).
     u_bar, live = prof.cells.u_bar, prof.cells.support
     log_ubar = np.log(u_bar, out=np.zeros_like(u_bar), where=live)
-    alpha = np.where(live, ins.u[:, None] * u_bar, 0.0) / ins.moment(2)
+    alpha = np.where(live, fd.u[:, None] * u_bar, 0.0) / fd.moment(2)
     next_cells = flow_cells(q)
     next_cells = next_cells[next_cells > 0]
     formula = (alpha.sum() * np.sum(-xlogx(next_cells))

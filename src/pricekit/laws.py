@@ -5,8 +5,9 @@ intermediate link (so a failure under numerical stress is attributable),
 computes sign-normalized slacks, and flags saturated links.
 
 Each single-process chain is one function of a kernel ``Process`` or a
-``QuantumProcess``: it reads ``fitness(p).summary``, the distribution of U,
-which for an operator process is U's spectrum weighted by the source state.
+``QuantumProcess``: it reads the fitness record ``fitness(p)``, whose ``u``
+and ``prob`` are the distribution of U; for an operator process that is U's
+spectrum weighted by the source state.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from .config import EPS_BISECT, EPS_REL, EPS_ROOT, EPS_SAT, EPS_ZERO, IdentityViolation
 from .measure import Observable
 from .price import multilevel_variance, price
-from .process import FitnessSummary, Process, check_composable, fitness, flow_cells, local_average
+from .process import FitnessData, Process, check_composable, fitness, flow_cells, local_average
 
 
 # ---------------------------------------------------------------------------
@@ -98,53 +99,53 @@ class LawReport:
 
 def zeroth_law(p: Process) -> LawReport:
     """var(U) >= exp(-S_NS) - 1 >= 1/p_* - 1 >= 0."""
-    ins = fitness(p).summary
-    bounds = (float(np.exp(-ins.s_ns) - 1.0), 1.0 / ins.p_star - 1.0, 0.0)
+    fd = fitness(p)
+    bounds = (float(np.exp(-fd.s_ns) - 1.0), 1.0 / fd.p_star - 1.0, 0.0)
     return LawReport(
         name="zeroth_law",
-        lhs=ins.var_u,
+        lhs=fd.var_u,
         bounds=bounds,
         direction="ge",
-        equilibrium_class=ins.equilibrium_class,
-        extras={"p_star": ins.p_star, "s_ns": ins.s_ns},
+        equilibrium_class=fd.equilibrium_class,
+        extras={"p_star": fd.p_star, "s_ns": fd.s_ns},
     )
 
 
 def gibbs_report(p: Process) -> LawReport:
     """-log(1 + var(U)) <= S_NS <= log p_* <= 0."""
-    ins = fitness(p).summary
+    fd = fitness(p)
     return LawReport(
         name="gibbs",
-        lhs=ins.s_ns,
-        bounds=(float(np.log(ins.p_star)), 0.0),
+        lhs=fd.s_ns,
+        bounds=(float(np.log(fd.p_star)), 0.0),
         direction="le",
-        equilibrium_class=ins.equilibrium_class,
+        equilibrium_class=fd.equilibrium_class,
         extras={
-            "lower_bound": float(-np.log1p(ins.var_u)),
-            "lower_slack": float(ins.s_ns + np.log1p(ins.var_u)),
-            "var_u": ins.var_u,
+            "lower_bound": float(-np.log1p(fd.var_u)),
+            "lower_slack": float(fd.s_ns + np.log1p(fd.var_u)),
+            "var_u": fd.var_u,
         },
     )
 
 
 def first_law(p: Process) -> LawReport:
     """Selective change of var(U): cov(U^2,U) >= var(1+var) >= var^2/2 >= 0."""
-    ins = fitness(p).summary
-    lhs = ins.mean(ins.u**2 * (ins.u - 1.0))
-    lhs_alt = ins.mean((ins.u + 1.0) * (ins.u - 1.0) ** 2)
-    strong = ins.var_u * (1.0 + ins.var_u)
-    weak = 0.5 * ins.var_u**2
+    fd = fitness(p)
+    lhs = fd.mean(fd.u**2 * (fd.u - 1.0))
+    lhs_alt = fd.mean((fd.u + 1.0) * (fd.u - 1.0) ** 2)
+    strong = fd.var_u * (1.0 + fd.var_u)
+    weak = 0.5 * fd.var_u**2
     return LawReport(
         name="first_law",
         lhs=lhs,
         bounds=(strong, weak, 0.0),
         direction="ge",
-        equilibrium_class=ins.equilibrium_class,
+        equilibrium_class=fd.equilibrium_class,
         extras={
             "lhs_alt_route": lhs_alt,
             "tighter_bound": "strong" if strong >= weak else "weak",
-            "second_moment": ins.moment(2),
-            "third_moment": ins.moment(3),
+            "second_moment": fd.moment(2),
+            "third_moment": fd.moment(3),
         },
     )
 
@@ -159,55 +160,55 @@ def higher_order_first_law(p: Process, n: int) -> LawReport:
     """
     if not 1 <= n <= 8:
         raise ValueError("order n must be between 1 and 8")
-    ins = fitness(p).summary
-    moment = ins.mean(ins.u * (ins.u - 1.0) ** n)
+    fd = fitness(p)
+    moment = fd.mean(fd.u * (fd.u - 1.0) ** n)
     if n % 2 == 0:
         lhs = moment
-        bound = ins.var_u**n
+        bound = fd.var_u**n
     else:
-        lhs = ins.mean(ins.support * (ins.u - 1.0) ** (n + 1))
-        bound = (1.0 - ins.p_star) ** (n + 1) / ins.p_star**n
+        lhs = fd.mean(fd.support * (fd.u - 1.0) ** (n + 1))
+        bound = (1.0 - fd.p_star) ** (n + 1) / fd.p_star**n
     return LawReport(
         name=f"higher_order_first_law[n={n}]",
         lhs=lhs,
         bounds=(bound, 0.0),
         direction="ge",
-        equilibrium_class=ins.equilibrium_class,
+        equilibrium_class=fd.equilibrium_class,
         extras={"n": n, "raw_moment": moment},
     )
 
 
 def exp_first_law(p: Process) -> LawReport:
     """cov(e^U, U) >= (1 - p_*)(e^(1/p_*) - 1) >= 0."""
-    ins = fitness(p).summary
-    if ins.u.max() > 700.0 or 1.0 / ins.p_star > 700.0:
+    fd = fitness(p)
+    if fd.u.max() > 700.0 or 1.0 / fd.p_star > 700.0:
         raise ValueError("exponential of relative fitness overflows double precision")
-    lhs = ins.mean(np.exp(ins.u) * (ins.u - 1.0))
-    bound = (1.0 - ins.p_star) * (np.exp(1.0 / ins.p_star) - 1.0)
+    lhs = fd.mean(np.exp(fd.u) * (fd.u - 1.0))
+    bound = (1.0 - fd.p_star) * (np.exp(1.0 / fd.p_star) - 1.0)
     return LawReport(
         name="exp_first_law",
         lhs=lhs,
         bounds=(float(bound), 0.0),
         direction="ge",
-        equilibrium_class=ins.equilibrium_class,
+        equilibrium_class=fd.equilibrium_class,
     )
 
 
 def second_law(p: Process) -> LawReport:
     """Selective change of selective entropy, bounded through five links."""
-    ins = fitness(p).summary
-    v = ins.var_u
+    fd = fitness(p)
+    v = fd.var_u
     b1 = -v * np.log1p(v)
-    b2 = v * ins.s_ns
-    b3 = (np.exp(-ins.s_ns) - 1.0) * ins.s_ns
-    b4 = -(1.0 / ins.p_star - 1.0) * np.log(1.0 / ins.p_star)
+    b2 = v * fd.s_ns
+    b3 = (np.exp(-fd.s_ns) - 1.0) * fd.s_ns
+    b4 = -(1.0 / fd.p_star - 1.0) * np.log(1.0 / fd.p_star)
     return LawReport(
         name="second_law",
-        lhs=ins.ns_s_ns,
+        lhs=fd.ns_s_ns,
         bounds=(float(b1), float(b2), float(b3), float(b4), 0.0),
         direction="le",
-        equilibrium_class=ins.equilibrium_class,
-        extras={"s_ns": ins.s_ns, "var_u": v},
+        equilibrium_class=fd.equilibrium_class,
+        extras={"s_ns": fd.s_ns, "var_u": v},
     )
 
 
@@ -226,11 +227,11 @@ def _gap_from_moments(c: float, m1c: float, m2c: float, m2: float) -> float:
     return float(c * np.log(m1c) - (c - 1.0) * np.log(m2) - np.log(m2c))
 
 
-def _speed_stationarity_gap(ins: FitnessSummary, c: float) -> float:
+def _speed_stationarity_gap(fd: FitnessData, c: float) -> float:
     with np.errstate(over="ignore"):
-        m1c = ins.moment(1.0 + c)
-        m2c = ins.moment(2.0 + c)
-    return _gap_from_moments(c, m1c, m2c, ins.moment(2.0))
+        m1c = fd.moment(1.0 + c)
+        m2c = fd.moment(2.0 + c)
+    return _gap_from_moments(c, m1c, m2c, fd.moment(2.0))
 
 
 def speed_limits(p: Process) -> LawReport:
@@ -242,26 +243,26 @@ def speed_limits(p: Process) -> LawReport:
     bisection only when the grid brackets a sign change of the stationarity
     gap; otherwise none is reported.
     """
-    ins = fitness(p).summary
-    u = ins.u
-    m2 = ins.moment(2.0)
+    fd = fitness(p)
+    u = fd.u
+    m2 = fd.moment(2.0)
     c_grid = sorted(set(DEFAULT_SPEED_GRID) | {round(m2, 12)})
 
-    log_inv_pstar = np.log(1.0 / ins.p_star)
+    log_inv_pstar = np.log(1.0 / fd.p_star)
 
     # E[U^(1+c)] and E[U^(2+c)] over the grid: one array power, one dot per
     # row (a single matrix-vector product would round differently).
     cs = np.array(c_grid)
     with np.errstate(over="ignore"):
         powers = u ** np.concatenate([1.0 + cs, 2.0 + cs])[:, None]
-        m1c, m2c = np.array([ins.prob @ row for row in powers]).reshape(2, -1)
-    m1c[cs == 1.0] = m2  # E[U^2] as ins.moment squares it, not through pow
+        m1c, m2c = np.array([fd.prob @ row for row in powers]).reshape(2, -1)
+    m1c[cs == 1.0] = m2  # E[U^2] as fd.moment squares it, not through pow
 
     # a diverging moment makes the bound vacuous at this exponent
     best_bracket = max(-(m2 / c) * np.log(m / m2) if np.isfinite(m) else -np.inf
                        for c, m in zip(c_grid, m2c))
     basic = log_inv_pstar + best_bracket if np.isfinite(best_bracket) else None
-    infinitary = log_inv_pstar - ins.u2_log_u
+    infinitary = log_inv_pstar - fd.u2_log_u
 
     gaps = [_gap_from_moments(c, a, b, m2) for c, a, b in zip(c_grid, m1c, m2c)]
     c_star = None
@@ -279,7 +280,7 @@ def speed_limits(p: Process) -> LawReport:
             lo, hi = a, b
             while hi - lo > EPS_BISECT:
                 mid = 0.5 * (lo + hi)
-                if _speed_stationarity_gap(ins, mid) * ga <= 0:
+                if _speed_stationarity_gap(fd, mid) * ga <= 0:
                     hi = mid
                 else:
                     lo = mid
@@ -289,10 +290,10 @@ def speed_limits(p: Process) -> LawReport:
     finite_bounds = [float(infinitary)] if basic is None else [float(basic), float(infinitary)]
     return LawReport(
         name="speed_limits",
-        lhs=ins.ns_s_ns,
+        lhs=fd.ns_s_ns,
         bounds=tuple(sorted(finite_bounds, reverse=True)),
         direction="ge",
-        equilibrium_class=ins.equilibrium_class,
+        equilibrium_class=fd.equilibrium_class,
         extras={
             "basic_bound": None if basic is None else float(basic),
             "infinitary_bound": float(infinitary),
@@ -312,29 +313,29 @@ def selective_acceleration(p: Process, *, with_lower: bool = True) -> LawReport:
     Lower bound m log(m / (var(U^2) + var^2)).  Both collapse to 0 in the
     purely environmental case, which is reported directly.
     """
-    ins = fitness(p).summary
-    u = ins.u
-    lhs = ins.mean(-((u - 1.0) ** 2) * ins.u_log_u)
-    if ins.var_u <= EPS_ZERO:
+    fd = fitness(p)
+    u = fd.u
+    lhs = fd.mean(-((u - 1.0) ** 2) * fd.u_log_u)
+    if fd.var_u <= EPS_ZERO:
         return LawReport(
             name="selective_acceleration",
             lhs=lhs,
             bounds=(0.0,),
             direction="le",
-            equilibrium_class=ins.equilibrium_class,
+            equilibrium_class=fd.equilibrium_class,
             extras={"lower_bound": 0.0, "lower_slack": lhs, "trivial": True},
         )
-    m = ins.mean(u * (u - 1.0) ** 2)
-    upper = -m * np.log(m / ins.var_u) if m > 0 else 0.0
+    m = fd.mean(u * (u - 1.0) ** 2)
+    upper = -m * np.log(m / fd.var_u) if m > 0 else 0.0
     extras: dict = {
         "trivial": False,
         "moment_m": float(m),
         # The relaxed var-only expression; not a valid bound in general.
-        "var_log_form": float(-0.5 * ins.var_u**2 * np.log(ins.var_u**2)),
+        "var_log_form": float(-0.5 * fd.var_u**2 * np.log(fd.var_u**2)),
     }
     if with_lower:
-        var_u2 = ins.moment(4.0) - ins.moment(2.0) ** 2
-        lower = m * np.log(m / (var_u2 + ins.var_u**2)) if m > 0 else 0.0
+        var_u2 = fd.moment(4.0) - fd.moment(2.0) ** 2
+        lower = m * np.log(m / (var_u2 + fd.var_u**2)) if m > 0 else 0.0
         extras.update(
             lower_bound=float(lower),
             lower_slack=float(lhs - lower),
@@ -345,7 +346,7 @@ def selective_acceleration(p: Process, *, with_lower: bool = True) -> LawReport:
         lhs=lhs,
         bounds=(float(upper),),
         direction="le",
-        equilibrium_class=ins.equilibrium_class,
+        equilibrium_class=fd.equilibrium_class,
         extras=extras,
     )
 
@@ -357,20 +358,20 @@ def selective_acceleration(p: Process, *, with_lower: bool = True) -> LawReport:
 def ec_variance_bound(p: Process, q: Process) -> LawReport:
     """Lower bound for the environmental change of relative-fitness variance."""
     q = check_composable(p, q)
-    ins = fitness(p).summary
+    fd = fitness(p)
     u, u_next = fitness(p).U, fitness(q).U
-    m3 = ins.moment(3.0)
+    m3 = fd.moment(3.0)
     lhs = price(p, Observable(u.types, u.values**2),
                 Observable(u_next.types, u_next.values**2)).ec
     # E[U^3 Rbar] written as E[U^2 <U'>] so childless rows contribute zero.
-    a = ins.mean(ins.u**2 * local_average(p, u_next).values)
+    a = fd.mean(fd.u**2 * local_average(p, u_next).values)
     bound = (a - m3) * (a + m3) / m3
     return LawReport(
         name="ec_variance_bound",
         lhs=lhs,
         bounds=(float(bound),),
         direction="ge",
-        equilibrium_class=ins.equilibrium_class,
+        equilibrium_class=fd.equilibrium_class,
         extras={"strongly_stationary": _strongly_stationary(p, q)[0], "third_moment": m3},
     )
 
@@ -385,16 +386,16 @@ def ec_selective_entropy_bound(p: Process, q: Process) -> LawReport:
     log E[U^2] + log E[U^3] is reported alongside; it can be exceeded.
     """
     q = check_composable(p, q)
-    ins = fitness(p).summary
-    m2, m3 = ins.moment(2.0), ins.moment(3.0)
-    lhs = price(p, Observable(p.source.types, -ins.u_log_u),
-                Observable(q.source.types, -fitness(q).summary.u_log_u)).ec
+    fd = fitness(p)
+    m2, m3 = fd.moment(2.0), fd.moment(3.0)
+    lhs = price(p, Observable(p.source.types, -fd.u_log_u),
+                Observable(q.source.types, -fitness(q).u_log_u)).ec
     return LawReport(
         name="ec_selective_entropy_bound",
         lhs=lhs,
-        bounds=(ins.u2_log_u,),
+        bounds=(fd.u2_log_u,),
         direction="le",
-        equilibrium_class=ins.equilibrium_class,
+        equilibrium_class=fd.equilibrium_class,
         extras={
             "strongly_stationary": _strongly_stationary(p, q)[0],
             "log_moment_bound": float(np.log(m2) + np.log(m3)),
@@ -406,8 +407,8 @@ def multilevel_second_law(p: Process, q: Process) -> LawReport:
     """Second law for the second stage, with the variance bound re-derived
     from the two-level variance split; both routes must agree."""
     q = check_composable(p, q)
-    ins_q = fitness(q).summary
-    direct = -ins_q.var_u * np.log1p(ins_q.var_u)
+    fd_q = fitness(q)
+    direct = -fd_q.var_u * np.log1p(fd_q.var_u)
     var_u2, mean_cond = multilevel_variance(p, q)
     split = var_u2 + mean_cond
     via_split = -split * np.log1p(split)
@@ -415,10 +416,10 @@ def multilevel_second_law(p: Process, q: Process) -> LawReport:
                             EPS_REL * max(1.0, abs(direct)))
     return LawReport(
         name="multilevel_second_law",
-        lhs=ins_q.ns_s_ns,
+        lhs=fd_q.ns_s_ns,
         bounds=(float(direct), 0.0),
         direction="le",
-        equilibrium_class=ins_q.equilibrium_class,
+        equilibrium_class=fd_q.equilibrium_class,
         extras={
             "bound_via_split": float(via_split),
             "var_composed": float(var_u2),

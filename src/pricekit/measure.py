@@ -69,7 +69,11 @@ class Population:
             raise ValueError("one weight per type required")
         if np.any(w < 0):
             raise ValueError("population weights must be nonnegative")
-        if w.sum() <= 0:
+        with np.errstate(over="ignore"):
+            size = w.sum()
+        if not np.isfinite(size):
+            raise ValueError(f"total population size overflows: the weights sum to {size}")
+        if size <= 0:
             raise ValueError("total population size must be positive")
         object.__setattr__(self, "types", types)
         object.__setattr__(self, "weights", w)

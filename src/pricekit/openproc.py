@@ -14,7 +14,7 @@ import numpy as np
 from .config import EPS_REL, EPS_ZERO
 from .measure import Observable, Population, TypeSet, covariance, expectation, finite_array
 from .price import price
-from .process import Process
+from .process import Process, _kernel_image
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ def open_process(source: Population, kernel, orphan_weights) -> OpenProcess:
     """Build an open process from a kernel image plus an orphan increment."""
     kernel = finite_array(kernel, "kernel entries")
     orphan = _orphan_weights(orphan_weights)
-    parented = kernel.T @ source.weights
+    parented = _kernel_image(kernel, source.weights)
     child_types = TypeSet.range(kernel.shape[1], prefix="c")
     closed = Process(source, Population(child_types, parented), kernel, _check=False)
     full = Population(child_types, parented + orphan)

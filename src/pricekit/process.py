@@ -35,20 +35,30 @@ def _relative_residuals(predicted: np.ndarray, stated: np.ndarray) -> np.ndarray
 
 
 @dataclass(frozen=True)
-class FitnessSummary:
-    """Values of U (zero within EPS_ZERO or the rank floor) with their
-    probabilities, U log U, the support U > 0 (the one childbearing rule, read
-    by classical and operator code alike), and the p_star, var(U), S_NS and
-    equilibrium class read off them; the operator version reads U's spectrum."""
+class FitnessData:
+    """The one fitness record of a kernel or operator process, built by
+    ``summarize_fitness`` and read by every law, entropy and quantum function.
 
-    u: np.ndarray
-    prob: np.ndarray
-    u_log_u: np.ndarray
-    support: np.ndarray
+    ``U`` is the observable (an operator for a map) W/wbar, of unit mean: W is
+    the kernel's row sums or Phi-dagger(1), wbar its source-weighted mean, and
+    ``eigvecs`` U's one eigh (None for a kernel).  ``u`` and ``prob`` are the
+    distribution of U that the laws read: U's values, or its eigenvalues
+    weighted by the source state, with each within EPS_ZERO or the rank floor
+    of zero set to 0.  U log U, the support u > 0 (the one childbearing rule),
+    p_star, var(U), S_NS and the equilibrium class are read off them."""
+
+    W: Observable
+    wbar: float
+    U: Observable
+    u: np.ndarray = field(repr=False)
+    prob: np.ndarray = field(repr=False)
+    u_log_u: np.ndarray = field(repr=False)
+    support: np.ndarray = field(repr=False)
     p_star: float
     var_u: float
     s_ns: float
     equilibrium_class: str
+    eigvecs: np.ndarray | None = field(default=None, repr=False)
 
     def mean(self, values: np.ndarray) -> float:
         return float(self.prob @ values)
@@ -70,7 +80,8 @@ class FitnessSummary:
         return self.mean(vals)
 
 
-def summarize_fitness(u_values: np.ndarray, prob: np.ndarray) -> FitnessSummary:
+def summarize_fitness(W, wbar: float, U, u_values: np.ndarray, prob: np.ndarray,
+                      eigvecs: np.ndarray | None = None) -> FitnessData:
     u = np.array(u_values, dtype=float)
     # EPS_ZERO, or the rank floor size * eps * max|U| of an eigh if larger
     floor = max(EPS_ZERO, u.size * np.finfo(float).eps * float(np.abs(u).max(initial=0.0)))
@@ -89,41 +100,9 @@ def summarize_fitness(u_values: np.ndarray, prob: np.ndarray) -> FitnessSummary:
         eq = "selective_equilibrium"
     else:
         eq = "generic"
-    return FitnessSummary(
-        u=u,
-        prob=prob,
-        u_log_u=u_log_u,
-        support=support,
-        p_star=float(prob[support].sum()),
-        var_u=float(prob @ (u - 1.0) ** 2),
-        s_ns=float(prob @ (-u_log_u)),
-        equilibrium_class=eq,
-    )
-
-
-@dataclass(frozen=True)
-class FitnessData:
-    """W (row sums, or Phi-dagger(1) with ``eigvecs`` the one eigh of U; None for
-    a kernel), its source-weighted mean wbar and U = W/wbar, of unit mean by
-    construction; ``eigvals`` and ``support`` (U > 0) are the summary's arrays."""
-
-    W: Observable
-    wbar: float
-    U: Observable
-    summary: FitnessSummary = field(repr=False)
-    eigvecs: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def eigvals(self) -> np.ndarray:
-        return self.summary.u
-
-    @property
-    def support(self) -> np.ndarray:
-        return self.summary.support
-
-    @property
-    def p_star(self) -> float:
-        return self.summary.p_star
+    return FitnessData(W=W, wbar=wbar, U=U, u=u, prob=prob, u_log_u=u_log_u, support=support,
+                       p_star=float(prob[support].sum()), var_u=float(prob @ (u - 1.0) ** 2),
+                       s_ns=float(prob @ (-u_log_u)), equilibrium_class=eq, eigvecs=eigvecs)
 
 
 @dataclass(frozen=True)
@@ -158,30 +137,41 @@ class Process:
     @cached_property
     def fitness_data(self) -> FitnessData:
         # Built on first use and kept: kernel and weights are read-only.
-        w_values = self.fitness_values
-        wbar = float(self.source.weights @ w_values) / self.source.size
+        with np.errstate(over="ignore", invalid="ignore"):
+            w_values = self.fitness_values
+            mass = float(self.source.weights @ w_values)
+        if not np.isfinite(mass):
+            raise ValueError(f"child mass mu.W overflows: {mass}")
+        wbar = mass / self.source.size
         if wbar <= 0:
             raise ValueError("kernel carries no child mass")
         u_values = w_values / wbar
-        return FitnessData(
-            W=Observable(self.source.types, w_values),
-            wbar=wbar,
-            U=Observable(self.source.types, u_values),
-            summary=summarize_fitness(u_values, self.source.weights / self.source.size),
-        )
+        return summarize_fitness(Observable(self.source.types, w_values), wbar,
+                                 Observable(self.source.types, u_values), u_values,
+                                 self.source.weights / self.source.size)
+
+
+def _kernel_image(kernel, weights, what: str = "derived target weights") -> np.ndarray:
+    """kernel.T @ weights, the child weights of parent weights; raises, naming
+    ``what``, where one overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        image = kernel.T @ weights
+    if not np.isfinite(image).all():
+        at = int(np.argmin(np.isfinite(image)))
+        raise ValueError(f"{what} overflow: got {image[at]} at [{at}]")
+    return image
 
 
 def process(source: Population, kernel, target: Population | None = None) -> Process:
     """Build a process; when no target is given, derive it from the kernel."""
     k = finite_array(kernel, "kernel entries")
     if target is None:
-        weights = k.T @ source.weights
-        target = Population(TypeSet.range(k.shape[1], prefix="c"), weights)
+        target = Population(TypeSet.range(k.shape[1], prefix="c"), _kernel_image(k, source.weights))
     return Process(source, target, k)
 
 
-def fitness(p: Process) -> FitnessData:
-    """The process's fitness data, computed once per process."""
+def fitness(p) -> FitnessData:
+    """The fitness record of a Process or a QuantumProcess, computed once per process."""
     return p.fitness_data
 
 
@@ -201,7 +191,7 @@ def flow_cells(p: Process) -> np.ndarray:
 
 def validate(p: Process) -> Diagnostics:
     """Report how well the kernel image of the source matches the target."""
-    predicted = p.kernel.T @ p.source.weights
+    predicted = _kernel_image(p.kernel, p.source.weights)
     residuals = _relative_residuals(predicted, p.target.weights)
     mx = float(residuals.max()) if len(residuals) else 0.0
     return Diagnostics(residuals=residuals, max_residual=mx, passed=mx <= EPS_REL)
@@ -295,7 +285,7 @@ class Purity(enum.Enum):
 def classify_purity(p: Process) -> Purity:
     """Constant relative fitness means a Markov chain; a diagonal kernel on a
     shared type set means a pure density scaling; anything else is mixed."""
-    if fitness(p).summary.equilibrium_class == "purely_environmental":
+    if fitness(p).equilibrium_class == "purely_environmental":
         return Purity.PURELY_ENVIRONMENTAL
     if p.source.types == p.target.types:
         off_diag = p.kernel - np.diag(np.diag(p.kernel))

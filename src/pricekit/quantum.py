@@ -21,7 +21,7 @@ from .entropy import CellArrays, EntropyProfile, _ratio
 from .laws import (LawReport, first_law, gibbs_report, second_law, selective_acceleration,
                    zeroth_law)
 from .measure import finite_array, xlogx
-from .process import FitnessData, Process, summarize_fitness
+from .process import FitnessData, Process, fitness, summarize_fitness
 
 
 # ---------------------------------------------------------------------------
@@ -45,6 +45,14 @@ def hermitize(a: np.ndarray, what: str = "operator") -> np.ndarray:
         if bad.any():
             raise ValueError(f"{what} is not Hermitian (residual {float(gap[bad].max()):.3e})")
     return _herm_part(a)
+
+
+def _square_hermitian(matrix, what: str) -> np.ndarray:
+    """The finite, square, Hermitian matrix ``what``, as ``hermitize`` returns it."""
+    m = finite_array(matrix, f"{what} entries", complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise ValueError(f"{what} must be a nonempty square matrix, got shape {m.shape}")
+    return hermitize(m, what=what)
 
 
 def _herm_part(a: np.ndarray) -> np.ndarray:
@@ -83,8 +91,7 @@ class DensityOperator:
     matrix: np.ndarray = field(repr=False)
 
     def __init__(self, matrix):
-        m = hermitize(finite_array(matrix, "density operator entries", complex),
-                      what="density operator")
+        m = _square_hermitian(matrix, "density operator")
         vals, vecs = np.linalg.eigh(m)
         scale = max(float(vals.max()), EPS_ZERO)
         if vals.min() < -EPS_OP * max(scale, 1.0):
@@ -109,7 +116,7 @@ class QuantumObservable:
     matrix: np.ndarray = field(repr=False)
 
     def __init__(self, matrix):
-        m = hermitize(finite_array(matrix, "observable entries", complex), what="observable")
+        m = _square_hermitian(matrix, "observable")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -228,13 +235,8 @@ class QuantumProcess:
             raise ValueError("fitness operator is not positive: non-positive map")
         weights = np.clip(np.real(np.einsum("ij,jk,ki->i", vecs.conj().T, rho, vecs)), 0.0, None)
         vecs.setflags(write=False)
-        return FitnessData(
-            W=QuantumObservable(w_op),
-            wbar=wbar,
-            U=QuantumObservable(u_op),
-            eigvecs=vecs,
-            summary=summarize_fitness(vals, weights / weights.sum()),
-        )
+        return summarize_fitness(QuantumObservable(w_op), wbar, QuantumObservable(u_op), vals,
+                                 weights / weights.sum(), vecs)
 
 
 def _choi(s: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
@@ -292,15 +294,6 @@ def q_expectation(rho: DensityOperator, x: QuantumObservable) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Fitness operator and spectral summaries
-
-
-def q_fitness(w: QuantumProcess) -> FitnessData:
-    """The process's fitness data, computed once per process."""
-    return w.fitness_data
-
-
-# ---------------------------------------------------------------------------
 # Left and right change decompositions
 
 
@@ -343,7 +336,7 @@ def q_price(w: QuantumProcess, x: QuantumObservable, y: QuantumObservable) -> QP
         raise ValueError("observable dimensions do not match the process")
     rho = w.source.matrix
     n = w.source.trace
-    fd = q_fitness(w)
+    fd = fitness(w)
     u = fd.U.matrix
     pulled = apply_adjoint(w.superoperator, y.matrix)
     proj = _projector(fd.eigvecs, fd.support)
@@ -384,10 +377,10 @@ class QFactorization:
 def q_factorize(w: QuantumProcess) -> QFactorization:
     """Split into left-multiplication by the fitness operator followed by a
     trace-preserving map on its support subspace; verified by composition."""
-    fd = q_fitness(w)
+    fd = fitness(w)
     w_op = fd.W.matrix
     proj = _projector(fd.eigvecs, fd.support)
-    vals, vecs = fd.eigvals[fd.support] * fd.wbar, fd.eigvecs[:, fd.support]
+    vals, vecs = fd.u[fd.support] * fd.wbar, fd.eigvecs[:, fd.support]
     inv = (vecs / vals) @ vecs.conj().T
     s = w.superoperator
     # S kron(1, A) as the product of each of S's column blocks with A, O(d^5).
@@ -480,12 +473,12 @@ def q_partition_entropy(w: QuantumProcess, projs_a, projs_b) -> QPartitionResult
     d_in, d_out = w.dims
     projs_a = _check_resolution(projs_a, d_in, "source")
     projs_b = _check_resolution(projs_b, d_out, "target")
-    fd = q_fitness(w)
+    fd = fitness(w)
     rho = w.source.matrix
     n = w.source.trace
     u_op = fd.U.matrix
-    u_half = _spectral(fd.eigvals, fd.eigvecs, np.sqrt, fd.support)
-    u_inv_half = _spectral(fd.eigvals, fd.eigvecs, lambda v: 1.0 / np.sqrt(v), fd.support)
+    u_half = _spectral(fd.u, fd.eigvecs, np.sqrt, fd.support)
+    u_inv_half = _spectral(fd.u, fd.eigvecs, lambda v: 1.0 / np.sqrt(v), fd.support)
     inter = u_half @ rho @ u_half            # intermediate state, trace N
     centered_rho = (u_op - np.eye(d_in)) @ rho
     centered_inter = u_half @ centered_rho @ u_half
@@ -537,7 +530,7 @@ def q_partition_entropy(w: QuantumProcess, projs_a, projs_b) -> QPartitionResult
         s_dis=s_dis, s_mix=s_ec - s_dis, p_tilde=p_tilde, phi=phi, lam=lam, gamma=gamma,
         mean_d2=_pair(h, h @ inter_q) / n, cov_ec=cov_ec, cov_dis=cov_dis,
         cov_mix=cov_ec - cov_dis)
-    profile = EntropyProfile.from_cells(fd.summary, cells, suffix="_partition")
+    profile = EntropyProfile.from_cells(fd, cells, suffix="_partition")
     return QPartitionResult(profile=profile, third_law=profile.third_law,
                             commutation_residual=comm_residual)
 

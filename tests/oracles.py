@@ -221,13 +221,13 @@ def multilevel_environmental_by_hand(p, q, y, z) -> float:
 
 
 def ec_variance_lhs_by_hand(p, q) -> float:
-    """E[(<U'^2> - U^2) U], on the fitness summary's U."""
+    """E[(<U'^2> - U^2) U], on the fitness record's u."""
     from pricekit import Observable, fitness, local_average
 
-    ins = fitness(p).summary
+    fd = fitness(p)
     u_next = fitness(q).U
     avg_sq = local_average(p, Observable(q.source.types, u_next.values**2)).values
-    return ins.mean((avg_sq - ins.u**2) * ins.u)
+    return fd.mean((avg_sq - fd.u**2) * fd.u)
 
 
 def ec_selective_entropy_lhs_by_hand(p, q) -> float:
@@ -235,10 +235,10 @@ def ec_selective_entropy_lhs_by_hand(p, q) -> float:
     from pricekit import Observable, fitness, local_average
     from pricekit.measure import xlogx
 
-    ins = fitness(p).summary
+    fd = fitness(p)
     ent_next = Observable(q.source.types, -xlogx(fitness(q).U.values))
     carried = local_average(p, ent_next).values
-    return ins.mean((carried + ins.u_log_u) * ins.u)
+    return fd.mean((carried + fd.u_log_u) * fd.u)
 
 
 def intergenerational_by_loops(p, q) -> tuple[float, float]:
@@ -289,12 +289,12 @@ def intergenerational_by_profiles(p, q):
     q = check_composable(p, q)
     prof = generating_profile(p)
     prof_next = generating_profile(q)
-    ins = fitness(p).summary
+    fd = fitness(p)
     ns = float(prof.cells.cov_ec.sum())
     price_route = (prof_next.s_ec - prof.s_ec) - ns
     u_bar, live = prof.cells.u_bar, prof.cells.support
     log_ubar = np.log(u_bar, out=np.zeros_like(u_bar), where=live)
-    alpha = np.where(live, ins.u[:, None] * u_bar, 0.0) / ins.moment(2)
+    alpha = np.where(live, fd.u[:, None] * u_bar, 0.0) / fd.moment(2)
     next_cells = prof_next.cells.u_bar[prof_next.cells.support]
     formula = (alpha.sum() * np.sum(-xlogx(next_cells))
                + next_cells.sum() * np.sum(alpha * log_ubar))
@@ -390,33 +390,33 @@ def speed_limits_by_loop(p):
     from pricekit.laws import DEFAULT_SPEED_GRID, LawReport
     from pricekit.measure import xlogx
 
-    ins = fitness(p).summary
+    fd = fitness(p)
 
     def gap(c):
         with np.errstate(over="ignore"):
-            m1c = ins.moment(1.0 + c)
-            m2c = ins.moment(2.0 + c)
+            m1c = fd.moment(1.0 + c)
+            m2c = fd.moment(2.0 + c)
         if not (np.isfinite(m1c) and np.isfinite(m2c)):
             return float("nan")
-        return float(c * np.log(m1c) - (c - 1.0) * np.log(ins.moment(2.0)) - np.log(m2c))
+        return float(c * np.log(m1c) - (c - 1.0) * np.log(fd.moment(2.0)) - np.log(m2c))
 
-    c_grid = sorted(set(DEFAULT_SPEED_GRID) | {round(ins.moment(2.0), 12)})
-    lhs = ins.mean(-xlogx(ins.u) * (ins.u - 1.0))
-    log_inv_pstar = np.log(1.0 / ins.p_star)
-    m2 = ins.moment(2.0)
+    c_grid = sorted(set(DEFAULT_SPEED_GRID) | {round(fd.moment(2.0), 12)})
+    lhs = fd.mean(-xlogx(fd.u) * (fd.u - 1.0))
+    log_inv_pstar = np.log(1.0 / fd.p_star)
+    m2 = fd.moment(2.0)
 
     def bracket(c):
         with np.errstate(over="ignore"):
-            m = ins.moment(2.0 + c)
+            m = fd.moment(2.0 + c)
         return -(m2 / c) * np.log(m / m2) if np.isfinite(m) else -np.inf
 
     best_bracket = max(bracket(c) for c in c_grid)
     basic = log_inv_pstar + best_bracket if np.isfinite(best_bracket) else None
-    u = ins.u
+    u = fd.u
     u2logu = np.zeros_like(u)
     pos = u > 0
     u2logu[pos] = u[pos] ** 2 * np.log(u[pos])
-    infinitary = log_inv_pstar - ins.mean(u2logu)
+    infinitary = log_inv_pstar - fd.mean(u2logu)
 
     gaps = [gap(c) for c in c_grid]
     c_star = None
@@ -447,7 +447,7 @@ def speed_limits_by_loop(p):
         lhs=lhs,
         bounds=tuple(sorted(finite_bounds, reverse=True)),
         direction="ge",
-        equilibrium_class=ins.equilibrium_class,
+        equilibrium_class=fd.equilibrium_class,
         extras={
             "basic_bound": None if basic is None else float(basic),
             "infinitary_bound": float(infinitary),
@@ -506,18 +506,18 @@ def q_cell_stats_by_loop(w, projs_a, projs_b):
     from pricekit.config import EPS_ZERO
     from pricekit.measure import xlogx
     from pricekit.quantum import (
-        _check_resolution, _projector, _spectral, _support, q_fitness, unvec, vec,
+        _check_resolution, _projector, _spectral, _support, fitness, unvec, vec,
     )
 
     d_in, d_out = w.dims
     projs_a = _check_resolution(projs_a, d_in, "source")
     projs_b = _check_resolution(projs_b, d_out, "target")
-    fd = q_fitness(w)
+    fd = fitness(w)
     rho = w.source.matrix
     n = w.source.trace
     u_op = fd.U.matrix
-    u_half = _spectral(fd.eigvals, fd.eigvecs, np.sqrt, fd.support)
-    u_inv_half = _spectral(fd.eigvals, fd.eigvecs, lambda v: 1.0 / np.sqrt(v), fd.support)
+    u_half = _spectral(fd.u, fd.eigvecs, np.sqrt, fd.support)
+    u_inv_half = _spectral(fd.u, fd.eigvecs, lambda v: 1.0 / np.sqrt(v), fd.support)
     inter = u_half @ rho @ u_half            # intermediate state, trace N
 
     stats = np.zeros((len(projs_a), len(projs_b), len(CELL_FIELDS)))
@@ -567,13 +567,13 @@ def q_factorize_by_kron(w):
     """(selective, environmental, fitness_operator, support): the selective
     factor kron(1, W) and the three fields of ``pricekit.q_factorize``, with
     every product against kron(1, A) formed from the Kronecker product itself."""
-    from pricekit.quantum import _projector, q_fitness
+    from pricekit.quantum import _projector, fitness
 
     d_in, _ = w.dims
-    fd = q_fitness(w)
+    fd = fitness(w)
     w_op = fd.W.matrix
     proj = _projector(fd.eigvecs, fd.support)
-    vals, vecs = fd.eigvals[fd.support] * fd.wbar, fd.eigvecs[:, fd.support]
+    vals, vecs = fd.u[fd.support] * fd.wbar, fd.eigvecs[:, fd.support]
     eye = np.eye(d_in, dtype=complex)
     sel = np.kron(eye, w_op)
     env = w.superoperator @ np.kron(eye, (vecs / vals) @ vecs.conj().T)

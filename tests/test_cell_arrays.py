@@ -23,11 +23,11 @@ from pricekit import (
     cell_arrays,
     embed_process,
     environmental_profile,
+    fitness,
     intergenerational_ec_change,
     kraus_to_super,
     process,
     q_factorize,
-    q_fitness,
     q_partition_entropy,
 )
 from pricekit.cli import main
@@ -266,7 +266,7 @@ def assert_q_matches_loop(w, projs_a, projs_b, oracle_a=None, tol=CELL_TOL):
     assert close(res.commutation_residual, comm_residual, tol)
     cells = CellArrays(tuple(range(stats.shape[0])), tuple(range(stats.shape[1])),
                        *np.moveaxis(stats, -1, 0))
-    oracle = EntropyProfile.from_cells(q_fitness(w).summary, cells, suffix="_partition")
+    oracle = EntropyProfile.from_cells(fitness(w), cells, suffix="_partition")
     for got, want in zip(res.profile.bounds, oracle.bounds):
         assert_laws_close(got, want, tol)
     assert set(res.third_law) == set(oracle.third_law)
@@ -328,7 +328,7 @@ def test_projection_cells_at_the_edges_of_the_range_form():
             a[:, 0] = 0.0
         g = rng.normal(size=(d_in, d_in)) + 1j * rng.normal(size=(d_in, d_in))
         w = QuantumProcess(kraus_to_super(kraus), DensityOperator(g @ g.conj().T))
-        assert not q_fitness(w).support.all()
+        assert not fitness(w).support.all()
         basis = np.eye(d_in, dtype=complex)
         mixed, _ = np.linalg.qr(basis[:, :2] + 0.3 * rng.normal(size=(d_in, 2)))
         rest = np.eye(d_in) - mixed @ mixed.conj().T

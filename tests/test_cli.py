@@ -290,6 +290,31 @@ NON_FINITE_INPUTS = [
                  ["report", "--quantum"], None,
                  "field 'quantum.superoperator' has an entry that is not a number: '1'",
                  id="superoperator-str"),
+    # an operator input that is not a square matrix is named with its shape
+    pytest.param(dict(F5_DOC, quantum={"rho": [[1, 0, 0], [0, 1, 0]],
+                                       "kraus": [[[1, 0], [0, 1]]]}),
+                 ["report", "--quantum"], None,
+                 "density operator must be a nonempty square matrix, got shape (2, 3)",
+                 id="rho-not-square"),
+    pytest.param(dict(F5_DOC, quantum={"rho": [], "kraus": [[[1, 0], [0, 1]]]}),
+                 ["report", "--quantum"], None,
+                 "density operator must be a nonempty square matrix, got shape (0,)",
+                 id="rho-empty"),
+    # finite inputs whose derived totals overflow: each total is checked where it is formed
+    pytest.param(dict(F5_DOC, weights=[1e308, 1e308]), ["report"], None,
+                 "total population size overflows: the weights sum to inf",
+                 id="population-size-overflow"),
+    pytest.param({"types": ["a", "b"], "weights": [1e300, 1e300],
+                  "kernel": [[1e10, 1e10], [0.5, 0]]}, ["report"], None,
+                 "derived target weights overflow: got inf at [0]", id="target-weights-overflow"),
+    pytest.param({"types": ["a", "b"], "weights": [1e300, 1e300],
+                  "kernel": [[1e10, 1e10], [0.5, 0]], "target_weights": [1, 1]}, ["validate"],
+                 None, "derived target weights overflow: got inf at [0]",
+                 id="stated-target-image-overflow"),
+    pytest.param({"types": ["a", "b"], "target_types": ["a", "b"], "weights": [1, 2],
+                  "kernel": [[1e10, 1e10], [1e10, 0]]}, ["simulate", "--generations", "64"],
+                 None, "generation 31 weights overflow: got inf at [0]",
+                 id="simulated-generation-overflow"),
 ]
 
 

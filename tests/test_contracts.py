@@ -1,11 +1,15 @@
 """Package-wide contracts: each benchmark workload, run on its recorded
 seed-0 inputs, gives the recorded outputs field by field
 (``perfbench/reference``), no source module outside ``config.py`` holds
-a threshold literal, only the law modules build law reports, and every
-import sits at the top of its module and is read there."""
+a threshold literal, only the law modules build law reports, every
+import sits at the top of its module and is read there, and README names
+only code that exists."""
 
 import ast
+import dataclasses
+import importlib
 import io
+import re
 import sys
 import tokenize
 from pathlib import Path
@@ -81,3 +85,32 @@ def test_no_unused_imports():
                           for alias in node.names
                           if (alias.asname or alias.name).split(".")[0] not in read]
     assert found == []
+
+
+def test_readme_names_resolve():
+    """Every backticked call ``name(`` in README.md names a function or class
+    of a ``pricekit`` module or of ``tests/oracles.py`` (``module.name(`` one
+    of that module), and every backticked ``Class.attr`` a ``pricekit`` class
+    with that attribute or dataclass field: README names no deleted code."""
+    modules = {path.stem: importlib.import_module(
+                   "pricekit" if path.stem == "__init__" else f"pricekit.{path.stem}")
+               for path in sorted((ROOT / "src" / "pricekit").glob("*.py"))}
+    names = {k: v for m in [*modules.values(), importlib.import_module("oracles")]
+             for k, v in vars(m).items()}
+    spans = re.findall(r"`([^`\n]+)`", (ROOT / "README.md").read_text())
+    unresolved = []
+    for call in sorted({m for span in spans for m in re.findall(r"([A-Za-z_][\w.]*)\(", span)}):
+        head, *rest = call.split(".")
+        obj = modules.get(head) if rest else None
+        obj = names.get(head) if obj is None else obj
+        for attr in rest:
+            obj = getattr(obj, attr, None)
+        if not callable(obj):
+            unresolved.append(call + "(")
+    for cls_name, attr in sorted({m for span in spans
+                                  for m in re.findall(r"\b([A-Z]\w*)\.(\w+)", span)}):
+        cls = names.get(cls_name)
+        fields = {f.name for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else ()
+        if not (isinstance(cls, type) and (hasattr(cls, attr) or attr in fields)):
+            unresolved.append(f"{cls_name}.{attr}")
+    assert unresolved == []

@@ -64,7 +64,7 @@ def test_library_functions_return_the_profile_chains():
         prof = environmental_profile(p, part_a or Partition.singletons(p.source.types),
                                      part_b or Partition.singletons(p.target.types))
         assert prof.bounds is prof.bounds and prof.third_law is prof.third_law
-        assert prof.equilibrium_class == fitness(p).summary.equilibrium_class
+        assert prof.equilibrium_class == fitness(p).equilibrium_class
         assert dicts(dispersion_mixing_bounds(p, part_a, part_b)) == dicts(prof.bounds)
         windows = third_law(p, part_a, part_b)
         assert list(windows) == ["ns_s_ec", "ns_s_dis", "ns_s_mix"]

@@ -1,4 +1,4 @@
-"""The fitness summary is computed once per process and read by every law,
+"""The fitness record is computed once per process and read by every law,
 entropy and quantum function; the vectorized stationarity classes and
 reversibility inverses match their per-row loops exactly."""
 
@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import pricekit
 from pricekit import (
     Population,
     Process,
@@ -22,7 +23,6 @@ from pricekit import (
     generating_profile,
     process,
     q_factorize,
-    q_fitness,
     q_laws,
     q_partition_entropy,
     q_price,
@@ -152,26 +152,26 @@ def test_projection_cells_take_one_eigh_of_the_cell_stack(monkeypatch):
     p = random_process(rng, kmax=5, kmin=3)
     k, k2 = p.kernel.shape
     w = embed_process(p)
-    q_fitness(w)
+    fitness(w)
     seen = record_eigendecompositions(monkeypatch)
     q_partition_entropy(w, [np.diag(r) for r in np.eye(k)], [np.diag(r) for r in np.eye(k2)])
     assert [m.shape for m in seen] == [(k, k, k), (k, k2, 1, 1)]
 
 
 def test_fitness_is_cached():
+    """One record per process, kernel or operator, with one accessor: its
+    arrays are read-only and it has no second view of them."""
     rng = np.random.default_rng(402)
     p = random_process(rng)
-    assert fitness(p) is fitness(p)
-    assert fitness(p).p_star == fitness(p).summary.p_star
-    assert fitness(p).support is fitness(p).summary.support
     w = embed_process(p)
-    assert q_fitness(w) is q_fitness(w)
-    assert q_fitness(w).p_star == q_fitness(w).summary.p_star
-    # one support rule: the operator path reads the summary's arrays too
-    assert q_fitness(w).support is q_fitness(w).summary.support
-    assert q_fitness(w).eigvals is q_fitness(w).summary.u
-    for a in (fitness(p).support, q_fitness(w).support, q_fitness(w).eigvals):
-        assert not a.flags.writeable
+    assert fitness(p) is fitness(p)
+    assert fitness(w) is fitness(w)
+    for fd in (fitness(p), fitness(w)):
+        for a in (fd.u, fd.prob, fd.u_log_u, fd.support):
+            assert not a.flags.writeable
+        assert not hasattr(fd, "summary") and not hasattr(fd, "eigvals")
+    assert not fitness(w).eigvecs.flags.writeable
+    assert not hasattr(pricekit, "q_fitness")
 
 
 @pytest.mark.parametrize("scale", [0.5, 1.0, 2.0])
@@ -185,16 +185,16 @@ def test_selective_entropy_is_the_summary_value(scale):
     kernel[0] *= scale * EPS_ZERO * wbar
     p = process(Population(TypeSet.range(4), weights), kernel)
     assert fitness(p).U.values[0] == pytest.approx(scale * EPS_ZERO, rel=1e-3)
-    s_ns = fitness(p).summary.s_ns
+    s_ns = fitness(p).s_ns
     assert selective_entropy(p) == s_ns
     assert generating_profile(p).s_ns == s_ns
     assert zeroth_law(p).extras["s_ns"] == s_ns
 
 
 def _summary_fields(p: Process) -> dict:
-    ins = fitness(p).summary
-    return {"u": ins.u, "prob": ins.prob, "p_star": ins.p_star, "var_u": ins.var_u,
-            "s_ns": ins.s_ns}
+    fd = fitness(p)
+    return {"u": fd.u, "prob": fd.prob, "p_star": fd.p_star, "var_u": fd.var_u,
+            "s_ns": fd.s_ns}
 
 
 @settings(max_examples=40, deadline=None)
@@ -217,8 +217,8 @@ def test_summary_is_invariant_under_weight_scaling(weights, entries, k2):
         for name, value in _summary_fields(p).items():
             np.testing.assert_allclose(value, expected[name], rtol=1e-12, atol=1e-15,
                                        err_msg=f"{name} at weights x 1e{s}")
-        assert fitness(p).summary.prob @ fitness(p).summary.u == pytest.approx(1.0, abs=1e-14)
-        assert fitness(p).summary.equilibrium_class == fitness(base).summary.equilibrium_class
+        assert fitness(p).prob @ fitness(p).u == pytest.approx(1.0, abs=1e-14)
+        assert fitness(p).equilibrium_class == fitness(base).equilibrium_class
 
 
 # ---------------------------------------------------------------------------

@@ -207,7 +207,7 @@ class TestSpeedLimitsOracle:
         src = Population(TypeSet(["a", "b"]), [1.0, 1e-120])
         p = process(src, [[1.0], [1e120]])
         with np.errstate(over="ignore"):
-            assert np.isinf(fitness(p).summary.moment(4.0))
+            assert np.isinf(fitness(p).moment(4.0))
         rep = speed_limits(p)
         assert rep == speed_limits_by_loop(p)
         assert rep.extras["basic_bound"] is not None

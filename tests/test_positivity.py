@@ -12,12 +12,12 @@ from pricekit import (
     QuantumObservable,
     QuantumProcess,
     embed_process,
+    fitness,
     kraus_to_super,
-    q_fitness,
     q_laws,
     q_price,
 )
-from pricekit.process import FitnessSummary
+from pricekit.process import FitnessData
 from pricekit.quantum import (
     _choi, _cp_certified, _herm_part, _sample_check_positive, apply_super, vec,
 )
@@ -172,9 +172,11 @@ def test_kraus_maps_agree_with_their_certified_superoperators():
             assert (built.positivity, given.positivity) == ("by_construction", "cp_certified")
             np.testing.assert_array_equal(built.superoperator, given.superoperator)
             np.testing.assert_array_equal(built.target.matrix, given.target.matrix)
-            for f in dataclasses.fields(FitnessSummary):
-                np.testing.assert_array_equal(getattr(q_fitness(built).summary, f.name),
-                                              getattr(q_fitness(given).summary, f.name))
+            for f in dataclasses.fields(FitnessData):
+                a, b = getattr(fitness(built), f.name), getattr(fitness(given), f.name)
+                if f.name in ("W", "U"):
+                    a, b = a.matrix, b.matrix
+                np.testing.assert_array_equal(a, b)
             laws = q_laws(given)
             assert {k: r.to_dict() for k, r in q_laws(built).items()} \
                 == {k: r.to_dict() for k, r in laws.items()}

@@ -340,7 +340,7 @@ class TestEveryDecompositionReadsPrice:
 
     def test_ec_selective_entropy_bound(self):
         for p, q, *_ in _scaled_pairs(205):
-            u_log_u, next_u_log_u = fitness(p).summary.u_log_u, fitness(q).summary.u_log_u
+            u_log_u, next_u_log_u = fitness(p).u_log_u, fitness(q).u_log_u
             d = price(p, Observable(p.source.types, -u_log_u),
                       Observable(q.source.types, -next_u_log_u))
             lhs = ec_selective_entropy_bound(p, q).lhs

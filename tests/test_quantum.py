@@ -28,7 +28,6 @@ from pricekit import (
     process,
     q_expectation,
     q_factorize,
-    q_fitness,
     q_kgs,
     q_laws,
     q_partition_entropy,
@@ -190,7 +189,7 @@ class TestFitness:
     def test_diagonal_kraus(self):
         a = np.diag([np.sqrt(2), 0.0]).astype(complex)
         w = QuantumProcess(kraus_to_super([a]), DensityOperator(np.eye(2)))
-        fd = q_fitness(w)
+        fd = fitness(w)
         np.testing.assert_allclose(fd.W.matrix, np.diag([2.0, 0.0]), atol=1e-12)
         assert fd.wbar == pytest.approx(1.0)
         assert fd.p_star == pytest.approx(0.5)
@@ -201,16 +200,16 @@ class TestFitness:
         # the ratio of the stated traces, so U keeps unit mean.
         w = QuantumProcess(kraus_to_super([np.eye(2)]), DensityOperator(5e-4 * np.eye(2)),
                            DensityOperator((5e-4 + 9e-10) * np.eye(2)))
-        fd = q_fitness(w)
+        fd = fitness(w)
         assert fd.wbar == pytest.approx(1.0, abs=1e-15)
-        assert fd.summary.mean(fd.summary.u) == pytest.approx(1.0, abs=1e-15)
+        assert fd.mean(fd.u) == pytest.approx(1.0, abs=1e-15)
 
     def test_map_without_child_mass_rejected(self):
         # The stated target passes the constructor's absolute 1e-9 gap.
         w = QuantumProcess(np.zeros((4, 4)), DensityOperator(1e-10 * np.eye(2)),
                            DensityOperator(1e-10 * np.eye(2)))
         with pytest.raises(ValueError, match="no child mass"):
-            q_fitness(w)
+            fitness(w)
 
     def test_trace_preserving_map_unit_fitness(self):
         rng = np.random.default_rng(81)
@@ -218,14 +217,14 @@ class TestFitness:
         g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         q, _ = np.linalg.qr(g)
         w = QuantumProcess(kraus_to_super([q]), random_density(rng, 3))
-        fd = q_fitness(w)
+        fd = fitness(w)
         np.testing.assert_allclose(fd.W.matrix, np.eye(3), atol=1e-10)
 
     def test_unit_mean_randomized(self):
         rng = np.random.default_rng(82)
         for _ in range(30):
             w = random_kraus_process(rng, int(rng.integers(2, 5)))
-            fd = q_fitness(w)
+            fd = fitness(w)
             rho = w.source
             assert q_expectation(rho, fd.U) == pytest.approx(1.0, abs=1e-10)
 
@@ -266,8 +265,8 @@ class TestQPrice:
                 ),
                 w.target,
             )
-            u = q_fitness(w).U
-            u_next = q_fitness(w2).U
+            u = fitness(w).U
+            u_next = fitness(w2).U
             res = q_price(w, u, u_next)
             assert res.delta == pytest.approx(0.0, abs=1e-9)
             var_u = q_expectation(w.source, QuantumObservable(u.matrix @ u.matrix)) - 1.0
@@ -366,9 +365,9 @@ class TestQuantumLaws:
     def test_spectral_entropy_matches_eigenvalues(self):
         rng = np.random.default_rng(91)
         w = random_kraus_process(rng, 3)
-        fd = q_fitness(w)
+        fd = fitness(w)
         u = fd.U.matrix
-        ent = _spectral(fd.eigvals, fd.eigvecs, lambda v: -v * np.log(v), fd.support)
+        ent = _spectral(fd.u, fd.eigvecs, lambda v: -v * np.log(v), fd.support)
         vals = np.linalg.eigvalsh(u)
         expected = sorted(-v * np.log(v) if v > 1e-12 else 0.0 for v in vals)
         np.testing.assert_allclose(sorted(np.linalg.eigvalsh(ent)), expected, atol=1e-10)
@@ -533,7 +532,7 @@ def embedding_gaps(p) -> dict[str, float]:
     the classical call does not overflow, the exponential first law, and the
     singleton S_NS, S_EC, S_dis, S_mix and third-law lhs; relative for wbar."""
     w = embed_process(p)
-    fd_c, fd_q = fitness(p), q_fitness(w)
+    fd_c, fd_q = fitness(p), fitness(w)
     pairs = {
         # the embedded support, as the diagonal of its projector (eigh reorders)
         "support": (fd_c.support.astype(float),
@@ -636,7 +635,7 @@ class TestOneSupportRule:
         basis, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
         a = (basis * np.sqrt([lam, 1.0, 2.5])) @ basis.conj().T
         w = QuantumProcess(kraus_to_super([a]), random_density(rng, 3))
-        fd = q_fitness(w)
+        fd = fitness(w)
         assert fd.support.all()
         assert fd.p_star == pytest.approx(1.0, abs=1e-15)
         x, y = random_hermitian(rng, 3), random_hermitian(rng, 3)
@@ -663,10 +662,10 @@ class TestOneSupportRule:
             rho = DensityOperator((basis * [0.5, 0.5, 1e-5]) @ basis.conj().T)
             projs = [np.outer(basis[:, i], basis[:, i].conj()) for i in range(3)]
             w = QuantumProcess(kraus_to_super([a]), rho)
-            return q_fitness(w), q_partition_entropy(w, projs, projs).profile
+            return fitness(w), q_partition_entropy(w, projs, projs).profile
 
         fd0, prof0 = build(np.eye(3, dtype=complex))
-        assert fd0.eigvals.max() > 1e4
+        assert fd0.u.max() > 1e4
         for seed in range(20):
             rng = np.random.default_rng(seed)
             basis, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
@@ -696,7 +695,7 @@ def _k32_process():
 class TestPullbackMemory:
     def test_no_call_copies_the_map(self):
         """Each pullback reads the superoperator in place: at K = 32 the
-        embedded map holds 16.8 MB, and q_fitness (built fresh), q_price and
+        embedded map holds 16.8 MB, and fitness (built fresh), q_price and
         q_partition_entropy over singletons each peak below half of that.
         q_factorize returns one map-sized array, its environmental factor,
         and peaks below twice the map."""
@@ -705,7 +704,7 @@ class TestPullbackMemory:
         x, y = (embed_observable(rng.normal(size=32)) for _ in range(2))
         singletons = singleton_projections(32)
         calls = {
-            "q_fitness": lambda: q_fitness(w),
+            "fitness": lambda: fitness(w),
             "q_price": lambda: q_price(w, x, y),
             "q_partition_entropy": lambda: q_partition_entropy(w, singletons, singletons),
         }
@@ -764,7 +763,7 @@ class TestValidation:
         rho = DensityOperator(np.array([[0.7, 0.1], [0.1, 0.3]], dtype=complex))
         w = QuantumProcess(sup, rho)
         assert probed == [None]
-        fd = q_fitness(w)
+        fd = fitness(w)
         np.testing.assert_allclose(fd.W.matrix, np.eye(2), atol=1e-10)
 
     def test_inconsistent_target_rejected(self):

@@ -1,6 +1,9 @@
 """Every input check of the library raises its own ValueError: mismatched
 dimensions and type sets, states and projections that are not what they
-claim, and open processes whose children are all orphans."""
+claim, derived totals that overflow, open processes whose children are all
+orphans, and identities whose residual is NaN."""
+
+import importlib
 
 import numpy as np
 import pytest
@@ -17,19 +20,21 @@ from pricekit import (
     QuantumProcess,
     TypeSet,
     cell_arrays,
+    fitness,
     kgs,
     kraus_to_super,
     local_average,
     local_change,
     multilevel_price,
+    multilevel_second_law,
     open_process,
     price,
     process,
-    q_fitness,
     q_kgs,
     q_partition_entropy,
     q_price,
 )
+from pricekit.config import IdentityViolation
 from pricekit.quantum import hermitize, vec
 
 AB = TypeSet(["a", "b"])
@@ -61,7 +66,7 @@ def fitness_below_the_band():
     s = np.zeros((d_out * d_out, 4), dtype=complex)
     s[:, 0] = vec(np.diag(np.eye(d_out)[0]).astype(complex))
     s[:, 3] = -t * vec(np.diag(1.0 - np.eye(d_out)[0]).astype(complex))
-    return q_fitness(QuantumProcess(s, DensityOperator(np.eye(2) / 2)))
+    return fitness(QuantumProcess(s, DensityOperator(np.eye(2) / 2)))
 
 
 LIBRARY_REJECTIONS = [
@@ -88,6 +93,16 @@ LIBRARY_REJECTIONS = [
                  r"observable values must be finite, got nan at \[0\]", id="observable-nan"),
     pytest.param(lambda: Observable(AB, [1]), "one value per type required",
                  id="observable-length"),
+    # finite inputs whose derived totals overflow
+    pytest.param(lambda: Population(AB, [1e308, 1e308]),
+                 "total population size overflows: the weights sum to inf", id="size-overflow"),
+    pytest.param(lambda: process(Population(AB, [1e300, 1e300]), [[1e10, 1e10], [0.5, 0]]),
+                 r"derived target weights overflow: got inf at \[0\]", id="image-overflow"),
+    pytest.param(lambda: open_process(Population(AB, [1e300, 1e300]), [[1e10], [1]], [0.5]),
+                 r"derived target weights overflow: got inf at \[0\]", id="open-image-overflow"),
+    # a row sum overflows on a parent of weight 0: mu.W is 0 * inf
+    pytest.param(lambda: fitness(process(Population(AB, [0, 1]), [[1e308, 1e308], [1, 1]])),
+                 "child mass mu.W overflows: nan", id="child-mass-overflow"),
     # process and Price; the kernel is checked before a target is derived from it
     pytest.param(lambda: process(Population(AB, [1, 2]), [[1.0, float("nan")], [0.5, 0.0]]),
                  r"kernel entries must be finite, got nan at \[0, 1\]", id="process-kernel-nan"),
@@ -138,6 +153,15 @@ LIBRARY_REJECTIONS = [
     pytest.param(lambda: DensityOperator([[1.0, 0.0], [0.0, float("nan")]]),
                  r"density operator entries must be finite, got \(nan\+0j\) at \[1, 1\]",
                  id="density-nan"),
+    pytest.param(lambda: DensityOperator([[1, 0, 0], [0, 1, 0]]),
+                 r"density operator must be a nonempty square matrix, got shape \(2, 3\)",
+                 id="density-not-square"),
+    pytest.param(lambda: DensityOperator([]),
+                 r"density operator must be a nonempty square matrix, got shape \(0,\)",
+                 id="density-empty"),
+    pytest.param(lambda: QuantumObservable(np.ones((2, 2, 2))),
+                 r"observable must be a nonempty square matrix, got shape \(2, 2, 2\)",
+                 id="quantum-observable-stack"),
     pytest.param(lambda: QuantumObservable([[float("inf"), 0.0], [0.0, 1.0]]),
                  r"observable entries must be finite, got \(inf\+0j\) at \[0, 0\]",
                  id="quantum-observable-inf"),
@@ -179,3 +203,16 @@ LIBRARY_REJECTIONS = [
 def test_rejection_raises_its_message(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_nan_residual_fails_its_identity(monkeypatch):
+    """A NaN residual is not within its tolerance: a cross-checked identity
+    whose route turns NaN raises, as one that misses by a finite amount does."""
+    with pytest.raises(IdentityViolation, match="fisher: residual nan"):
+        IdentityViolation.check("fisher", float("nan"), 1e-9)
+    laws = importlib.import_module("pricekit.laws")
+    true_split = laws.multilevel_variance
+    monkeypatch.setattr(laws, "multilevel_variance",
+                        lambda p, q: np.add(true_split(p, q), (np.nan, 0.0)))
+    with pytest.raises(IdentityViolation, match="multilevel_variance_routes: residual nan"):
+        multilevel_second_law(*pair())
