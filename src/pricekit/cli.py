@@ -32,7 +32,7 @@ from .laws import (
     stationarity,
 )
 from .measure import Observable, Population, TypeSet, finite_array
-from .openproc import OpenProcess, _orphan_weights, kgs
+from .openproc import OpenProcess, _full_weights, kgs
 from .price import price
 from .process import (
     Process,
@@ -252,10 +252,10 @@ def _kgs_section(doc: dict, p: Process) -> dict:
     if "open" not in doc:
         raise InputError("no open block in the input file")
     block = _field(doc, "open", dict)
-    orphan = _orphan_weights(_field(block, "orphan_weights", list, "open."))
+    orphan = _field(block, "orphan_weights", list, "open.")
     if len(orphan) != len(p.target.types):
         raise InputError("orphan weights must match the target type set")
-    full = Population(p.target.types, p.target.weights + orphan)
+    full = Population(p.target.types, _full_weights(p.target.weights, orphan))
     op = OpenProcess(p, full)
     u = fitness(p).U
     ones = Observable(p.target.types, np.ones(len(p.target.types)))

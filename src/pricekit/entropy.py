@@ -111,12 +111,7 @@ def local_selective_entropy(p: Process, block_a, block_b,
 class CellArrays:
     """Twelve statistics of every cell, as (source cell, target cell) arrays.
 
-    Row a and column b belong to the cells labelled keys_a[a] and
-    keys_b[b].  ``support`` and ``d`` are indexed by (parent, target cell):
-    the parents whose flow share into the cell and whose relative fitness
-    clear EPS_ZERO, and their dispersion coefficients W_iB / W_i (0 off the
-    support).  Projection cells have operator-valued coefficients and leave
-    both as None.
+    Row a and column b belong to the cells labelled keys_a[a] and keys_b[b].
     """
 
     keys_a: tuple
@@ -133,13 +128,28 @@ class CellArrays:
     cov_ec: np.ndarray       # cov(-U_cell log u_bar, U)
     cov_dis: np.ndarray      # cov(-U_cell log D, U)
     cov_mix: np.ndarray      # cov(U_cell log(D / u_bar), U)
-    support: np.ndarray | None = None
-    d: np.ndarray | None = None
 
 
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """num / den where den > 0, else 0."""
     return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+
+
+def _dispersion(p: Process, part_a: Partition, part_b: Partition):
+    """Each parent's kernel mass W_iB on each target block B, the (parent,
+    block) support, and the dispersion coefficients D = W_iB / W_i, 0 off it.
+
+    A parent is on the support when its flow share into B of the child mass
+    n * wbar clears EPS_ZERO (a scale-free decision) and so does its U.
+    """
+    if part_a.types != p.source.types or part_b.types != p.target.types:
+        raise ValueError("partitions must match the process type sets")
+    fd = fitness(p)
+    w_b = p.kernel @ part_b.indicator()
+    flow = w_b * p.source.weights[:, None]
+    support = (flow / (p.source.size * fd.wbar) > EPS_ZERO) & fd.support[:, None]
+    return w_b, support, np.divide(w_b, fd.W.values[:, None], out=np.zeros_like(w_b),
+                                   where=support)
 
 
 def cell_arrays(p: Process, part_a: Partition, part_b: Partition) -> CellArrays:
@@ -150,8 +160,7 @@ def cell_arrays(p: Process, part_a: Partition, part_b: Partition) -> CellArrays:
     indicator matrices, so singleton cells need no path of their own.
     Flow shares are normalized by the child population n * wbar.
     """
-    if part_a.types != p.source.types or part_b.types != p.target.types:
-        raise ValueError("partitions must match the process type sets")
+    w_b, support, d = _dispersion(p, part_a, part_b)
     fd = fitness(p)
     mu = p.source.weights
     n = p.source.size
@@ -161,14 +170,7 @@ def cell_arrays(p: Process, part_a: Partition, part_b: Partition) -> CellArrays:
     prob = mu / n
     block_a = part_a.block_index()
     sum_a = part_a.indicator().T
-
-    w_b = p.kernel @ part_b.indicator()
-    flow = w_b * mu[:, None]
-    u_bar = sum_a @ flow / n_child
-
-    # Support decisions run on normalized mass shares so they are scale-free.
-    support = (flow / n_child > EPS_ZERO) & fd.support[:, None]
-    d = np.divide(w_b, w_row[:, None], out=np.zeros_like(w_b), where=support)
+    u_bar = sum_a @ (w_b * mu[:, None]) / n_child
     log_d = np.log(d, out=np.zeros_like(d), where=support)
     log_ubar = np.log(u_bar, out=np.zeros_like(u_bar), where=u_bar > 0)
     u_cell = w_b / fd.wbar
@@ -194,7 +196,6 @@ def cell_arrays(p: Process, part_a: Partition, part_b: Partition) -> CellArrays:
         gamma=_ratio(sum_a @ (mass * ud * d), norm),
         mean_d2=sum_a @ (prob[:, None] * ud * d),
         cov_ec=cov_ec, cov_dis=cov_dis, cov_mix=cov_ec - cov_dis,
-        support=support, d=d,
     )
 
 
@@ -338,15 +339,15 @@ def environmental_equilibrium(p: Process, part_a: Partition | None = None,
     Returns (flag, witnesses) where witnesses lists the offending cells.
     """
     part_a, part_b = _partitions(p, part_a, part_b)
-    cells = cell_arrays(p, part_a, part_b)
+    _, support, d = _dispersion(p, part_a, part_b)
     block_a = part_a.block_index()
-    d_max = np.full(cells.u_bar.shape, -np.inf)
-    d_min = np.full(cells.u_bar.shape, np.inf)
-    np.maximum.at(d_max, block_a, np.where(cells.support, cells.d, -np.inf))
-    np.minimum.at(d_min, block_a, np.where(cells.support, cells.d, np.inf))
+    d_max = np.full((len(part_a.blocks), d.shape[1]), -np.inf)
+    d_min = np.full(d_max.shape, np.inf)
+    np.maximum.at(d_max, block_a, np.where(support, d, -np.inf))
+    np.minimum.at(d_min, block_a, np.where(support, d, np.inf))
     spread = (d_max >= d_min) & (d_max - d_min > EPS_SAT * np.maximum(1.0, d_max))
     witnesses = [
-        {"cell": (cells.keys_a[a], cells.keys_b[b]), "d_min": float(d_min[a, b]),
+        {"cell": (part_a.blocks[a], part_b.blocks[b]), "d_min": float(d_min[a, b]),
          "d_max": float(d_max[a, b])}
         for a, b in zip(*np.nonzero(spread))
     ]
@@ -417,9 +418,10 @@ def intergenerational_ec_change(p: Process, q: Process) -> IntergenerationalChan
     # sum over cells ij and next cells c of -alpha_ij u'_c log(u'_c / u_ij),
     # alpha_ij = U_i u_ij / E[U^2], factors into
     # (sum alpha)(sum -u' log u') + (sum u')(sum alpha log u).
-    u_bar, live = prof.cells.u_bar, prof.cells.support
-    log_ubar = np.log(u_bar, out=np.zeros_like(u_bar), where=live)
-    alpha = np.where(live, fd.u[:, None] * u_bar, 0.0) / fd.moment(2)
+    # The live u_bar are p's flow cells, bit for bit.
+    u_bar = flow_cells(p)
+    log_ubar = np.log(u_bar, out=np.zeros_like(u_bar), where=u_bar > 0)
+    alpha = fd.u[:, None] * u_bar / fd.moment(2)
     next_cells = flow_cells(q)
     next_cells = next_cells[next_cells > 0]
     formula = (alpha.sum() * np.sum(-xlogx(next_cells))

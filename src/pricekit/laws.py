@@ -20,7 +20,7 @@ import numpy as np
 from .config import EPS_BISECT, EPS_REL, EPS_ROOT, EPS_SAT, EPS_ZERO, IdentityViolation
 from .measure import Observable
 from .price import multilevel_variance, price
-from .process import FitnessData, Process, check_composable, fitness, flow_cells, local_average
+from .process import Process, check_composable, fitness, flow_cells, local_average
 
 
 # ---------------------------------------------------------------------------
@@ -219,21 +219,6 @@ def second_law(p: Process) -> LawReport:
 DEFAULT_SPEED_GRID = (0.125, 0.25, 0.5, 1.0, 2.0)
 
 
-def _gap_from_moments(c: float, m1c: float, m2c: float, m2: float) -> float:
-    # log of E[U^(1+c)]^c / (E[U^2]^(c-1) E[U^(2+c)]); a root is a stationary
-    # point of the basic-bound exponent in c.
-    if not (np.isfinite(m1c) and np.isfinite(m2c)):
-        return float("nan")
-    return float(c * np.log(m1c) - (c - 1.0) * np.log(m2) - np.log(m2c))
-
-
-def _speed_stationarity_gap(fd: FitnessData, c: float) -> float:
-    with np.errstate(over="ignore"):
-        m1c = fd.moment(1.0 + c)
-        m2c = fd.moment(2.0 + c)
-    return _gap_from_moments(c, m1c, m2c, fd.moment(2.0))
-
-
 def speed_limits(p: Process) -> LawReport:
     """Lower bounds on the selective change of selective entropy.
 
@@ -244,27 +229,26 @@ def speed_limits(p: Process) -> LawReport:
     gap; otherwise none is reported.
     """
     fd = fitness(p)
-    u = fd.u
     m2 = fd.moment(2.0)
     c_grid = sorted(set(DEFAULT_SPEED_GRID) | {round(m2, 12)})
-
     log_inv_pstar = np.log(1.0 / fd.p_star)
 
-    # E[U^(1+c)] and E[U^(2+c)] over the grid: one array power, one dot per
-    # row (a single matrix-vector product would round differently).
-    cs = np.array(c_grid)
-    with np.errstate(over="ignore"):
-        powers = u ** np.concatenate([1.0 + cs, 2.0 + cs])[:, None]
-        m1c, m2c = np.array([fd.prob @ row for row in powers]).reshape(2, -1)
-    m1c[cs == 1.0] = m2  # E[U^2] as fd.moment squares it, not through pow
+    def gap(c: float) -> tuple[float, float]:
+        # log of E[U^(1+c)]^c / (E[U^2]^(c-1) E[U^(2+c)]), whose root is a
+        # stationary point of the basic-bound exponent in c, and E[U^(2+c)]
+        with np.errstate(over="ignore"):
+            m1c, m2c = fd.moment(1.0 + c), fd.moment(2.0 + c)
+        if not (np.isfinite(m1c) and np.isfinite(m2c)):
+            return float("nan"), m2c
+        return float(c * np.log(m1c) - (c - 1.0) * np.log(m2) - np.log(m2c)), m2c
 
+    gaps, m2c = zip(*map(gap, c_grid))
     # a diverging moment makes the bound vacuous at this exponent
     best_bracket = max(-(m2 / c) * np.log(m / m2) if np.isfinite(m) else -np.inf
                        for c, m in zip(c_grid, m2c))
     basic = log_inv_pstar + best_bracket if np.isfinite(best_bracket) else None
     infinitary = log_inv_pstar - fd.u2_log_u
 
-    gaps = [_gap_from_moments(c, a, b, m2) for c, a, b in zip(c_grid, m1c, m2c)]
     c_star = None
     for k, (a, b) in enumerate(zip(c_grid, c_grid[1:])):
         ga, gb = gaps[k], gaps[k + 1]
@@ -280,7 +264,7 @@ def speed_limits(p: Process) -> LawReport:
             lo, hi = a, b
             while hi - lo > EPS_BISECT:
                 mid = 0.5 * (lo + hi)
-                if _speed_stationarity_gap(fd, mid) * ga <= 0:
+                if gap(mid)[0] * ga <= 0:
                     hi = mid
                 else:
                     lo = mid

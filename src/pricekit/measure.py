@@ -8,8 +8,8 @@ from itertools import chain
 import numpy as np
 
 
-def _as_readonly(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def _as_readonly(values) -> np.ndarray:
+    arr = np.array(values, dtype=float)
     arr.setflags(write=False)
     return arr
 

@@ -14,7 +14,7 @@ import numpy as np
 from .config import EPS_REL, EPS_ZERO
 from .measure import Observable, Population, TypeSet, covariance, expectation, finite_array
 from .price import price
-from .process import Process, _kernel_image
+from .process import Process, _finite, _kernel_image
 
 
 @dataclass(frozen=True)
@@ -52,23 +52,26 @@ class OpenProcess:
         return self.closed.target.size / self.full_target.size
 
 
-def _orphan_weights(values) -> np.ndarray:
-    """The orphan increment of each child type: finite and nonnegative."""
-    orphan = finite_array(values, "orphan weights")
+def _full_weights(parented: np.ndarray, orphan_weights) -> np.ndarray:
+    """The parented child weights plus the orphan increment, one finite and
+    nonnegative weight per child type."""
+    orphan = finite_array(orphan_weights, "orphan weights")
+    if orphan.shape != parented.shape:
+        raise ValueError(f"orphan weights must be one per child type, got shape {orphan.shape}")
     if np.any(orphan < 0):
         raise ValueError("orphan weights must be nonnegative")
-    return orphan
+    with np.errstate(over="ignore"):
+        return _finite(parented + orphan, "full child weights")
 
 
 def open_process(source: Population, kernel, orphan_weights) -> OpenProcess:
     """Build an open process from a kernel image plus an orphan increment."""
     kernel = finite_array(kernel, "kernel entries")
-    orphan = _orphan_weights(orphan_weights)
     parented = _kernel_image(kernel, source.weights)
+    full = _full_weights(parented, orphan_weights)
     child_types = TypeSet.range(kernel.shape[1], prefix="c")
     closed = Process(source, Population(child_types, parented), kernel, _check=False)
-    full = Population(child_types, parented + orphan)
-    return OpenProcess(closed, full)
+    return OpenProcess(closed, Population(child_types, full))
 
 
 @dataclass(frozen=True)

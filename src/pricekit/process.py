@@ -145,28 +145,32 @@ class Process:
         wbar = mass / self.source.size
         if wbar <= 0:
             raise ValueError("kernel carries no child mass")
-        u_values = w_values / wbar
+        with np.errstate(over="ignore"):
+            u_values = _finite(w_values / wbar, "relative fitness W/wbar")
         return summarize_fitness(Observable(self.source.types, w_values), wbar,
                                  Observable(self.source.types, u_values), u_values,
                                  self.source.weights / self.source.size)
 
 
+def _finite(values: np.ndarray, what: str) -> np.ndarray:
+    """values, formed under np.errstate; raises, naming ``what`` and the first
+    entry, where one overflowed."""
+    if not np.isfinite(values).all():
+        at = np.unravel_index(np.argmin(np.isfinite(values)), values.shape)
+        raise ValueError(f"{what} overflow: got {values[at]} at [{', '.join(map(str, at))}]")
+    return values
+
+
 def _kernel_image(kernel, weights, what: str = "derived target weights") -> np.ndarray:
-    """kernel.T @ weights, the child weights of parent weights; raises, naming
-    ``what``, where one overflows."""
+    """kernel.T @ weights, the child weights of parent weights."""
     with np.errstate(over="ignore", invalid="ignore"):
-        image = kernel.T @ weights
-    if not np.isfinite(image).all():
-        at = int(np.argmin(np.isfinite(image)))
-        raise ValueError(f"{what} overflow: got {image[at]} at [{at}]")
-    return image
+        return _finite(kernel.T @ weights, what)
 
 
-def process(source: Population, kernel, target: Population | None = None) -> Process:
-    """Build a process; when no target is given, derive it from the kernel."""
+def process(source: Population, kernel) -> Process:
+    """Build a process whose target is the kernel image of the source."""
     k = finite_array(kernel, "kernel entries")
-    if target is None:
-        target = Population(TypeSet.range(k.shape[1], prefix="c"), _kernel_image(k, source.weights))
+    target = Population(TypeSet.range(k.shape[1], prefix="c"), _kernel_image(k, source.weights))
     return Process(source, target, k)
 
 
@@ -236,7 +240,9 @@ def check_composable(p: Process, q: Process) -> Process:
 def compose(p: Process, q: Process) -> Process:
     """Run p, then q.  The kernel of the composite is the matrix product."""
     check_composable(p, q)
-    return Process(p.source, q.target, p.kernel @ q.kernel, _check=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        kernel = _finite(p.kernel @ q.kernel, "composite kernel")
+    return Process(p.source, q.target, kernel, _check=False)
 
 
 @dataclass(frozen=True)

@@ -32,9 +32,8 @@ def vec(a: np.ndarray) -> np.ndarray:
     return np.asarray(a).flatten(order="F")
 
 
-def unvec(v: np.ndarray, rows: int, cols: int | None = None) -> np.ndarray:
-    cols = rows if cols is None else cols
-    return np.asarray(v).reshape((rows, cols), order="F")
+def unvec(v: np.ndarray, rows: int) -> np.ndarray:
+    return np.asarray(v).reshape((rows, rows), order="F")
 
 
 def hermitize(a: np.ndarray, what: str = "operator") -> np.ndarray:

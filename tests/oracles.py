@@ -185,6 +185,35 @@ def cell_stats_by_loop(p, part_a, part_b) -> dict:
     return out
 
 
+def equilibrium_by_loop(p, part_a, part_b):
+    """``pricekit.environmental_equilibrium`` one cell at a time.
+
+    In each cell (A, B) the parents of A whose flow share W_iB mu_i of the
+    child mass n * wbar clears EPS_ZERO, and whose relative fitness is
+    positive, carry the dispersion coefficient W_iB / W_i; the cell is a
+    witness when these spread by more than EPS_SAT (relative above 1).
+    """
+    from pricekit import fitness
+    from pricekit.config import EPS_SAT, EPS_ZERO
+
+    fd = fitness(p)
+    n_child = p.source.size * fd.wbar
+    src_idx = {c: k for k, c in enumerate(p.source.types.labels)}
+    tgt_idx = {c: k for k, c in enumerate(p.target.types.labels)}
+    witnesses = []
+    for block_a in part_a.blocks:
+        for block_b in part_b.blocks:
+            d = []
+            for i in (src_idx[c] for c in block_a):
+                w_ib = sum(p.kernel[i, tgt_idx[c]] for c in block_b)
+                if w_ib * p.source.weights[i] / n_child > EPS_ZERO and fd.u[i] > 0:
+                    d.append(w_ib / fd.W.values[i])
+            if d and max(d) - min(d) > EPS_SAT * max(1.0, max(d)):
+                witnesses.append({"cell": (block_a, block_b), "d_min": float(min(d)),
+                                  "d_max": float(max(d))})
+    return not witnesses, witnesses
+
+
 def aggregate_price_compact(p, x, y) -> float:
     """The aggregate change mu'[y] - mu[x] via the single integrand
     x (W - 1) + (local change) W, the compact route next to the three terms
@@ -292,10 +321,10 @@ def intergenerational_by_profiles(p, q):
     fd = fitness(p)
     ns = float(prof.cells.cov_ec.sum())
     price_route = (prof_next.s_ec - prof.s_ec) - ns
-    u_bar, live = prof.cells.u_bar, prof.cells.support
+    u_bar, live = prof.cells.u_bar, prof.cells.p_tilde > 0
     log_ubar = np.log(u_bar, out=np.zeros_like(u_bar), where=live)
     alpha = np.where(live, fd.u[:, None] * u_bar, 0.0) / fd.moment(2)
-    next_cells = prof_next.cells.u_bar[prof_next.cells.support]
+    next_cells = prof_next.cells.u_bar[prof_next.cells.p_tilde > 0]
     formula = (alpha.sum() * np.sum(-xlogx(next_cells))
                + next_cells.sum() * np.sum(alpha * log_ubar))
     return IntergenerationalChange(

@@ -7,6 +7,7 @@ formula route, each relative once the values leave the unit scale
 block-product factorization.
 """
 
+import dataclasses
 import itertools
 import json
 
@@ -167,10 +168,25 @@ def test_projection_cells_match_classical_cells():
                                   [np.diag(row) for row in np.eye(k2)])
         classical = cell_arrays(p, Partition.singletons(p.source.types),
                                 Partition.singletons(p.target.types))
-        assert res.profile.cells.support is None
         for name in CELL_FIELDS:
             got, want = getattr(res.profile.cells, name), getattr(classical, name)
             assert np.all(np.abs(got - want) <= EPS_REL * np.maximum(1.0, np.abs(want))), name
+
+
+def test_every_cell_field_is_a_cell_array():
+    """Besides its keys, CellArrays holds only (source cell, target cell)
+    arrays: every field is (nA, nB) for singleton, block and projection cells."""
+    rng = np.random.default_rng(306)
+    names = [f.name for f in dataclasses.fields(CellArrays) if f.name not in ("keys_a", "keys_b")]
+    for p in edge_processes(rng):
+        singles = (Partition.singletons(p.source.types), Partition.singletons(p.target.types))
+        blocks = (random_partition(rng, p.source.types), random_partition(rng, p.target.types))
+        for part_a, part_b in (singles, blocks):
+            shape = (len(part_a.blocks), len(part_b.blocks))
+            projected = q_partition_entropy(embed_process(p), block_projections(part_a),
+                                            block_projections(part_b)).profile.cells
+            for cells in (cell_arrays(p, part_a, part_b), projected):
+                assert [np.shape(getattr(cells, name)) for name in names] == [shape] * len(names)
 
 
 def test_embed_process_matches_kron_sum():

@@ -315,6 +315,13 @@ NON_FINITE_INPUTS = [
                   "kernel": [[1e10, 1e10], [1e10, 0]]}, ["simulate", "--generations", "64"],
                  None, "generation 31 weights overflow: got inf at [0]",
                  id="simulated-generation-overflow"),
+    # U_i = W_i / wbar reaches N / mu_i: a subnormal parent weight overflows it
+    pytest.param({"types": ["a", "b"], "weights": [1e-310, 1], "kernel": [[1.0], [0.0]]},
+                 ["report"], None, "relative fitness W/wbar overflow: got inf at [0]",
+                 id="relative-fitness-overflow"),
+    pytest.param({"types": ["a", "b"], "weights": [1e308, 1], "kernel": [[1, 0], [0.5, 0]],
+                  "open": {"orphan_weights": [1e308, 0]}}, ["report", "--kgs"], None,
+                 "full child weights overflow: got inf at [0]", id="full-child-weights-overflow"),
 ]
 
 
@@ -348,6 +355,15 @@ def test_rejected_input_exits_two(tmp_path, monkeypatch, capsys, doc, argv, tole
 def test_non_finite_input_exits_one(tmp_path, monkeypatch, capsys, doc, argv, tolerance, message):
     assert _exit_and_error(tmp_path, monkeypatch, capsys, doc, argv, tolerance) == (
         1, f"error: {message}\n")
+
+
+def test_overflowing_composite_kernel_exits_one(tmp_path, capsys):
+    """Each kernel and both populations are finite; their product is named."""
+    first, follow = tmp_path / "p.json", tmp_path / "q.json"
+    first.write_text(json.dumps({"types": ["a"], "weights": [1e-200], "kernel": [[1e200]]}))
+    follow.write_text(json.dumps({"types": ["c0"], "weights": [1.0], "kernel": [[1e200]]}))
+    assert main(["report", str(first), "--next", str(follow)]) == 1
+    assert capsys.readouterr().err == "error: composite kernel overflow: got inf at [0, 0]\n"
 
 
 SAMPLE = json.loads((Path(__file__).parents[1] / "demos" / "sample_process.json").read_text())

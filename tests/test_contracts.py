@@ -114,3 +114,46 @@ def test_readme_names_resolve():
         if not (isinstance(cls, type) and (hasattr(cls, attr) or attr in fields)):
             unresolved.append(f"{cls_name}.{attr}")
     assert unresolved == []
+
+
+def test_every_default_is_set_somewhere():
+    """A defaulted parameter of a package function is passed, by keyword or by
+    position, by some call in src/, tests/, demos/ or perfbench/; one that no
+    call sets is a constant posing as an option.  A call matches on the
+    function's name (its class's name for ``__init__``), and a ``*args`` or
+    ``**kwargs`` splat passes every parameter."""
+    calls = [node for top in ("src", "tests", "demos", "perfbench")
+             for path in sorted((ROOT / top).rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Call)]
+    by_name: dict = {}
+    for call in calls:
+        func = call.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        by_name.setdefault(name, []).append(call)
+
+    def passes(call, param, index):
+        args, keys = call.args, {k.arg for k in call.keywords}
+        return (param in keys or None in keys or len(args) > index
+                or any(isinstance(a, ast.Starred) for a in args))
+
+    unset = []
+    for path in sorted((ROOT / "src" / "pricekit").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {id(f): cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 for f in cls.body}
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            cls = owner.get(id(func))
+            static = any(getattr(d, "id", None) == "staticmethod" for d in func.decorator_list)
+            skip = 1 if cls is not None and not static else 0
+            name = cls.name if cls is not None and func.name == "__init__" else func.name
+            positional = func.args.posonlyargs + func.args.args
+            defaulted = [(a.arg, positional.index(a) - skip)
+                         for a in positional[len(positional) - len(func.args.defaults):]]
+            defaulted += [(a.arg, float("inf")) for a, d in
+                          zip(func.args.kwonlyargs, func.args.kw_defaults) if d is not None]
+            unset += [f"{path.name}:{func.lineno}: {func.name}({param}=)"
+                      for param, index in defaulted
+                      if not any(passes(c, param, index) for c in by_name.get(name, []))]
+    assert unset == []

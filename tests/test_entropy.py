@@ -39,6 +39,7 @@ from conftest import (
     random_process,
 )
 from oracles import (
+    equilibrium_by_loop,
     intergenerational_by_profiles,
     ks_entropy_curve_by_horizon,
     path_entropy_by_enumeration,
@@ -294,6 +295,62 @@ class TestEnvironmentalEquilibrium:
         ok, witnesses = environmental_equilibrium(p, part_a, part_b)
         assert not ok and len(witnesses) == 2
 
+    def test_reads_no_cell_statistics(self, monkeypatch):
+        """Only each parent's dispersion is read; the twelve cell statistics
+        are never built."""
+        def refuse(*args):
+            raise AssertionError("cell_arrays called")
+
+        monkeypatch.setattr(importlib.import_module("pricekit.entropy"), "cell_arrays", refuse)
+        p = process(Population(TypeSet(["a", "b"]), [1, 1]), [[0.9, 0.1], [0.5, 0.5]])
+        ok, witnesses = environmental_equilibrium(p, Partition(p.source.types, [("a", "b")]),
+                                                  Partition.singletons(p.target.types))
+        assert not ok and len(witnesses) == 2
+        assert environmental_equilibrium(p) == (True, [])
+
+    @staticmethod
+    def equilibrium_inputs(rng):
+        """Processes on K, K' <= 3 types: random kernels with a childless row,
+        at parent weights x 10^{0, +-60}, and kernels whose row 0 sends a flow
+        share of 0.5, 1 and 2 x EPS_ZERO to child 0 and the rest to child 1."""
+        for k, k2 in itertools.product((1, 2, 3), repeat=2):
+            for s in (0, -60, 60):
+                kernel = rng.uniform(0.05, 2.0, (k, k2)) * (rng.random((k, k2)) < 0.8)
+                if k > 1:
+                    kernel[int(rng.integers(k))] = 0.0
+                if not kernel.any():
+                    kernel[-1, 0] = 1.0
+                weights = rng.uniform(0.1, 2.0, k) * 10.0**s
+                yield process(Population(TypeSet.range(k), weights), kernel)
+            for factor in (0.5, 1.0, 2.0) if k2 > 1 else ():
+                weights = rng.uniform(0.1, 2.0, k)
+                kernel = rng.uniform(0.05, 2.0, (k, k2))
+                kernel[0] = 0.0
+                kernel[0, 1] = 1.0
+                share = factor * EPS_ZERO     # t mu_0 = share * (mu_0 + mu.W) solves for t
+                kernel[0, 0] = share * (weights @ kernel.sum(axis=1)) / (weights[0] * (1 - share))
+                yield process(Population(TypeSet.range(k), weights), kernel)
+
+    def test_matches_loop_on_every_pair_of_set_partitions(self):
+        """Verdict and witness cells exactly, d_min and d_max to 1e-12 relative."""
+        rng = np.random.default_rng(58)
+        cases = failing = 0
+        for p in self.equilibrium_inputs(rng):
+            for blocks_a, blocks_b in itertools.product(set_partitions(p.source.types.labels),
+                                                        set_partitions(p.target.types.labels)):
+                part_a = Partition(p.source.types, blocks_a)
+                part_b = Partition(p.target.types, blocks_b)
+                ok, got = environmental_equilibrium(p, part_a, part_b)
+                want_ok, want = equilibrium_by_loop(p, part_a, part_b)
+                assert ok == want_ok
+                assert [w["cell"] for w in got] == [w["cell"] for w in want]
+                for g, w in zip(got, want):
+                    for key in ("d_min", "d_max"):
+                        assert abs(g[key] - w[key]) <= 1e-12 * abs(w[key]), (g, w)
+                cases += 1
+                failing += not ok
+        assert cases > 300 and failing > 50
+
 
 class TestDispersionMixingBounds:
     def test_bernoulli_dispersion_saturation(self):
@@ -546,7 +603,7 @@ class TestReversibility:
         image = np.array([1.0, 1.0 + k])
         p = Process(Population(TypeSet(["a", "b"]), [1, 1]),
                     Population(TypeSet(["c0", "c1"]), image + 0.9e-9), [[1.0, k], [0.0, 1.0]])
-        support = generating_profile(p).cells.support
+        support = generating_profile(p).cells.p_tilde > 0
         np.testing.assert_array_equal(support, flow_cells(p) > 0)
         assert support[0, 1] == (factor > 1)
 

@@ -356,7 +356,7 @@ class TestStationarity:
         share k / (1 + k) of the old rule crossed it at k = 1.5e-12."""
         p = process(Population(TypeSet(["a", "b"]), [1, 1]), [[1.0, k], [0.0, 1.0]])
         q = process(p.target, [[1.0], [3.0]])
-        assert not generating_profile(p).cells.support[0, 1]
+        assert not generating_profile(p).cells.p_tilde[0, 1] > 0
         assert stationarity(p, q).locally_constant
 
     def test_strong_implies_weak_and_homogeneous(self):

@@ -20,6 +20,7 @@ from pricekit import (
     QuantumProcess,
     TypeSet,
     cell_arrays,
+    compose,
     fitness,
     kgs,
     kraus_to_super,
@@ -103,6 +104,12 @@ LIBRARY_REJECTIONS = [
     # a row sum overflows on a parent of weight 0: mu.W is 0 * inf
     pytest.param(lambda: fitness(process(Population(AB, [0, 1]), [[1e308, 1e308], [1, 1]])),
                  "child mass mu.W overflows: nan", id="child-mass-overflow"),
+    # U_i = W_i / wbar reaches N / mu_i: a subnormal parent weight overflows it
+    pytest.param(lambda: fitness(process(Population(AB, [1e-310, 1]), [[1.0], [0.0]])),
+                 r"relative fitness W/wbar overflow: got inf at \[0\]", id="relative-fitness-overflow"),
+    pytest.param(lambda: compose(process(Population(TypeSet(["a"]), [1e-200]), [[1e200]]),
+                                 process(Population(TypeSet(["c0"]), [1.0]), [[1e200]])),
+                 r"composite kernel overflow: got inf at \[0, 0\]", id="composite-kernel-overflow"),
     # process and Price; the kernel is checked before a target is derived from it
     pytest.param(lambda: process(Population(AB, [1, 2]), [[1.0, float("nan")], [0.5, 0.0]]),
                  r"kernel entries must be finite, got nan at \[0, 1\]", id="process-kernel-nan"),
@@ -135,11 +142,17 @@ LIBRARY_REJECTIONS = [
                  "full target must share the child type set", id="open-process-types"),
     pytest.param(lambda: open_process(Population(AB, [1, 2]), [[1], [1]], [-0.5]),
                  "orphan weights must be nonnegative", id="negative-orphans"),
-    # the kernel and orphans are checked before the parented children are formed
+    # the kernel is checked before the parented children are formed, the
+    # orphans before they are added to them
     pytest.param(lambda: open_process(Population(AB, [1, 2]), [[float("nan")], [1]], [0.5]),
                  r"kernel entries must be finite, got nan at \[0, 0\]", id="open-kernel-nan"),
     pytest.param(lambda: open_process(Population(AB, [1, 2]), [[1], [1]], [float("nan")]),
                  r"orphan weights must be finite, got nan at \[0\]", id="orphans-nan"),
+    pytest.param(lambda: open_process(Population(AB, [1, 1]), [[1, 0, 0.5], [0, 1, 0]], [0.5]),
+                 r"orphan weights must be one per child type, got shape \(1,\)",
+                 id="orphans-short"),
+    pytest.param(lambda: open_process(Population(AB, [1, 1]), [[1e308], [1]], [1e308]),
+                 r"full child weights overflow: got inf at \[0\]", id="full-child-weights-overflow"),
     pytest.param(lambda: kgs(open_process(Population(AB, [1, 2]), [[1e-20], [0]], [1.0]),
                              on(AB), on(TypeSet(["c0"]))),
                  "all children are orphans", id="kgs-all-orphans"),
