@@ -37,9 +37,11 @@ from .price import price
 from .process import (
     Process,
     _kernel_image,
+    check_composable,
     classify_purity,
     fitness,
     price_factorize,
+    process,
     validate,
 )
 from .quantum import (
@@ -107,10 +109,9 @@ def build_unchecked(doc: dict) -> Process:
         t_types = TypeSet.range(kernel.shape[1], prefix="c")
     if kernel.shape[1] != len(t_types):
         raise InputError("kernel must have one column per target type")
-    if "target_weights" in doc:
-        target = Population(t_types, _field(doc, "target_weights", list))
-    else:
-        target = Population(t_types, _kernel_image(kernel, source.weights))
+    if "target_weights" not in doc:
+        return process(source, kernel, t_types)
+    target = Population(t_types, _field(doc, "target_weights", list))
     return Process(source, target, kernel, _check=False)
 
 
@@ -269,7 +270,8 @@ def cmd_report(args) -> int:
     fd = fitness(p)
     on_source, on_target = _observables(doc, p)
 
-    q = _load_valid(args.next)[1] if args.next else None
+    # q read on p's exact target once, so every pair function gets q itself
+    q = check_composable(p, _load_valid(args.next)[1]) if args.next else None
     factors = price_factorize(p)
     report = {
         "schema_version": SCHEMA_VERSION,

@@ -12,9 +12,9 @@ from functools import cached_property
 import numpy as np
 
 from .config import EPS_REL, EPS_ZERO
-from .measure import Observable, Population, TypeSet, covariance, expectation, finite_array
+from .measure import Observable, Population, covariance, expectation, finite_array
 from .price import price
-from .process import Process, _finite, _kernel_image
+from .process import Process, _finite, process
 
 
 @dataclass(frozen=True)
@@ -66,12 +66,9 @@ def _full_weights(parented: np.ndarray, orphan_weights) -> np.ndarray:
 
 def open_process(source: Population, kernel, orphan_weights) -> OpenProcess:
     """Build an open process from a kernel image plus an orphan increment."""
-    kernel = finite_array(kernel, "kernel entries")
-    parented = _kernel_image(kernel, source.weights)
-    full = _full_weights(parented, orphan_weights)
-    child_types = TypeSet.range(kernel.shape[1], prefix="c")
-    closed = Process(source, Population(child_types, parented), kernel, _check=False)
-    return OpenProcess(closed, Population(child_types, full))
+    closed = process(source, kernel)
+    full = _full_weights(closed.target.weights, orphan_weights)
+    return OpenProcess(closed, Population(closed.target.types, full))
 
 
 @dataclass(frozen=True)

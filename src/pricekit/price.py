@@ -16,7 +16,6 @@ from .measure import Observable, covariance, expectation, variance
 from .process import (
     Process,
     check_composable,
-    compose,
     fitness,
     local_average,
     local_change,
@@ -141,12 +140,9 @@ def multilevel_price(p: Process, q: Process, y: Observable, z: Observable) -> Mu
 
 
 def multilevel_variance(p: Process, q: Process) -> tuple[float, float]:
-    """var'(U') split into the variance of composed fitness plus the mean
-    per-parent conditional variance."""
+    """var'(U') split into the variance of the composed relative fitness U2 = U <U'>,
+    read from p's broods, plus the mean per-parent conditional variance."""
     q = check_composable(p, q)
-    u2 = fitness(compose(p, q)).U
-    var_u2 = variance(p.source, u2)
     u_next = fitness(q).U
-    cond_var = _conditional_cov(p, u_next, u_next)
-    mean_cond = expectation(p.source, cond_var)
-    return var_u2, mean_cond
+    return (variance(p.source, _conditional_mean(p, u_next)),
+            expectation(p.source, _conditional_cov(p, u_next, u_next)))

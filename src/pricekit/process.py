@@ -167,11 +167,14 @@ def _kernel_image(kernel, weights, what: str = "derived target weights") -> np.n
         return _finite(kernel.T @ weights, what)
 
 
-def process(source: Population, kernel) -> Process:
-    """Build a process whose target is the kernel image of the source."""
+def process(source: Population, kernel, target_types: TypeSet | None = None) -> Process:
+    """The process whose target is the kernel image of the source, on
+    ``target_types`` (c0, c1, ... by default)."""
     k = finite_array(kernel, "kernel entries")
-    target = Population(TypeSet.range(k.shape[1], prefix="c"), _kernel_image(k, source.weights))
-    return Process(source, target, k)
+    if k.ndim != 2 or k.shape[0] != len(source.types):
+        raise ValueError(f"kernel must be a matrix with one row per source type, got {k.shape}")
+    types = TypeSet.range(k.shape[1], prefix="c") if target_types is None else target_types
+    return Process(source, Population(types, _kernel_image(k, source.weights)), k, _check=False)
 
 
 def fitness(p) -> FitnessData:

@@ -56,7 +56,7 @@ def _square_hermitian(matrix, what: str) -> np.ndarray:
 
 def _herm_part(a: np.ndarray) -> np.ndarray:
     """(A + A-dagger) / 2 of a matrix or of each matrix in a stack."""
-    return 0.5 * (a + a.conj().swapaxes(-1, -2))
+    return 0.5 * a + 0.5 * a.conj().swapaxes(-1, -2)     # halved first: A + A-dagger may overflow
 
 
 def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -92,12 +92,17 @@ class DensityOperator:
     def __init__(self, matrix):
         m = _square_hermitian(matrix, "density operator")
         vals, vecs = np.linalg.eigh(m)
+        kept = np.clip(vals, 0.0, None)
+        with np.errstate(over="ignore"):
+            trace = kept.sum()
+        if not np.isfinite(trace):  # NaN too: no comparison below would fail on it
+            raise ValueError(f"density operator trace overflows: the eigenvalues sum to {trace}")
         scale = max(float(vals.max()), EPS_ZERO)
         if vals.min() < -EPS_OP * max(scale, 1.0):
             raise ValueError(f"density operator has eigenvalue {vals.min():.3e}")
-        m = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
-        if np.real(np.trace(m)) <= 0:
+        if trace <= 0:
             raise ValueError("density operator needs positive trace")
+        m = (vecs * kept) @ vecs.conj().T
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 

@@ -319,6 +319,11 @@ NON_FINITE_INPUTS = [
     pytest.param({"types": ["a", "b"], "weights": [1e-310, 1], "kernel": [[1.0], [0.0]]},
                  ["report"], None, "relative fitness W/wbar overflow: got inf at [0]",
                  id="relative-fitness-overflow"),
+    pytest.param(dict(F5_DOC, quantum={"rho": [[1e308, 1e308], [1e308, 1e308]],
+                                       "kraus": [[[1, 0], [0, 1]]]}),
+                 ["report", "--quantum"], None,
+                 "density operator trace overflows: the eigenvalues sum to inf",
+                 id="density-trace-overflow"),
     pytest.param({"types": ["a", "b"], "weights": [1e308, 1], "kernel": [[1, 0], [0.5, 0]],
                   "open": {"orphan_weights": [1e308, 0]}}, ["report", "--kgs"], None,
                  "full child weights overflow: got inf at [0]", id="full-child-weights-overflow"),
@@ -357,13 +362,17 @@ def test_non_finite_input_exits_one(tmp_path, monkeypatch, capsys, doc, argv, to
         1, f"error: {message}\n")
 
 
-def test_overflowing_composite_kernel_exits_one(tmp_path, capsys):
-    """Each kernel and both populations are finite; their product is named."""
+def test_report_forms_no_composite_kernel(tmp_path, capsys):
+    """Each kernel and both populations are finite, and so is every reported
+    quantity; their kernel product (1e400) is not, but the report reads the
+    composed fitness from p's broods and never forms it."""
     first, follow = tmp_path / "p.json", tmp_path / "q.json"
     first.write_text(json.dumps({"types": ["a"], "weights": [1e-200], "kernel": [[1e200]]}))
     follow.write_text(json.dumps({"types": ["c0"], "weights": [1.0], "kernel": [[1e200]]}))
-    assert main(["report", str(first), "--next", str(follow)]) == 1
-    assert capsys.readouterr().err == "error: composite kernel overflow: got inf at [0, 0]\n"
+    assert main(["report", str(first), "--next", str(follow)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["laws"]["multilevel_second_law"]["extras"]["var_composed"] == 0.0
+    assert all(report["stationarity"].values())
 
 
 SAMPLE = json.loads((Path(__file__).parents[1] / "demos" / "sample_process.json").read_text())

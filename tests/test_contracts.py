@@ -57,6 +57,25 @@ def test_law_reports_are_built_only_by_the_law_modules():
     assert found == []
 
 
+def test_kernel_images_are_formed_only_by_process():
+    """``process`` forms every kernel-image child population (``validate``
+    forms one to compare with the stated target, ``simulate`` one per
+    generation), and nothing in the package calls ``compose``: each derived
+    process is built once, in one place.  A call is named by its module and
+    the top-level function or class (or the line of the statement) holding it."""
+    def callers(callee):
+        return sorted(f"{path.name}:{getattr(top, 'name', top.lineno)}"
+                      for path in sorted((ROOT / "src" / "pricekit").glob("*.py"))
+                      for top in ast.parse(path.read_text()).body
+                      for node in ast.walk(top) if isinstance(node, ast.Call)
+                      and callee in (getattr(node.func, "id", None),
+                                     getattr(node.func, "attr", None)))
+
+    assert callers("_kernel_image") == ["cli.py:cmd_simulate", "process.py:process",
+                                        "process.py:validate"]
+    assert callers("compose") == []
+
+
 def test_no_imports_inside_functions():
     """An import inside a function hides a dependency (or an import cycle)
     until the function runs; every module imports at its top."""

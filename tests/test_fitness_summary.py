@@ -129,6 +129,28 @@ def test_report_computes_fitness_once_per_process(tmp_path, monkeypatch):
     assert fitness_decompositions(quantum[0], seen) == 1
 
 
+def test_report_next_builds_one_fitness_record_for_q(tmp_path, monkeypatch):
+    """q's weights are 1 ulp off p's target: the report reads q on p's target
+    once, and every pair function reads that process and its one record."""
+    doc = {"types": ["a", "b"], "weights": [1.0, 2.0], "kernel": [[1.0, 1.0], [0.5, 0.0]]}
+    target = np.array(doc["kernel"]).T @ doc["weights"]
+    nxt = {"types": ["c0", "c1"], "weights": list(np.nextafter(target, np.inf)),
+           "kernel": [[0.5, 1.5], [1.0, 0.0]]}
+    path, path_next = tmp_path / "p.json", tmp_path / "q.json"
+    path.write_text(json.dumps(doc))
+    path_next.write_text(json.dumps(nxt))
+    records = []
+    build = Process.__dict__["fitness_data"].func
+    prop = functools.cached_property(lambda self: records.append(self) or build(self))
+    prop.__set_name__(Process, "fitness_data")
+    monkeypatch.setattr(Process, "fitness_data", prop)
+    assert main(["report", str(path), "--next", str(path_next), "--json",
+                 str(tmp_path / "out.json")]) == 0
+    on_q_source = [r for r in records if r.source.types == TypeSet(nxt["types"])]
+    assert len(on_q_source) == 1
+    assert list(on_q_source[0].source.weights) == list(target)
+
+
 def test_quantum_functions_share_one_decomposition(monkeypatch):
     rng = np.random.default_rng(401)
     p = random_process(rng, kmax=4, kmin=3)

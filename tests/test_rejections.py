@@ -38,6 +38,7 @@ from pricekit import (
 from pricekit.config import IdentityViolation
 from pricekit.quantum import hermitize, vec
 
+A = TypeSet(["a"])
 AB = TypeSet(["a", "b"])
 XYZ = TypeSet(["x", "y", "z"])
 
@@ -110,6 +111,25 @@ LIBRARY_REJECTIONS = [
     pytest.param(lambda: compose(process(Population(TypeSet(["a"]), [1e-200]), [[1e200]]),
                                  process(Population(TypeSet(["c0"]), [1.0]), [[1e200]])),
                  r"composite kernel overflow: got inf at \[0, 0\]", id="composite-kernel-overflow"),
+    # the kernel's shape is checked before either builder reads its columns
+    pytest.param(lambda: process(Population(A, [1]), [1.0]),
+                 r"kernel must be a matrix with one row per source type, got \(1,\)",
+                 id="process-kernel-vector"),
+    pytest.param(lambda: process(Population(A, [1]), [[1.0], [2.0]]),
+                 r"kernel must be a matrix with one row per source type, got \(2, 1\)",
+                 id="process-kernel-rows"),
+    pytest.param(lambda: process(Population(A, [1]), [[[1.0]]]),
+                 r"kernel must be a matrix with one row per source type, got \(1, 1, 1\)",
+                 id="process-kernel-stack"),
+    pytest.param(lambda: open_process(Population(A, [1]), [1.0], [0.0]),
+                 r"kernel must be a matrix with one row per source type, got \(1,\)",
+                 id="open-kernel-vector"),
+    pytest.param(lambda: open_process(Population(A, [1]), [[1.0], [2.0]], [0.0]),
+                 r"kernel must be a matrix with one row per source type, got \(2, 1\)",
+                 id="open-kernel-rows"),
+    pytest.param(lambda: open_process(Population(A, [1]), [[[1.0]]], [0.0]),
+                 r"kernel must be a matrix with one row per source type, got \(1, 1, 1\)",
+                 id="open-kernel-stack"),
     # process and Price; the kernel is checked before a target is derived from it
     pytest.param(lambda: process(Population(AB, [1, 2]), [[1.0, float("nan")], [0.5, 0.0]]),
                  r"kernel entries must be finite, got nan at \[0, 1\]", id="process-kernel-nan"),
@@ -163,6 +183,13 @@ LIBRARY_REJECTIONS = [
                  "density operator has eigenvalue", id="density-negative"),
     pytest.param(lambda: DensityOperator(np.zeros((2, 2))),
                  "density operator needs positive trace", id="density-zero-trace"),
+    # finite states whose trace overflows; A + A-dagger of the first would too
+    pytest.param(lambda: DensityOperator([[1e308, 1e308], [1e308, 1e308]]),
+                 "density operator trace overflows: the eigenvalues sum to inf",
+                 id="density-trace-overflow"),
+    pytest.param(lambda: DensityOperator([[1e308, 0], [0, 1e308]]),
+                 "density operator trace overflows: the eigenvalues sum to inf",
+                 id="density-diagonal-trace-overflow"),
     pytest.param(lambda: DensityOperator([[1.0, 0.0], [0.0, float("nan")]]),
                  r"density operator entries must be finite, got \(nan\+0j\) at \[1, 1\]",
                  id="density-nan"),
