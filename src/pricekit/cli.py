@@ -306,7 +306,8 @@ def cmd_report(args) -> int:
     if q is not None:
         report["stationarity"] = dataclasses.asdict(stationarity(p, q))
 
-    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    # One line: without indent, json.dumps takes the C encoder
+    text = json.dumps(report, sort_keys=True, allow_nan=False)
     if args.json:
         with open(args.json, "w") as fh:
             fh.write(text + "\n")

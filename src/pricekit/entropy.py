@@ -472,12 +472,8 @@ def reversibility(p: Process) -> ReversibilityVerdict:
     dis_obstruction = float(np.sum(flow[pos] * np.log(rowm[ii] / flow[pos])))
     mix_obstruction = float(np.sum(flow[pos] * np.log(colm[jj] / flow[pos])))
 
-    factors = price_factorize(p)
-    mid = factors.environmental.source
-    env_kernel = factors.environmental.kernel
     fd = fitness(p)
     support_rows = np.nonzero(fd.support)[0]
-    n_mid = len(mid.types)
     k_child = len(p.target.types)
 
     # A side is invertible when its obstruction is within EPS_SAT and the
@@ -487,37 +483,43 @@ def reversibility(p: Process) -> ReversibilityVerdict:
     retraction = None
     section = None
     inverse = None
-    if mix_obstruction <= EPS_SAT:
-        # Each child goes to its lowest-index maximal parent; a zero-mass
-        # child has argmax 0, and column 0 carries no mass for it.
-        r = np.zeros((k_child, n_mid))
-        r[np.arange(k_child), np.searchsorted(support_rows, flow.argmax(axis=0))] = 1.0
-        composite = env_kernel @ r
-        live = mid.weights > 0
-        gap = composite[live][:, live] - np.eye(n_mid)[live][:, live]
-        if np.max(np.abs(gap)) <= EPS_INVERSE:
-            retraction = Process(p.target, mid, r, _check=False)
-    if dis_obstruction <= EPS_SAT:
-        # Parents with exactly one child pull back onto it.
-        fed = flow[support_rows] > 0
-        rows = np.nonzero(fed.sum(axis=1) == 1)[0]
-        only = fed[rows].argmax(axis=1)
-        s = np.zeros((k_child, n_mid))
-        s[only, rows] = mid.weights[rows] / p.target.weights[only]
-        composite = s @ env_kernel
-        live_child = p.target.weights > 0
-        eye = np.eye(k_child)
-        gap = composite[live_child][:, live_child] - eye[live_child][:, live_child]
-        if np.max(np.abs(gap)) <= EPS_INVERSE:
-            section = Process(p.target, mid, s, _check=False)
+    if min(mix_obstruction, dis_obstruction) <= EPS_SAT:
+        # Only an inverse reads the redistribution stage.
+        factors = price_factorize(p)
+        mid = factors.environmental.source
+        env_kernel = factors.environmental.kernel
+        n_mid = len(mid.types)
+        if mix_obstruction <= EPS_SAT:
+            # Each child goes to its lowest-index maximal parent; a zero-mass
+            # child has argmax 0, and column 0 carries no mass for it.
+            r = np.zeros((k_child, n_mid))
+            r[np.arange(k_child), np.searchsorted(support_rows, flow.argmax(axis=0))] = 1.0
+            composite = env_kernel @ r
+            live = mid.weights > 0
+            gap = composite[live][:, live] - np.eye(n_mid)[live][:, live]
+            if np.max(np.abs(gap)) <= EPS_INVERSE:
+                retraction = Process(p.target, mid, r, _check=False)
+        if dis_obstruction <= EPS_SAT:
+            # Parents with exactly one child pull back onto it.
+            fed = flow[support_rows] > 0
+            rows = np.nonzero(fed.sum(axis=1) == 1)[0]
+            only = fed[rows].argmax(axis=1)
+            s = np.zeros((k_child, n_mid))
+            s[only, rows] = mid.weights[rows] / p.target.weights[only]
+            composite = s @ env_kernel
+            live_child = p.target.weights > 0
+            eye = np.eye(k_child)
+            gap = composite[live_child][:, live_child] - eye[live_child][:, live_child]
+            if np.max(np.abs(gap)) <= EPS_INVERSE:
+                section = Process(p.target, mid, s, _check=False)
+        if retraction is not None and section is not None:
+            w_support = fd.W.values[support_rows]
+            inv_kernel = retraction.kernel / w_support[None, :]
+            restricted = Population(mid.types, p.source.weights[support_rows])
+            inverse = Process(p.target, restricted, inv_kernel, _check=False)
     left = retraction is not None
     right = section is not None
-    invertible = left and right
-    if invertible:
-        w_support = fd.W.values[support_rows]
-        inv_kernel = retraction.kernel / w_support[None, :]
-        restricted = Population(mid.types, p.source.weights[support_rows])
-        inverse = Process(p.target, restricted, inv_kernel, _check=False)
+    invertible = inverse is not None
 
     return ReversibilityVerdict(
         left_invertible=left,

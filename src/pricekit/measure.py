@@ -77,10 +77,12 @@ class Population:
             raise ValueError("total population size must be positive")
         object.__setattr__(self, "types", types)
         object.__setattr__(self, "weights", w)
+        # Not a field, so repr and == are unchanged; the weights are read-only.
+        object.__setattr__(self, "_size", float(size))
 
     @property
     def size(self) -> float:
-        return float(self.weights.sum())
+        return self._size
 
 
 @dataclass(frozen=True)

@@ -144,5 +144,8 @@ def multilevel_variance(p: Process, q: Process) -> tuple[float, float]:
     read from p's broods, plus the mean per-parent conditional variance."""
     q = check_composable(p, q)
     u_next = fitness(q).U
-    return (variance(p.source, _conditional_mean(p, u_next)),
-            expectation(p.source, _conditional_cov(p, u_next, u_next)))
+    m_u = _conditional_mean(p, u_next)
+    m_uu = _conditional_mean(p, Observable(p.target.types, u_next.values * u_next.values))
+    # _conditional_cov(p, U', U') with the one average of U' reused
+    cond_var = Observable(p.source.types, m_uu.values - m_u.values * m_u.values)
+    return variance(p.source, m_u), expectation(p.source, cond_var)

@@ -281,7 +281,7 @@ def price_factorize(p: Process) -> Factorization:
     return Factorization(
         selective=selective,
         environmental=environmental,
-        dropped_types=tuple(labels[~support]),
+        dropped_types=tuple(map(str, labels[~support])),
     )
 
 

@@ -550,6 +550,26 @@ class TestReport:
         again = json.loads(json.dumps(report))
         assert again == report
 
+    def test_stdout_and_json_file_get_the_same_bytes(self, tmp_path, capsys):
+        doc = tmp_path / "sample.json"
+        doc.write_text(json.dumps(SAMPLE))
+        out_path = tmp_path / "report.json"
+        assert main(["report", str(doc), "--json", str(out_path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(["report", str(doc)]) == 0
+        assert capsys.readouterr().out.encode() == out_path.read_bytes()
+
+    def test_report_is_one_line_of_strict_json(self, tmp_path, capsys):
+        """One line plus a newline, in json.dumps's compact form: re-encoding
+        the parsed document gives back every byte."""
+        doc = tmp_path / "sample.json"
+        doc.write_text(json.dumps(SAMPLE))
+        assert main(["report", str(doc)]) == 0
+        text = capsys.readouterr().out
+        assert text.endswith("}\n") and text.count("\n") == 1
+        report = json.loads(text, parse_constant=_reject_constant)
+        assert json.dumps(report, sort_keys=True) + "\n" == text
+
     def test_flag_selects_sections(self, f5_file, capsys):
         assert main(["report", f5_file, "--laws"]) == 0
         report = json.loads(capsys.readouterr().out)

@@ -572,6 +572,19 @@ class TestReversibility:
         recovered = v.inverse.kernel.T @ p.target.weights
         np.testing.assert_allclose(recovered, pop.weights, rtol=1e-12)
 
+    def test_dense_kernel_forms_no_factorization(self, monkeypatch):
+        """Both obstructions are positive, so no inverse is built and the
+        redistribution stage is never formed."""
+        def refuse(p):
+            raise AssertionError("price_factorize called")
+
+        monkeypatch.setattr(importlib.import_module("pricekit.entropy"), "price_factorize", refuse)
+        p = process(Population(TypeSet(["a", "b"]), [1, 2]), [[1.0, 0.5], [0.25, 2.0]])
+        v = reversibility(p)
+        assert v.dis_obstruction > 0 and v.mix_obstruction > 0
+        assert (v.left_invertible, v.right_invertible, v.invertible) == (False, False, False)
+        assert v.retraction is None and v.section is None and v.inverse is None
+
     def test_childless_type_blocks_dollo_full(self, f1):
         v = reversibility(f1)
         assert v.left_invertible  # single parent feeds the single child

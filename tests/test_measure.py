@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,6 +54,17 @@ def test_population_invariants():
         TypeSet(["a", "a"])
     with pytest.raises(ValueError):
         TypeSet([])
+
+
+def test_population_keeps_its_checked_total():
+    """size is the total __init__ checked, read without summing again; it is
+    not a field, so repr and == see only the types and the weights."""
+    weights = [0.1, 0.2, 0.3, 1e-17]
+    pop = Population(TypeSet(["a", "b", "c", "d"]), weights)
+    assert pop.size is pop.size
+    assert pop.size == float(np.asarray(weights).sum())
+    assert [f.name for f in dataclasses.fields(Population)] == ["types", "weights"]
+    assert repr(pop) == "Population(types=TypeSet(labels=('a', 'b', 'c', 'd')))"
 
 
 @settings(max_examples=60, deadline=None)

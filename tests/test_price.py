@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -253,6 +255,30 @@ class TestMultiLevelVariance:
             var_u2, mean_cond = multilevel_variance(p, q)
             target = variance(q.source, fitness(q).U)
             assert var_u2 + mean_cond == pytest.approx(target, rel=1e-9, abs=1e-9)
+
+    def test_equals_the_conditional_cov_route_bit_for_bit(self):
+        price_module = importlib.import_module("pricekit.price")
+        rng = np.random.default_rng(24)
+        for i in range(100):
+            p, q = (random_composable_pair(rng) if i % 2 else
+                    childless_composable_pair(rng, scale=10.0 ** rng.choice([-60, 0, 60])))
+            u_next = fitness(q).U
+            expected = (variance(p.source, price_module._conditional_mean(p, u_next)),
+                        expectation(p.source, price_module._conditional_cov(p, u_next, u_next)))
+            assert multilevel_variance(p, q) == expected
+
+    def test_forms_each_brood_average_once(self, monkeypatch):
+        """The averages of U' and of U'^2 over p's broods, each formed once."""
+        price_module = importlib.import_module("pricekit.price")
+        calls = []
+
+        def counted(p, y, _average=price_module.local_average):
+            calls.append(y)
+            return _average(p, y)
+
+        monkeypatch.setattr(price_module, "local_average", counted)
+        multilevel_variance(*random_composable_pair(np.random.default_rng(25)))
+        assert len(calls) == 2
 
 
 class TestThreeStage:

@@ -249,6 +249,12 @@ class TestFactorization:
         assert fac.dropped_types == ("b",)
         np.testing.assert_allclose(fac.environmental.kernel, [[1.0]])
 
+    def test_dropped_types_are_plain_labels(self, f1):
+        """Labels of the source TypeSet, not numpy strings."""
+        fac = price_factorize(f1)
+        assert [type(t) for t in fac.dropped_types] == [str]
+        assert repr(fac).endswith("dropped_types=('b',))")
+
     def test_roundtrip_randomized(self):
         rng = np.random.default_rng(8)
         for _ in range(100):
