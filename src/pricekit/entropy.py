@@ -11,7 +11,7 @@ the mass flow certifies one-sided invertibility of the redistribution stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -128,6 +128,10 @@ class CellArrays:
     cov_ec: np.ndarray       # cov(-U_cell log u_bar, U)
     cov_dis: np.ndarray      # cov(-U_cell log D, U)
     cov_mix: np.ndarray      # cov(U_cell log(D / u_bar), U)
+
+    def __post_init__(self):   # every array is read-only once built
+        for f in fields(self)[2:]:
+            getattr(self, f.name).setflags(write=False)
 
 
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -310,9 +314,19 @@ def _partitions(p: Process, part_a: Partition | None, part_b: Partition | None):
 
 
 def generating_profile(p: Process) -> EntropyProfile:
-    """Profile at the singleton joint partition, which realizes the
-    partition suprema for finite discrete processes."""
-    return environmental_profile(p, *_partitions(p, None, None))
+    """Profile at the singleton joint partition, which realizes the partition
+    suprema for finite discrete processes; built once and kept with p."""
+    kept = vars(p)
+    if "_generating_profile" not in kept:
+        kept["_generating_profile"] = environmental_profile(p, *_partitions(p, None, None))
+    return kept["_generating_profile"]
+
+
+def _profile(p: Process, part_a: Partition | None, part_b: Partition | None) -> EntropyProfile:
+    """p's kept singleton profile when no partition is given, else a new one."""
+    if part_a is None and part_b is None:
+        return generating_profile(p)
+    return environmental_profile(p, *_partitions(p, part_a, part_b))
 
 
 def environmental_entropy(p: Process) -> float:
@@ -361,8 +375,8 @@ def environmental_equilibrium(p: Process, part_a: Partition | None = None,
 def dispersion_mixing_bounds(p: Process, part_a: Partition | None = None,
                              part_b: Partition | None = None) -> tuple[LawReport, LawReport]:
     """Four-link chains pinning S_dis and S_mix between per-cell moment bounds
-    and the environmental entropy."""
-    return environmental_profile(p, *_partitions(p, part_a, part_b)).bounds
+    and S_EC, of p's kept singleton profile unless partitions are given."""
+    return _profile(p, part_a, part_b).bounds
 
 
 # ---------------------------------------------------------------------------
@@ -376,9 +390,9 @@ def third_law(p: Process, part_a: Partition | None = None,
     Each lhs is a sum of covariances of cell observables with relative
     fitness; the windows are per-cell moment bounds that collapse onto the
     lhs whenever the dispersion coefficient is constant per cell (always,
-    at singleton partitions of a finite discrete process).
-    """
-    return environmental_profile(p, *_partitions(p, part_a, part_b)).third_law
+    at singleton partitions of a finite discrete process).  A new dict over
+    the reports of p's kept singleton profile unless partitions are given."""
+    return dict(_profile(p, part_a, part_b).third_law)
 
 
 # ---------------------------------------------------------------------------

@@ -56,8 +56,20 @@ class TypeSet:
         return TypeSet(f"{prefix}{i}" for i in range(k))
 
 
-@dataclass(frozen=True)
-class Population:
+class _TypedValues:
+    """Equal when of one class, with equal types and ``np.array_equal`` arrays;
+    never raises.  The hash agrees: ``tolist`` hashes -0.0 and 0.0 alike."""
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.types == other.types
+                and np.array_equal(self._array, other._array))
+
+    def __hash__(self):
+        return hash((self.types, tuple(self._array.tolist())))
+
+
+@dataclass(frozen=True, eq=False)
+class Population(_TypedValues):
     """Nonnegative weight per type; the measure driving all expectations."""
 
     types: TypeSet
@@ -84,9 +96,11 @@ class Population:
     def size(self) -> float:
         return self._size
 
+    _array = property(lambda self: self.weights)
 
-@dataclass(frozen=True)
-class Observable:
+
+@dataclass(frozen=True, eq=False)
+class Observable(_TypedValues):
     """Real-valued function on a type set."""
 
     types: TypeSet
@@ -98,6 +112,8 @@ class Observable:
             raise ValueError("one value per type required")
         object.__setattr__(self, "types", types)
         object.__setattr__(self, "values", v)
+
+    _array = property(lambda self: self.values)
 
     @staticmethod
     def constant(types: TypeSet, c: float) -> "Observable":

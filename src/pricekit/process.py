@@ -151,6 +151,13 @@ class Process:
                                  Observable(self.source.types, u_values), u_values,
                                  self.source.weights / self.source.size)
 
+    @cached_property
+    def flow_cells(self) -> np.ndarray:
+        flow = flow_shares(self)
+        flow[(flow <= EPS_ZERO) | ~self.fitness_data.support[:, None]] = 0.0
+        flow.setflags(write=False)
+        return flow
+
 
 def _finite(values: np.ndarray, what: str) -> np.ndarray:
     """values, formed under np.errstate; raises, naming ``what`` and the first
@@ -190,10 +197,8 @@ def flow_shares(p: Process) -> np.ndarray:
 
 def flow_cells(p: Process) -> np.ndarray:
     """The flow shares with every share at or below EPS_ZERO, or on a childless
-    row, set to zero: the (parent, child) cells that carry flow."""
-    flow = flow_shares(p)
-    flow[(flow <= EPS_ZERO) | ~fitness(p).support[:, None]] = 0.0
-    return flow
+    row, set to zero: the (parent, child) cells that carry flow; kept with p, read-only."""
+    return p.flow_cells
 
 
 def validate(p: Process) -> Diagnostics:

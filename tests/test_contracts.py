@@ -2,8 +2,8 @@
 seed-0 inputs, gives the recorded outputs field by field
 (``perfbench/reference``), no source module outside ``config.py`` holds
 a threshold literal, only the law modules build law reports, every
-import sits at the top of its module and is read there, and README names
-only code that exists."""
+import sits at the top of its module and is read there, no module holds a
+cache, and README names only code that exists."""
 
 import ast
 import dataclasses
@@ -176,3 +176,39 @@ def test_every_default_is_set_somewhere():
                       for param, index in defaulted
                       if not any(passes(c, param, index) for c in by_name.get(name, []))]
     assert unset == []
+
+
+def test_no_module_level_caches():
+    """A cached result lives with the object it was computed from (a
+    ``cached_property``, or the process's instance dict), so it is freed with
+    that object: no module-level dict, list or set, by display or by call, and
+    no ``functools.cache`` or ``lru_cache``."""
+    containers = {"dict", "list", "set", "defaultdict", "WeakKeyDictionary",
+                  "WeakValueDictionary"}
+
+    def name(node):
+        node = node.func if isinstance(node, ast.Call) else node
+        return getattr(node, "id", None) or getattr(node, "attr", None)
+
+    def module_level(node):
+        """node's subtree, leaving out function and class bodies."""
+        yield node
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
+                                      ast.ClassDef)):
+                yield from module_level(child)
+
+    found = []
+    for path in sorted((ROOT / "src" / "pricekit").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in module_level(tree):
+            if (isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+                    and isinstance(node.value, (ast.Dict, ast.List, ast.Set))):
+                found.append(f"{path.name}:{node.lineno}: module-level display")
+            if isinstance(node, ast.Call) and name(node) in containers:
+                found.append(f"{path.name}:{node.lineno}: module-level {name(node)}()")
+        found += [f"{path.name}:{func.lineno}: {name(dec)} on {func.name}"
+                  for func in ast.walk(tree)
+                  if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for dec in func.decorator_list if name(dec) in ("cache", "lru_cache")]
+    assert found == []

@@ -4,14 +4,17 @@ The dispersion/mixing chains and the third-law windows are the profile's
 own cached properties; `dispersion_mixing_bounds`, `third_law`, the report's
 entropy section and `q_partition_entropy` all read them, and the selective
 change that `intergenerational_ec_change` reports is the profile's own sum
-of cell covariances.  Comparisons here are exact.
+of cell covariances.  The singleton profile is built once per process and
+kept with it, read-only.  Comparisons here are exact.
 """
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+import pricekit.entropy
 from pricekit import (
     Partition,
     Population,
@@ -28,8 +31,9 @@ from pricekit import (
     third_law,
 )
 from pricekit.cli import build_unchecked, main
+from pricekit.process import flow_cells
 
-from conftest import random_composable_pair, random_process
+from conftest import childless_composable_pair, random_composable_pair, random_process
 from oracles import search_one_sided_inverses
 
 
@@ -141,3 +145,132 @@ def test_reversibility_near_the_zero_threshold(weights, kernel, tmp_path, capsys
     rev = json.loads(capsys.readouterr().out)["entropy"]["reversibility"]
     assert (rev["left_invertible"], rev["right_invertible"]) == (
         v.left_invertible, v.right_invertible)
+
+
+# ---------------------------------------------------------------------------
+# The kept singleton profile
+
+
+def test_generating_profile_is_kept_with_the_process():
+    rng = np.random.default_rng(73)
+    for _ in range(20):
+        p = random_process(rng)
+        prof = generating_profile(p)
+        assert generating_profile(p) is prof
+        assert dispersion_mixing_bounds(p) is prof.bounds
+        windows = third_law(p)
+        assert windows is not third_law(p) and windows == prof.third_law
+        assert all(windows[k] is r for k, r in prof.third_law.items())
+
+
+def test_third_law_dict_is_the_callers_own():
+    p = random_process(np.random.default_rng(74))
+    windows = third_law(p)
+    windows.clear()
+    assert list(third_law(p)) == ["ns_s_ec", "ns_s_dis", "ns_s_mix"]
+
+
+@pytest.fixture
+def profile_builds(monkeypatch):
+    """The arguments of every environmental_profile call."""
+    calls = []
+    original = pricekit.entropy.environmental_profile
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(pricekit.entropy, "environmental_profile", counting)
+    return calls
+
+
+def test_one_singleton_profile_per_process(profile_builds):
+    rng = np.random.default_rng(75)
+    for _ in range(10):
+        p, q = random_composable_pair(rng)
+        profile_builds.clear()
+        for _ in range(2):
+            generating_profile(p)
+            third_law(p)
+            dispersion_mixing_bounds(p)
+            intergenerational_ec_change(p, q)
+        assert len(profile_builds) == 1
+
+
+def test_explicit_partitions_build_every_time(profile_builds):
+    rng = np.random.default_rng(76)
+    p = random_process(rng, kmin=2)
+    part_a = random_partition(rng, p.source.types)
+    part_b = random_partition(rng, p.target.types)
+    generating_profile(p)
+    profile_builds.clear()
+    third_law(p, part_a, part_b)
+    third_law(p, part_a, part_b)
+    dispersion_mixing_bounds(p, part_a, part_b)
+    third_law(p, part_a, None)
+    assert len(profile_builds) == 4
+    assert generating_profile(p) is generating_profile(p) and len(profile_builds) == 4
+
+
+def test_kept_profile_equals_a_fresh_build_bit_for_bit():
+    """On 100 seeded processes with childless rows and weights x 10^{0, +-60},
+    the kept profile, read after every other function that reads p's kept
+    results, equals a new singleton profile in every cell array, total, bound
+    and window."""
+    rng = np.random.default_rng(77)
+    for n in range(100):
+        p, q = childless_composable_pair(rng, scale=10.0 ** (0, 60, -60)[n % 3])
+        intergenerational_ec_change(p, q)
+        reversibility(p)
+        third_law(p)
+        kept = generating_profile(p)
+        fresh = environmental_profile(p, Partition.singletons(p.source.types),
+                                      Partition.singletons(p.target.types))
+        assert kept is not fresh
+        for f in dataclasses.fields(kept.cells):
+            got, want = getattr(kept.cells, f.name), getattr(fresh.cells, f.name)
+            if isinstance(want, np.ndarray):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), f.name
+            else:
+                assert got == want, f.name
+        assert [kept.s_ns, kept.s_ec, kept.s_dis, kept.s_mix, kept.s_tot] == [
+            fresh.s_ns, fresh.s_ec, fresh.s_dis, fresh.s_mix, fresh.s_tot]
+        assert json.dumps([r.to_dict() for r in kept.bounds]) == json.dumps(
+            [r.to_dict() for r in fresh.bounds])
+        assert json.dumps({k: r.to_dict() for k, r in kept.third_law.items()}) == json.dumps(
+            {k: r.to_dict() for k, r in fresh.third_law.items()})
+
+
+def kept_arrays(rng):
+    """(what, array) for every cell array of a singleton, a block and a
+    projection profile, and for the flow cells."""
+    p = random_process(rng, kmin=2)
+    k, k2 = p.kernel.shape
+    profiles = {
+        "singleton": generating_profile(p),
+        "block": environmental_profile(p, random_partition(rng, p.source.types),
+                                       random_partition(rng, p.target.types)),
+        "projection": q_partition_entropy(embed_process(p), [np.diag(e) for e in np.eye(k)],
+                                          [np.diag(e) for e in np.eye(k2)]).profile,
+    }
+    for kind, prof in profiles.items():
+        for f in dataclasses.fields(prof.cells)[2:]:
+            yield f"{kind}.{f.name}", getattr(prof.cells, f.name)
+    yield "flow_cells", flow_cells(p)
+
+
+def test_kept_arrays_are_read_only():
+    rng = np.random.default_rng(78)
+    seen = 0
+    for _ in range(5):
+        for what, arr in kept_arrays(rng):
+            assert not arr.flags.writeable, what
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 1.0
+            seen += 1
+    assert seen == 5 * (3 * 12 + 1)
+
+
+def test_flow_cells_are_kept_with_the_process():
+    p = random_process(np.random.default_rng(79))
+    assert flow_cells(p) is flow_cells(p)

@@ -67,6 +67,28 @@ def test_population_keeps_its_checked_total():
     assert repr(pop) == "Population(types=TypeSet(labels=('a', 'b', 'c', 'd')))"
 
 
+@pytest.mark.parametrize("cls", [Population, Observable])
+def test_equal_values_are_equal_and_hash_alike(cls):
+    a, b = cls(AB, [1, 2]), cls(AB, [1.0, 2.0])
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert cls(AB, [-0.0, 1]) == cls(AB, [0.0, 1])
+    assert hash(cls(AB, [-0.0, 1])) == hash(cls(AB, [0.0, 1]))
+    assert {a, b} == {a} and len({a, b, cls(AB, [2, 1])}) == 2
+    assert b in {a} and cls(AB, [2, 1]) not in {a}
+
+
+@pytest.mark.parametrize("cls", [Population, Observable])
+def test_unequal_values_types_or_classes_are_unequal(cls):
+    a = cls(AB, [1, 2])
+    assert a != cls(AB, [1, 2.5])
+    assert a != cls(TypeSet(["a", "c"]), [1, 2])
+    assert a != cls(TypeSet(["a", "b", "c"]), [1, 2, 3])
+    other = Observable(AB, [1, 2]) if cls is Population else Population(AB, [1, 2])
+    for x in (other, (AB, np.array([1.0, 2.0])), AB, None, 1):
+        assert a != x and not a == x and x != a
+    assert a.__eq__(np.array([1.0, 2.0])) is False
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.floats(0.01, 10), min_size=2, max_size=6),
