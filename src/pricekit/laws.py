@@ -12,8 +12,11 @@ spectrum weighted by the source state.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -41,7 +44,16 @@ class LawReport:
     bounds: tuple[float, ...]
     direction: str
     equilibrium_class: str
-    extras: dict = field(default_factory=dict)
+    extras: Mapping = field(default_factory=dict)
+
+    def __post_init__(self):
+        # Reports may be kept and handed to every caller: extras are read-only.
+        object.__setattr__(self, "extras", MappingProxyType(dict(self.extras)))
+
+    def __reduce__(self):
+        # A mappingproxy does not pickle or deep-copy: rebuild from the fields.
+        return type(self), (self.name, self.lhs, self.bounds, self.direction,
+                            self.equilibrium_class, dict(self.extras))
 
     @property
     def chain(self) -> tuple[float, ...]:
@@ -232,27 +244,31 @@ def speed_limits(p: Process) -> LawReport:
     m2 = fd.moment(2.0)
     c_grid = sorted(set(DEFAULT_SPEED_GRID) | {round(m2, 12)})
     log_inv_pstar = np.log(1.0 / fd.p_star)
+    log_m2 = np.log(m2)
 
-    def gap(c: float) -> tuple[float, float]:
+    def gaps(cs: list[float]) -> tuple[list[float], np.ndarray]:
         # log of E[U^(1+c)]^c / (E[U^2]^(c-1) E[U^(2+c)]), whose root is a
-        # stationary point of the basic-bound exponent in c, and E[U^(2+c)]
+        # stationary point of the basic-bound exponent in c (NaN where either
+        # moment diverges), and E[U^(2+c)], at each c in cs
         with np.errstate(over="ignore"):
-            m1c, m2c = fd.moment(1.0 + c), fd.moment(2.0 + c)
-        if not (np.isfinite(m1c) and np.isfinite(m2c)):
-            return float("nan"), m2c
-        return float(c * np.log(m1c) - (c - 1.0) * np.log(m2) - np.log(m2c)), m2c
+            m1c, m2c = np.array([[fd.moment(1.0 + c), fd.moment(2.0 + c)] for c in cs]).T
+        c = np.array(cs)
+        ok = np.isfinite(m1c) & np.isfinite(m2c)
+        gap = (c * np.log(np.where(ok, m1c, 1.0)) - (c - 1.0) * log_m2
+               - np.log(np.where(ok, m2c, 1.0)))
+        return np.where(ok, gap, np.nan).tolist(), m2c
 
-    gaps, m2c = zip(*map(gap, c_grid))
+    grid_gaps, m2c = gaps(c_grid)
+    c = np.array(c_grid)
     # a diverging moment makes the bound vacuous at this exponent
-    best_bracket = max(-(m2 / c) * np.log(m / m2) if np.isfinite(m) else -np.inf
-                       for c, m in zip(c_grid, m2c))
+    best_bracket = np.where(np.isfinite(m2c), -(m2 / c) * np.log(m2c / m2), -np.inf).max()
     basic = log_inv_pstar + best_bracket if np.isfinite(best_bracket) else None
     infinitary = log_inv_pstar - fd.u2_log_u
 
     c_star = None
     for k, (a, b) in enumerate(zip(c_grid, c_grid[1:])):
-        ga, gb = gaps[k], gaps[k + 1]
-        if not (np.isfinite(ga) and np.isfinite(gb)):
+        ga, gb = grid_gaps[k], grid_gaps[k + 1]
+        if not (math.isfinite(ga) and math.isfinite(gb)):
             continue
         if abs(ga) <= EPS_ROOT:
             c_star = a
@@ -264,7 +280,7 @@ def speed_limits(p: Process) -> LawReport:
             lo, hi = a, b
             while hi - lo > EPS_BISECT:
                 mid = 0.5 * (lo + hi)
-                if gap(mid)[0] * ga <= 0:
+                if gaps([mid])[0][0] * ga <= 0:
                     hi = mid
                 else:
                     lo = mid

@@ -146,11 +146,13 @@ def variance(pop: Population, x: Observable) -> float:
 
 
 def xlogx(x: np.ndarray | float) -> np.ndarray | float:
-    """x * log(x) with the 0 log 0 = 0 convention (x must be >= 0)."""
+    """x * log(x), elementwise, with 0 log 0 = 0 (x must be >= 0).
+
+    The log is taken of positive entries only: every other entry is read as
+    1, so it maps to 1 * log 1 = 0.  A scalar input gives a Python float."""
     arr = np.asarray(x, dtype=float)
-    out = np.zeros_like(arr)
-    pos = arr > 0
-    out[pos] = arr[pos] * np.log(arr[pos])
+    safe = np.where(arr > 0, arr, 1.0)
+    out = safe * np.log(safe)
     if np.ndim(x) == 0:
         return float(out)
     return out

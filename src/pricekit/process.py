@@ -17,6 +17,8 @@ import numpy as np
 from .config import EPS_REL, EPS_SAT, EPS_ZERO
 from .measure import Observable, Population, TypeSet, finite_array, xlogx
 
+_EPS = np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class Diagnostics:
@@ -73,28 +75,29 @@ class FitnessData:
 
     @cached_property
     def u2_log_u(self) -> float:
-        """E[U^2 log U] with 0 log 0 = 0."""
-        pos = self.support
-        vals = np.zeros_like(self.u)
-        vals[pos] = self.u[pos] ** 2 * np.log(self.u[pos])
-        return self.mean(vals)
+        """E[U^2 log U] with 0 log 0 = 0: off the support U is read as 1."""
+        safe = np.where(self.support, self.u, 1.0)
+        return self.mean(safe**2 * np.log(safe))
 
 
 def summarize_fitness(W, wbar: float, U, u_values: np.ndarray, prob: np.ndarray,
                       eigvecs: np.ndarray | None = None) -> FitnessData:
     u = np.array(u_values, dtype=float)
+    abs_u = np.abs(u)
     # EPS_ZERO, or the rank floor size * eps * max|U| of an eigh if larger
-    floor = max(EPS_ZERO, u.size * np.finfo(float).eps * float(np.abs(u).max(initial=0.0)))
-    u[np.abs(u) <= floor] = 0.0
+    floor = max(EPS_ZERO, u.size * _EPS * float(abs_u.max(initial=0.0)))
+    u[abs_u <= floor] = 0.0
     prob = np.array(prob, dtype=float)
     u_log_u = xlogx(u)
     support = u > 0
     for a in (u, prob, u_log_u, support):
         a.setflags(write=False)
     # equilibrium class: purely_environmental, selective_equilibrium or generic
-    carried = u[prob > 0]
-    live = u[(prob > 0) & support]
-    if np.all(np.abs(carried - 1.0) <= EPS_SAT):
+    carried = prob > 0
+    c = u[carried]
+    live = u[carried & support]
+    # max |c - 1| <= EPS_SAT, read off c's extremes: rounding is monotone
+    if max(c.max(initial=1.0) - 1.0, 1.0 - c.min(initial=1.0)) <= EPS_SAT:
         eq = "purely_environmental"
     elif len(live) and live.max() - live.min() <= EPS_SAT * max(1.0, live.max()):
         eq = "selective_equilibrium"
@@ -105,11 +108,19 @@ def summarize_fitness(W, wbar: float, U, u_values: np.ndarray, prob: np.ndarray,
                        s_ns=float(prob @ (-u_log_u)), equilibrium_class=eq, eigvecs=eigvecs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Process:
     source: Population
     target: Population
     kernel: np.ndarray = field(repr=False)
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.source == other.source
+                and self.target == other.target and np.array_equal(self.kernel, other.kernel))
+
+    # Unhashable on purpose (TypeError: unhashable type: 'Process'): a hash
+    # would have to read the whole kernel.
+    __hash__ = None
 
     def __init__(self, source, target, kernel, _check: bool = True):
         k = np.array(finite_array(kernel, "kernel entries"))
@@ -219,9 +230,7 @@ def local_average(p: Process, y: Observable) -> Observable:
         raise ValueError("observable must live on the target type set")
     fd = fitness(p)
     raw = p.kernel @ y.values
-    out = np.zeros_like(raw)
-    live = fd.support
-    out[live] = raw[live] / fd.W.values[live]
+    out = np.divide(raw, fd.W.values, out=np.zeros_like(raw), where=fd.support)
     return Observable(p.source.types, out)
 
 

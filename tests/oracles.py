@@ -2,8 +2,9 @@
 
 Besides enumerations and direct constructions, this holds per-cell loops
 over partition cells, the reference that the differential tests compare
-the array-valued cell kernel against, and per-row loops for the
-stationarity classes and the reversibility inverses.
+the array-valued cell kernel against, per-row loops for the stationarity
+classes and the reversibility inverses, and the gather-scatter forms of the
+whole-array kernels x log x, E[U^2 log U] and the brood average.
 """
 
 import itertools
@@ -411,6 +412,39 @@ def stationarity_by_loop(p, q, tol: float = 1e-9):
     return StationarityClass(strong, weak, homogeneous, constant)
 
 
+def xlogx_by_mask(x):
+    """x log x with 0 log 0 = 0: the positive entries are gathered, and their
+    products scattered into zeros.  A scalar input gives a Python float."""
+    arr = np.asarray(x, dtype=float)
+    out = np.zeros_like(arr)
+    pos = arr > 0
+    out[pos] = arr[pos] * np.log(arr[pos])
+    if np.ndim(x) == 0:
+        return float(out)
+    return out
+
+
+def u2_log_u_by_mask(fd) -> float:
+    """E[U^2 log U] of a fitness record, gathered on the support."""
+    pos = fd.support
+    vals = np.zeros_like(fd.u)
+    vals[pos] = fd.u[pos] ** 2 * np.log(fd.u[pos])
+    return fd.mean(vals)
+
+
+def local_average_by_mask(p, y) -> np.ndarray:
+    """The brood average of y on each childbearing row, gathered on those
+    rows; 0 on a childless row."""
+    from pricekit import fitness
+
+    fd = fitness(p)
+    raw = p.kernel @ y.values
+    out = np.zeros_like(raw)
+    live = fd.support
+    out[live] = raw[live] / fd.W.values[live]
+    return out
+
+
 def speed_limits_by_loop(p):
     """``pricekit.laws.speed_limits`` with one moment evaluation per grid
     point and per bisection step."""
@@ -441,11 +475,7 @@ def speed_limits_by_loop(p):
 
     best_bracket = max(bracket(c) for c in c_grid)
     basic = log_inv_pstar + best_bracket if np.isfinite(best_bracket) else None
-    u = fd.u
-    u2logu = np.zeros_like(u)
-    pos = u > 0
-    u2logu[pos] = u[pos] ** 2 * np.log(u[pos])
-    infinitary = log_inv_pstar - fd.mean(u2logu)
+    infinitary = log_inv_pstar - u2_log_u_by_mask(fd)
 
     gaps = [gap(c) for c in c_grid]
     c_star = None

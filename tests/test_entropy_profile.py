@@ -31,6 +31,7 @@ from pricekit import (
     third_law,
 )
 from pricekit.cli import build_unchecked, main
+from pricekit.laws import LawReport
 from pricekit.process import flow_cells
 
 from conftest import childless_composable_pair, random_composable_pair, random_process
@@ -274,3 +275,24 @@ def test_kept_arrays_are_read_only():
 def test_flow_cells_are_kept_with_the_process():
     p = random_process(np.random.default_rng(79))
     assert flow_cells(p) is flow_cells(p)
+
+
+def test_kept_law_reports_are_read_only():
+    """A caller cannot write into a kept report's extras, so every later
+    caller reads the values the profile computed; extras are a copy."""
+    p = process(Population(TypeSet(["a", "b"]), [1, 2]), [[1, 1], [0.5, 0]])
+    windows = {k: r.to_dict() for k, r in third_law(p).items()}
+    bounds = [r.to_dict() for r in dispersion_mixing_bounds(p)]
+    with pytest.raises(TypeError):
+        third_law(p)["ns_s_ec"].extras["lower_bound"] = 123.0
+    for rep in dispersion_mixing_bounds(p):
+        with pytest.raises(TypeError):
+            rep.extras["s_ec"] = 123.0
+    assert {k: r.to_dict() for k, r in third_law(p).items()} == windows
+    assert third_law(p)["ns_s_ec"].extras["lower_bound"] == windows["ns_s_ec"]["extras"]["lower_bound"]
+    assert [r.to_dict() for r in dispersion_mixing_bounds(p)] == bounds
+    extras = {"lower_bound": 1.0}
+    rep = LawReport(name="r", lhs=0.0, bounds=(1.0,), direction="le",
+                    equilibrium_class="generic", extras=extras)
+    extras["lower_bound"] = 2.0
+    assert rep.extras == {"lower_bound": 1.0} and rep.to_dict()["extras"] == {"lower_bound": 1.0}

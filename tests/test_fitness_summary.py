@@ -1,6 +1,7 @@
 """The fitness record is computed once per process and read by every law,
 entropy and quantum function; the vectorized stationarity classes and
-reversibility inverses match their per-row loops exactly."""
+reversibility inverses match their per-row loops, and the whole-array
+kernels their gather-scatter forms, exactly."""
 
 import functools
 import json
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 import pricekit
 from pricekit import (
+    Observable,
     Population,
     Process,
     QuantumProcess,
@@ -21,6 +23,7 @@ from pricekit import (
     embed_process,
     fitness,
     generating_profile,
+    local_average,
     process,
     q_factorize,
     q_laws,
@@ -32,11 +35,18 @@ from pricekit import (
     zeroth_law,
 )
 from pricekit.cli import main
-from pricekit.config import EPS_ZERO
+from pricekit.config import EPS_SAT, EPS_ZERO
+from pricekit.process import summarize_fitness
 from pricekit.quantum import hermitize, unvec, vec
 
-from conftest import random_composable_pair, random_process
-from oracles import adjoint, reversibility_kernels_by_loop, stationarity_by_loop
+from conftest import childless_composable_pair, random_composable_pair, random_process
+from oracles import (
+    adjoint,
+    local_average_by_mask,
+    reversibility_kernels_by_loop,
+    stationarity_by_loop,
+    u2_log_u_by_mask,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +251,70 @@ def test_summary_is_invariant_under_weight_scaling(weights, entries, k2):
                                        err_msg=f"{name} at weights x 1e{s}")
         assert fitness(p).prob @ fitness(p).u == pytest.approx(1.0, abs=1e-14)
         assert fitness(p).equilibrium_class == fitness(base).equilibrium_class
+
+
+# ---------------------------------------------------------------------------
+# Whole-array kernels against their gather-scatter forms, bit for bit.  The
+# suite turns RuntimeWarnings into errors, so a log or a product of a
+# non-positive entry fails here.
+
+# U values at the edges: zeros of both signs, subnormal and tiny values the
+# support floor zeroes, a U whose square is near the top of the double range,
+# and a negative value that stays off the support.
+U_EDGES = [0.0, -0.0, 5e-324, 1e-300, 1e-12, 2e-12, 0.5, 1.0, 2.0, 1e150, -1.0]
+
+
+def edge_processes(rng):
+    """K = 1 processes, and composable pairs with childless rows and parent
+    weights x 10^{0, +-60, +-150}."""
+    one = Population(TypeSet(["a"]), [2.0])
+    yield process(one, [[3.0]])
+    yield process(one, [[0.5, 0.0, 1e-300]])
+    for n in range(60):
+        yield from childless_composable_pair(rng, scale=10.0 ** (0, 60, -60, 150, -150)[n % 5])
+
+
+def test_u2_log_u_equals_its_masked_form():
+    rng = np.random.default_rng(406)
+    edges = np.array(U_EDGES)
+    cases = [[1.0], [0.0], [2.0, 0.0], edges, edges[edges != 1e150]]
+    cases += [rng.choice(edges, size=int(rng.integers(1, 49))) for _ in range(40)]
+    records = [summarize_fitness(None, 1.0, None, np.array(u, dtype=float),
+                                 rng.uniform(0.0, 1.0, len(u)) * (rng.random(len(u)) < 0.8))
+               for u in cases]
+    records += [fitness(p) for p in edge_processes(rng)]
+    for fd in records:
+        assert fd.u2_log_u.hex() == u2_log_u_by_mask(fd).hex()
+
+
+def test_local_average_equals_its_masked_form():
+    rng = np.random.default_rng(407)
+    for p in edge_processes(rng):
+        k2 = len(p.target.types)
+        for values in (rng.normal(0.0, 3.0, k2), np.full(k2, 1e150),
+                       rng.choice([5e-324, -0.0, 0.0, 1.0], size=k2)):
+            y = Observable(p.target.types, values)
+            got, want = local_average(p, y).values, local_average_by_mask(p, y)
+            assert got.tobytes() == want.tobytes()
+            assert np.array_equal(got, want) and got.sum() == want.sum()
+
+
+def test_purely_environmental_is_read_off_the_extremes_of_carried_u():
+    """max(c.max() - 1, 1 - c.min()) <= EPS_SAT over the carried U (prob > 0)
+    decides as np.all(|c - 1| <= EPS_SAT) does, as rounding is monotone: at
+    1 +- EPS_SAT, up to two ulps either side, beside a zero, and beside a far
+    value that carries no probability."""
+    edges = [v + k * np.spacing(v) for v in (1.0 + EPS_SAT, 1.0 - EPS_SAT) for k in range(-2, 3)]
+    seen = Counter()
+    for e in edges:
+        for u, prob in (([e], [1.0]), ([1.0, e], [0.3, 0.7]), ([e, 0.0], [0.5, 0.5]),
+                        ([e, 0.0], [1.0, 0.0]), ([e, 7.0], [1.0, 0.0]), ([e, 2.0 - e], [0.5, 0.5]),
+                        ([e, 1.0 + EPS_SAT, 1.0 - EPS_SAT], [0.2, 0.3, 0.5])):
+            fd = summarize_fitness(None, 1.0, None, np.array(u), np.array(prob))
+            want = bool(np.all(np.abs(fd.u[fd.prob > 0] - 1.0) <= EPS_SAT))
+            assert (fd.equilibrium_class == "purely_environmental") is want, (u, prob)
+            seen[want] += 1
+    assert seen[True] > 0 and seen[False] > 0, seen
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,8 @@
+import copy
+import math
+import pickle
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -22,8 +27,9 @@ from pricekit import (
     stationarity,
     zeroth_law,
 )
+from pricekit.config import EPS_BISECT
 from pricekit.laws import LawReport
-from pricekit.process import Process
+from pricekit.process import FitnessData, Process
 
 from conftest import (
     random_composable_pair,
@@ -46,6 +52,15 @@ def test_to_dict_builds_the_chain_twice(f5, monkeypatch):
     assert len(reads) == 2
     assert d["slacks"] == list(rep.slacks) and d["satisfied"] == rep.satisfied
     assert len(reads) == 2
+
+
+def test_reports_pickle_and_copy_with_read_only_extras(f5):
+    for rep in standard_reports(f5):
+        rep.slacks  # cached links are rebuilt by the copy, not carried
+        for twin in (pickle.loads(pickle.dumps(rep)), copy.deepcopy(rep), copy.copy(rep)):
+            assert twin == rep and twin.to_dict() == rep.to_dict()
+            with pytest.raises(TypeError):
+                twin.extras["x"] = 1.0
 
 
 class TestZerothLaw:
@@ -211,6 +226,63 @@ class TestSpeedLimitsOracle:
         rep = speed_limits(p)
         assert rep == speed_limits_by_loop(p)
         assert rep.extras["basic_bound"] is not None
+
+    def test_wide_and_extreme_processes(self):
+        """K up to 64, parent weights x 10^{0, +-60, +-150}, rows with U zero,
+        and one row in three carrying U near 10^40, 10^60 or 10^100 on a
+        weight as small, so E[U^(1+c)] is finite where E[U^(2+c)] overflows."""
+        rng = np.random.default_rng(49)
+        seen = Counter()
+        for t in range(240):
+            k, k2 = (int(v) for v in rng.integers(1, 65, 2))
+            kernel = rng.uniform(0.05, 2.0, (k, k2)) * (rng.random((k, k2)) < 0.8)
+            kernel[rng.random(k) < 0.2] = 0.0
+            kernel[0, 0] = 1.0
+            weights = rng.uniform(0.1, 2.0, k) * 10.0 ** (0, 60, -60, 150, -150)[t % 5]
+            if t % 3 == 0 and k > 1:
+                big = 10.0 ** (40, 60, 100)[t % 9 // 3]
+                kernel[k - 1] = big * rng.uniform(0.5, 2.0, k2)
+                weights[k - 1] /= big
+            p = process(Population(TypeSet.range(k), weights), kernel)
+            rep = speed_limits(p)
+            assert rep == speed_limits_by_loop(p)
+            c_star, grid = rep.extras["stationary_point"], rep.extras["grid"]
+            seen["none" if c_star is None else "on_grid" if c_star in grid else "bisected"] += 1
+            with np.errstate(over="ignore"):
+                m = [(fitness(p).moment(1.0 + c), fitness(p).moment(2.0 + c)) for c in grid]
+            seen["one_moment_overflows"] += any(np.isfinite(a) and np.isinf(b) for a, b in m)
+        assert seen["bisected"] > 0 and seen["none"] > 0, seen
+        assert seen["one_moment_overflows"] >= 20, seen
+
+    def test_every_moment_is_read_through_fitness_data(self, monkeypatch):
+        """speed_limits reads E[U^2] once and E[U^(1+c)], E[U^(2+c)] at each grid
+        point and bisection step, each through FitnessData.moment: 2 |grid| + 1
+        calls, plus 2 per step.  Moments formed another way (say, in one array
+        power) may differ in the last bits from this route."""
+        calls = []
+        moment = FitnessData.moment
+        monkeypatch.setattr(FitnessData, "moment",
+                            lambda fd, k: calls.append(k) or moment(fd, k))
+        rng = np.random.default_rng(50)
+        bisected = 0
+        for _ in range(300):
+            p = random_process(rng, kmax=10)
+            calls.clear()
+            rep = speed_limits(p)
+            grid, c_star = rep.extras["grid"], rep.extras["stationary_point"]
+            n = 2 * len(grid) + 1
+            assert sorted(calls[:n]) == sorted([2.0] + [e + c for c in grid for e in (1.0, 2.0)])
+            steps = calls[n:]
+            if c_star is None or c_star in grid:
+                assert steps == []
+                continue
+            a = max(c for c in grid if c < c_star)
+            b = min(c for c in grid if c > c_star)
+            first = steps[::2]  # 1 + mid at each step, then 2 + mid
+            assert steps[1::2] == [e + 1.0 for e in first] and all(a < e - 1.0 < b for e in first)
+            assert len(first) == math.ceil(math.log2((b - a) / EPS_BISECT))
+            bisected += 1
+        assert bisected > 0
 
 
 class TestSelectiveAcceleration:

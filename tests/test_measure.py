@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -13,6 +14,9 @@ from pricekit import (
     expectation,
     variance,
 )
+from pricekit.measure import xlogx
+
+from oracles import xlogx_by_mask
 
 AB = TypeSet(["a", "b"])
 
@@ -121,3 +125,28 @@ def test_variance_zero_iff_constant_on_support():
     assert variance(pop, x) == pytest.approx(0.0, abs=1e-15)
     y = Observable(types, [3.0, 0.0, 3.1])
     assert variance(pop, y) > 1e-4
+
+
+# Entries at the edges of the double range, with x log x = 0 at 0, -0.0 and
+# every negative entry, and +inf mapped to +inf.
+XLOGX_EDGES = [0.0, -0.0, 5e-324, 1e-300, 1e300, np.inf, 1.0, 0.5, 2.0, -1.0, -5e-324]
+
+
+def test_xlogx_equals_the_gather_scatter_form():
+    """Whole-array xlogx equals the masked form bit for bit.  The suite turns
+    RuntimeWarnings into errors, so a log or product of a non-positive entry
+    would fail here."""
+    rng = np.random.default_rng(80)
+    edges = np.array(XLOGX_EDGES)
+    arrays = [edges, edges.reshape(1, -1), np.zeros(0), np.array([0.0]), np.array([3.0]),
+              rng.choice(edges, size=(48, 48)),
+              rng.random((48, 48)) * (rng.random((48, 48)) < 0.5)]
+    for a in arrays:
+        got, want = xlogx(a), xlogx_by_mask(a)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert np.array_equal(got, want) and got.sum() == want.sum()
+    for v in XLOGX_EDGES + [0, 1, 3]:
+        for x in (v, np.float64(v), np.array(v)):
+            got, want = xlogx(x), xlogx_by_mask(x)
+            assert type(got) is float
+            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)

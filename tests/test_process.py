@@ -62,6 +62,33 @@ class TestValidate:
             Process(Population(AB, [1, 1]), Population(AB, [1, 2]), np.eye(2))
 
 
+class TestEquality:
+    """Processes compare by value and never raise; hashing one is refused."""
+
+    def test_equal_operands(self, f5):
+        twin = process(Population(AB, [1, 2]), [[1, 1], [0.5, 0]])
+        fitness(f5)
+        assert f5 == twin and not f5 != twin and twin == f5
+        assert f5 == Process(f5.source, f5.target, f5.kernel.copy())
+
+    def test_unequal_kernel_or_target(self, f5):
+        assert f5 != process(f5.source, [[1, 1], [0.5, 0.25]])
+        assert f5 != process(f5.source, [[1, 1, 0], [0.5, 0, 0]])
+        relabelled = Population(TypeSet(["x", "y"]), f5.target.weights)
+        assert f5 != Process(f5.source, relabelled, f5.kernel)
+        assert f5 != Process(f5.source, Population(f5.target.types, [2.0, 1.5]), f5.kernel,
+                             _check=False)
+
+    def test_other_operands(self, f5):
+        for other in (None, 1, f5.kernel, f5.source, (f5.source, f5.target, f5.kernel)):
+            assert f5 != other and not f5 == other
+        assert f5.__eq__(f5.kernel) is False
+
+    def test_hash_is_refused(self, f5):
+        with pytest.raises(TypeError, match="Process"):
+            hash(f5)
+
+
 class TestFitness:
     def test_f5_values(self, f5):
         fd = fitness(f5)
