@@ -62,13 +62,10 @@ from .entropy import (
     environmental_profile,
     generating_profile,
     intergenerational_ec_change,
-    ks_entropy,
     ks_entropy_curve,
     local_selective_entropy,
     reversibility,
-    selective_entropy,
     third_law,
-    total_entropy,
 )
 from .openproc import OpenProcess, dual_fitness_kgs, kgs, open_process
 from .quantum import (

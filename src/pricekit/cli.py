@@ -334,7 +334,7 @@ def cmd_simulate(args) -> int:
             [
                 t,
                 current.size,
-                sec.extras["var_u"],
+                fitness(step).var_u,
                 fitness(step).s_ns,
                 environmental_entropy(step),
                 min(sec.slacks),

@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import EPS_INVERSE, EPS_SAT, EPS_ZERO
 from .laws import LawReport
-from .measure import Population, TypeSet, xlogx
+from .measure import Population, TypeSet, _Value, xlogx
 from .process import (FitnessData, Process, check_composable, fitness, flow_cells,
                       flow_shares, price_factorize)
 
@@ -67,11 +67,6 @@ class Partition:
 # Selective entropy
 
 
-def selective_entropy(p: Process) -> float:
-    """Mean of -U log U; nonpositive, zero only for constant fitness."""
-    return fitness(p).s_ns
-
-
 def local_selective_entropy(p: Process, block_a, block_b,
                             renormalized: bool = False) -> float:
     """Cell share of selective entropy.
@@ -84,10 +79,8 @@ def local_selective_entropy(p: Process, block_a, block_b,
     additivity.
     """
     fd = fitness(p)
-    idx = {c: k for k, c in enumerate(p.source.types.labels)}
-    jdx = {c: k for k, c in enumerate(p.target.types.labels)}
-    rows = np.array([idx[c] for c in block_a], dtype=int)
-    cols = np.array([jdx[c] for c in block_b], dtype=int)
+    rows = _label_positions(p.source.types, block_a)
+    cols = _label_positions(p.target.types, block_b)
     w_ab = p.kernel[np.ix_(rows, cols)].sum(axis=1)
     mu = p.source.weights[rows]
     if renormalized:
@@ -103,12 +96,23 @@ def local_selective_entropy(p: Process, block_a, block_b,
     return float(contrib.sum()) / p.source.size
 
 
+def _label_positions(types: TypeSet, block) -> np.ndarray:
+    """Positions in ``types`` of a block's labels, each one of ``types``, listed once."""
+    index = {c: k for k, c in enumerate(types.labels)}
+    seen: set = set()
+    for c in block:
+        if c not in index or c in seen:
+            raise ValueError(f"block label {c!r} is {'repeated' if c in index else 'unknown'}")
+        seen.add(c)
+    return np.array([index[c] for c in block], dtype=int)
+
+
 # ---------------------------------------------------------------------------
 # Environmental profile
 
 
 @dataclass(frozen=True, eq=False)
-class CellArrays:
+class CellArrays(_Value):
     """Twelve statistics of every cell, as (source cell, target cell) arrays.
 
     Row a and column b belong to the cells labelled keys_a[a] and keys_b[b].
@@ -336,10 +340,6 @@ def environmental_entropy(p: Process) -> float:
     return float(np.sum(-xlogx(flow_shares(p))))
 
 
-def total_entropy(p: Process) -> float:
-    return selective_entropy(p) + environmental_entropy(p)
-
-
 # ---------------------------------------------------------------------------
 # Environmental equilibrium
 
@@ -562,7 +562,7 @@ def ks_entropy_curve(p: Process, t_max: int) -> list[float]:
     at the horizon where it happens."""
     if p.source.types != p.target.types:
         raise ValueError("iterated entropy needs an endomorphic process")
-    if not 1 <= t_max <= 6:
+    if isinstance(t_max, bool) or not isinstance(t_max, int) or not 1 <= t_max <= 6:
         raise ValueError("horizon T must be between 1 and 6")
     w = p.kernel
     back = [np.ones(w.shape[0])]     # back[s]: mass reachable in s further steps
@@ -585,7 +585,3 @@ def ks_entropy_curve(p: Process, t_max: int) -> list[float]:
             marginal = forward[t + 1] * back[horizon - t - 1] / n_final
         out.append(h)
     return out
-
-
-def ks_entropy(p: Process, t: int) -> float:
-    return ks_entropy_curve(p, t)[-1]

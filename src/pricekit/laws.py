@@ -170,8 +170,8 @@ def higher_order_first_law(p: Process, n: int) -> LawReport:
     even-power moment E[1_{U>0} (U-1)^(n+1)] >= (1-p_*)^(n+1) / p_*^n.
     The raw moment E[U (U-1)^n] is reported alongside either way.
     """
-    if not 1 <= n <= 8:
-        raise ValueError("order n must be between 1 and 8")
+    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= 8:
+        raise ValueError(f"order n must be an int between 1 and 8, got {n!r}")
     fd = fitness(p)
     moment = fd.mean(fd.u * (fd.u - 1.0) ** n)
     if n % 2 == 0:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain
 
 import numpy as np
@@ -56,20 +56,23 @@ class TypeSet:
         return TypeSet(f"{prefix}{i}" for i in range(k))
 
 
-class _TypedValues:
-    """Equal when of one class, with equal types and ``np.array_equal`` arrays;
-    never raises.  The hash agrees: ``tolist`` hashes -0.0 and 0.0 alike."""
+class _Value:
+    """The one value rule of the records with an array field: equal when of one class
+    with equal compared fields, arrays by ``np.array_equal``; ``==`` never raises.
+    Unhashable (a hash would read every array) unless the record defines one that agrees."""
 
     def __eq__(self, other):
-        return (type(other) is type(self) and self.types == other.types
-                and np.array_equal(self._array, other._array))
+        return type(other) is type(self) and all(
+            np.array_equal(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray)
+            else a == b
+            for a, b in ((getattr(self, f.name), getattr(other, f.name))
+                         for f in fields(self) if f.compare))
 
-    def __hash__(self):
-        return hash((self.types, tuple(self._array.tolist())))
+    __hash__ = None
 
 
 @dataclass(frozen=True, eq=False)
-class Population(_TypedValues):
+class Population(_Value):
     """Nonnegative weight per type; the measure driving all expectations."""
 
     types: TypeSet
@@ -96,11 +99,12 @@ class Population(_TypedValues):
     def size(self) -> float:
         return self._size
 
-    _array = property(lambda self: self.weights)
+    def __hash__(self):    # -0.0 and 0.0 compare equal and hash alike
+        return hash((self.types, tuple(self.weights.tolist())))
 
 
 @dataclass(frozen=True, eq=False)
-class Observable(_TypedValues):
+class Observable(_Value):
     """Real-valued function on a type set."""
 
     types: TypeSet
@@ -113,7 +117,8 @@ class Observable(_TypedValues):
         object.__setattr__(self, "types", types)
         object.__setattr__(self, "values", v)
 
-    _array = property(lambda self: self.values)
+    def __hash__(self):    # -0.0 and 0.0 compare equal and hash alike
+        return hash((self.types, tuple(self.values.tolist())))
 
     @staticmethod
     def constant(types: TypeSet, c: float) -> "Observable":

@@ -12,7 +12,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import EPS_REL, EPS_ZERO
-from .measure import Observable, Population, covariance, expectation, finite_array
+from .measure import Observable, Population, _Value, covariance, expectation, finite_array
 from .price import price
 from .process import Process, _finite, process
 
@@ -113,8 +113,8 @@ def kgs(p: OpenProcess, x: Observable, y: Observable) -> KgsComponents:
     )
 
 
-@dataclass(frozen=True)
-class DualFitnessKgs:
+@dataclass(frozen=True, eq=False)
+class DualFitnessKgs(_Value):
     components: KgsComponents
     dual_fitness: np.ndarray       # column-sum mass of parented children
     dual_mean: float               # should be 1: (1/N'_pi) sum of dual fitness

@@ -15,13 +15,13 @@ from functools import cached_property
 import numpy as np
 
 from .config import EPS_REL, EPS_SAT, EPS_ZERO
-from .measure import Observable, Population, TypeSet, finite_array, xlogx
+from .measure import Observable, Population, TypeSet, _Value, finite_array, xlogx
 
 _EPS = np.finfo(float).eps
 
 
-@dataclass(frozen=True)
-class Diagnostics:
+@dataclass(frozen=True, eq=False)
+class Diagnostics(_Value):
     """Per-child-type disintegration residuals."""
 
     residuals: np.ndarray = field(repr=False)
@@ -36,8 +36,8 @@ def _relative_residuals(predicted: np.ndarray, stated: np.ndarray) -> np.ndarray
     return res
 
 
-@dataclass(frozen=True)
-class FitnessData:
+@dataclass(frozen=True, eq=False)
+class FitnessData(_Value):
     """The one fitness record of a kernel or operator process, built by
     ``summarize_fitness`` and read by every law, entropy and quantum function.
 
@@ -109,18 +109,10 @@ def summarize_fitness(W, wbar: float, U, u_values: np.ndarray, prob: np.ndarray,
 
 
 @dataclass(frozen=True, eq=False)
-class Process:
+class Process(_Value):
     source: Population
     target: Population
     kernel: np.ndarray = field(repr=False)
-
-    def __eq__(self, other):
-        return (type(other) is type(self) and self.source == other.source
-                and self.target == other.target and np.array_equal(self.kernel, other.kernel))
-
-    # Unhashable on purpose (TypeError: unhashable type: 'Process'): a hash
-    # would have to read the whole kernel.
-    __hash__ = None
 
     def __init__(self, source, target, kernel, _check: bool = True):
         k = np.array(finite_array(kernel, "kernel entries"))

@@ -20,7 +20,7 @@ from .config import EPS_COND, EPS_INVERSE, EPS_OP, EPS_REL, EPS_SUPPORT, EPS_ZER
 from .entropy import CellArrays, EntropyProfile, _ratio
 from .laws import (LawReport, first_law, gibbs_report, second_law, selective_acceleration,
                    zeroth_law)
-from .measure import finite_array, xlogx
+from .measure import _Value, finite_array, xlogx
 from .process import FitnessData, Process, fitness, summarize_fitness
 
 
@@ -85,8 +85,8 @@ def _spectral(vals: np.ndarray, vecs: np.ndarray, f, keep: np.ndarray) -> np.nda
 # States, observables, processes
 
 
-@dataclass(frozen=True)
-class DensityOperator:
+@dataclass(frozen=True, eq=False)
+class DensityOperator(_Value):
     matrix: np.ndarray = field(repr=False)
 
     def __init__(self, matrix):
@@ -115,8 +115,8 @@ class DensityOperator:
         return float(np.real(np.trace(self.matrix)))
 
 
-@dataclass(frozen=True)
-class QuantumObservable:
+@dataclass(frozen=True, eq=False)
+class QuantumObservable(_Value):
     matrix: np.ndarray = field(repr=False)
 
     def __init__(self, matrix):
@@ -151,8 +151,8 @@ def kraus_to_super(kraus) -> np.ndarray:
     return np.einsum("kij,kab->iajb", mats.conj(), mats).reshape(d_out * d_out, d_in * d_in)
 
 
-@dataclass(frozen=True)
-class QuantumProcess:
+@dataclass(frozen=True, eq=False)
+class QuantumProcess(_Value):
     """A positive map (column-major superoperator) with its source state and
     the target state it maps the source to.
 
@@ -192,6 +192,8 @@ class QuantumProcess:
                  target: DensityOperator | None = None, _cp: bool = False):
         s = finite_array(np.array(superoperator, complex, copy=not _cp),
                          "superoperator entries", complex)
+        if s.ndim != 2:
+            raise ValueError(f"superoperator must be a matrix, got shape {s.shape}")
         d_in = source.dim
         if s.shape[1] != d_in * d_in:
             raise ValueError("superoperator input dimension mismatch")
@@ -371,8 +373,8 @@ def q_price(w: QuantumProcess, x: QuantumObservable, y: QuantumObservable) -> QP
 # Factorization
 
 
-@dataclass(frozen=True)
-class QFactorization:
+@dataclass(frozen=True, eq=False)
+class QFactorization(_Value):
     environmental: np.ndarray = field(repr=False)  # process after undoing W
     fitness_operator: np.ndarray = field(repr=False)  # selective factor: vec(rho) -> vec(W rho)
     support: np.ndarray = field(repr=False)
@@ -432,8 +434,12 @@ def q_laws(w: QuantumProcess) -> dict[str, LawReport]:
 
 
 def _check_resolution(projs, dim: int, label: str) -> np.ndarray:
-    """The projections, stacked, once checked Hermitian, idempotent and complete."""
-    mats = hermitize(np.array(projs, dtype=complex), what=f"{label} projection")
+    """The projections, a stack (n >= 1, dim, dim), checked Hermitian, idempotent and complete."""
+    mats = np.array(projs, dtype=complex)
+    if mats.ndim != 3 or len(mats) == 0 or mats.shape[1:] != (dim, dim):
+        raise ValueError(f"{label} projections must be n >= 1 {dim}x{dim} matrices, "
+                         f"got {mats.shape}")
+    mats = hermitize(mats, what=f"{label} projection")
     if float(np.abs(mats.sum(axis=0) - np.eye(dim)).max()) > EPS_OP * max(1.0, dim):
         raise ValueError(f"{label} projections do not resolve the identity")
     if float(np.abs(mats @ mats - mats).max()) > EPS_OP:

@@ -42,7 +42,6 @@ from pricekit import (
     generating_profile,
     kgs,
     kraus_to_super,
-    ks_entropy,
     ks_entropy_curve,
     local_selective_entropy,
     price,
@@ -53,7 +52,6 @@ from pricekit import (
     reversibility,
     second_law,
     selective_acceleration,
-    selective_entropy,
     third_law,
     zeroth_law,
 )
@@ -149,7 +147,7 @@ def test_criterion_4_law_chains():
             abs(z.lhs - (1 / p_star - 1)) <= 1e-9 * max(1, z.lhs),
             all(abs(x) <= 1e-9 for x in z.slacks[:2]),
             abs(f.slacks[0]) <= 1e-9 * max(1, abs(f.lhs)),
-            abs(selective_entropy(p) - np.log(p_star)) <= 1e-9,
+            abs(fitness(p).s_ns - np.log(p_star)) <= 1e-9,
             abs(s.lhs - (-(1 / p_star - 1) * np.log(1 / p_star))) <= 1e-9 * max(1, abs(s.lhs)),
             all(abs(x) <= 1e-9 * max(1, abs(s.lhs)) for x in s.slacks[:-1]),
         ]
@@ -259,7 +257,7 @@ def test_criterion_6_local_cells_as_stated():
                 if p.kernel[i, j] > 0 and abs(u[i] - 1) > 1e-12 \
                         and (val > 0) != (u[i] < 1):
                     mismatches += 1
-        worst_sum = max(worst_sum, abs(total - selective_entropy(p)),
+        worst_sum = max(worst_sum, abs(total - fitness(p).s_ns),
                         abs(total - by_hand))
         worst_total = max(worst_total, total)
     _report("6b", "renormalized cells nonpositive, additive cells sum to S_NS "
@@ -408,7 +406,7 @@ def test_criterion_10_quantum():
         ql = q_laws(w)
         if abs(ql["second"].lhs - second_law(p).lhs) > 1e-10:
             ok, detail = False, "embedded law mismatch"
-        if abs(ql["gibbs"].lhs - selective_entropy(p)) > 1e-10:
+        if abs(ql["gibbs"].lhs - fitness(p).s_ns) > 1e-10:
             ok, detail = False, "embedded entropy mismatch"
 
     # left/right residuals on random positive maps, d <= 4
@@ -483,7 +481,7 @@ def test_criterion_11_path_entropy():
     # symmetric doubly stochastic kernel at horizon 2 vs enumeration
     src2 = Population(TypeSet(["a", "b"]), [1, 1])
     sym = Process(src2, Population(src2.types, [1, 1]), [[0.5, 0.5], [0.5, 0.5]])
-    got = ks_entropy(sym, 2)
+    got = ks_entropy_curve(sym, 2)[-1]
     want = path_entropy_by_enumeration(sym, 2)
     if abs(got - want) > 1e-12:
         ok, detail = False, f"symmetric kernel: {got} vs {want}"

@@ -13,12 +13,12 @@ from pricekit import (
     Population,
     Process,
     TypeSet,
+    fitness,
     generating_profile,
     multilevel_second_law,
     price,
     process,
     second_law,
-    selective_entropy,
 )
 from pricekit.cli import main
 from pricekit.config import IdentityViolation
@@ -747,7 +747,7 @@ class TestSimulate:
             Population(TypeSet(["t0", "t1"]), [1.0, 2.0]),
             [[1.0, 0.8], [0.2, 0.7]],
         )
-        assert float(rows[0]["S_NS"]) == selective_entropy(p)
+        assert float(rows[0]["S_NS"]) == fitness(p).s_ns
 
     def _random_doc(self, tmp_path, seed=12, k=12):
         rng = np.random.default_rng(seed)

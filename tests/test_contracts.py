@@ -3,7 +3,8 @@ seed-0 inputs, gives the recorded outputs field by field
 (``perfbench/reference``), no source module outside ``config.py`` holds
 a threshold literal, only the law modules build law reports, every
 import sits at the top of its module and is read there, no module holds a
-cache, and README names only code that exists."""
+cache, README names only code that exists, and every record compares by
+the one value rule of ``measure._Value``."""
 
 import ast
 import dataclasses
@@ -13,7 +14,9 @@ import re
 import sys
 import tokenize
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -21,6 +24,13 @@ if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
 from perfbench import bench, gen  # noqa: E402
+from pricekit import (  # noqa: E402
+    DensityOperator, Observable, OpenQuantumProcess, Partition, Population, Process, TypeSet,
+    aggregate_price, cell_arrays, dual_fitness_kgs, embed_observable, embed_process, first_law,
+    fitness, generating_profile, intergenerational_ec_change, kgs, multilevel_price,
+    open_process, price, price_factorize, process, q_factorize, q_kgs, q_partition_entropy,
+    q_price, reversibility, stationarity, validate)
+from pricekit.measure import _Value  # noqa: E402
 
 
 @pytest.mark.parametrize("workload", gen.WORKLOADS)
@@ -212,3 +222,110 @@ def test_no_module_level_caches():
                   if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
                   for dec in func.decorator_list if name(dec) in ("cache", "lru_cache")]
     assert found == []
+
+
+def record_inputs(v: float) -> SimpleNamespace:
+    """Every input a record is built from, on the kernel [[1, 1], [0.5, v]]
+    over weights (1, 2): two calls with one v give equal, unshared inputs."""
+    p = process(Population(TypeSet(["a", "b"]), [1, 2]), [[1, 1], [0.5, v]])
+    q = process(p.target, [[0.5, 1.5], [1.0, 0.0]])
+    x, y = Observable(p.source.types, [0.0, 1.0]), Observable(p.target.types, [1.0, 3.0])
+    w = embed_process(p)
+    return SimpleNamespace(
+        v=v, p=p, q=q, x=x, y=y, w=w, qx=embed_observable(x.values), qy=embed_observable(y.values),
+        op=open_process(p.source, p.kernel, [0.5, 0.0]),
+        oq=OpenQuantumProcess(w, DensityOperator(np.diag([2.5, 1.0 + 2.0 * v]))))
+
+
+def diagonal_pair(source: Population, t: float) -> tuple[Process, Process]:
+    """Two stages of the kernel diag(1, t) from source."""
+    p = process(source, [[1, 0], [0, t]])
+    return p, process(p.target, [[1, 0], [0, t]])
+
+
+# Every dataclass of the package, built from record_inputs(v).
+RECORD_BUILDERS = {
+    "TypeSet": lambda i: TypeSet(["a", str(i.v)]),
+    "Population": lambda i: i.p.target,
+    "Observable": lambda i: fitness(i.p).U,
+    "Diagnostics": lambda i: validate(Process(i.p.source, i.p.target, [[1, 1], [0.5, 0]],
+                                              _check=False)),
+    "FitnessData": lambda i: fitness(i.p),
+    "Process": lambda i: i.p,
+    "Factorization": lambda i: price_factorize(i.p),
+    "PriceDecomposition": lambda i: price(i.p, i.x, i.y),
+    "AggregatePrice": lambda i: aggregate_price(i.p, i.x, i.y),
+    "MultiLevelPrice": lambda i: multilevel_price(i.p, i.q, i.y,
+                                                  Observable(i.q.target.types, [0.0, 2.0])),
+    "LawReport": lambda i: first_law(i.p),
+    # stationary at v = 0, where U = 1 in both stages
+    "StationarityClass": lambda i: stationarity(*diagonal_pair(i.p.source, 1 + i.v)),
+    "Partition": lambda i: Partition(i.p.source.types,
+                                     [["a"], ["b"]] if i.v == 0 else [["a", "b"]]),
+    "CellArrays": lambda i: cell_arrays(i.p, Partition.singletons(i.p.source.types),
+                                        Partition.singletons(i.p.target.types)),
+    "EntropyProfile": lambda i: generating_profile(i.p),
+    "IntergenerationalChange": lambda i: intergenerational_ec_change(i.p, i.q),
+    # an invertible kernel, so the verdict holds its retraction, section and inverse
+    "ReversibilityVerdict": lambda i: reversibility(process(i.p.source, [[1 + i.v, 0], [0, 0.5]])),
+    "OpenProcess": lambda i: i.op,
+    "KgsComponents": lambda i: kgs(i.op, i.x, i.y),
+    "DualFitnessKgs": lambda i: dual_fitness_kgs(i.op, i.x, i.y),
+    "DensityOperator": lambda i: i.w.target,
+    "QuantumObservable": lambda i: fitness(i.w).U,
+    "QuantumProcess": lambda i: i.w,
+    "QPriceSide": lambda i: q_price(i.w, i.qx, i.qy).left,
+    "QPriceResult": lambda i: q_price(i.w, i.qx, i.qy),
+    "QFactorization": lambda i: q_factorize(i.w),
+    "QPartitionResult": lambda i: q_partition_entropy(i.w, np.eye(2)[:, None] * np.eye(2),
+                                                      [np.eye(2)]),
+    "OpenQuantumProcess": lambda i: i.oq,
+    "QKgsResult": lambda i: q_kgs(i.oq, i.qx, i.qy),
+}
+
+
+def package_records() -> dict:
+    """Every dataclass defined in a module of the package, by name."""
+    return {cls.__name__: cls
+            for path in sorted((ROOT / "src" / "pricekit").glob("*.py"))
+            for module in [importlib.import_module(f"pricekit.{path.stem}")]
+            for cls in vars(module).values()
+            if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+            and cls.__module__ == module.__name__}
+
+
+def test_every_record_has_a_builder():
+    assert sorted(package_records()) == sorted(RECORD_BUILDERS)
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_BUILDERS))
+def test_records_compare_by_value(name):
+    """Records built from equal inputs are equal, from different inputs
+    unequal, and unequal to any other object, without raising; a hash agrees
+    with == or is refused, by the one base naming the record itself."""
+    cls = package_records()[name]
+    build = RECORD_BUILDERS[name]
+    a, b, c = build(record_inputs(0.0)), build(record_inputs(0.0)), build(record_inputs(0.25))
+    assert type(a) is type(b) is type(c) is cls
+    assert a is not b and a == b and b == a and not a != b
+    assert a != c and c != a and not a == c
+    for other in (None, 1, object(), vars(a)):
+        assert a != other and not a == other
+    try:
+        hashed = hash(a)
+    except TypeError as exc:
+        named = cls.__name__ if issubclass(cls, _Value) else r"\w+"
+        assert re.fullmatch(f"unhashable type: '{named}'", str(exc)), str(exc)
+    else:
+        assert hashed == hash(b)
+
+
+def test_only_the_value_base_defines_eq():
+    """One value rule: no class of the package defines __eq__ but ``_Value``."""
+    found = [f"{path.name}:{cls.name}"
+             for path in sorted((ROOT / "src" / "pricekit").glob("*.py"))
+             for cls in ast.walk(ast.parse(path.read_text())) if isinstance(cls, ast.ClassDef)
+             for node in cls.body
+             if getattr(node, "name", None) == "__eq__"
+             or any(getattr(t, "id", None) == "__eq__" for t in getattr(node, "targets", []))]
+    assert found == ["measure.py:_Value"]

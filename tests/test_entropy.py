@@ -20,14 +20,11 @@ from pricekit import (
     generating_profile,
     gibbs_report,
     intergenerational_ec_change,
-    ks_entropy,
     ks_entropy_curve,
     local_selective_entropy,
     process,
     reversibility,
-    selective_entropy,
     third_law,
-    total_entropy,
 )
 from pricekit.config import EPS_ZERO
 from pricekit.process import Process, flow_cells
@@ -72,9 +69,9 @@ def random_kernel(rng, k, k2):
 
 class TestSelectiveEntropy:
     def test_fixture_values(self, f1, f2, f5):
-        assert selective_entropy(f1) == pytest.approx(-LOG2)
-        assert selective_entropy(f2) == pytest.approx(0.0, abs=1e-15)
-        assert selective_entropy(f5) == pytest.approx(-LOG2 / 3)
+        assert fitness(f1).s_ns == pytest.approx(-LOG2)
+        assert fitness(f2).s_ns == pytest.approx(0.0, abs=1e-15)
+        assert fitness(f5).s_ns == pytest.approx(-LOG2 / 3)
 
     def test_gibbs_window(self, f1, f5):
         rep = gibbs_report(f1)
@@ -87,7 +84,7 @@ class TestSelectiveEntropy:
         rng = np.random.default_rng(50)
         for _ in range(100):
             p = random_process(rng)
-            s = selective_entropy(p)
+            s = fitness(p).s_ns
             assert s <= 1e-12
             u = fitness(p).U.values
             carried = p.source.weights > 0
@@ -100,7 +97,7 @@ class TestLocalSelectiveEntropy:
         full = local_selective_entropy(
             f5, f5.source.types.labels, f5.target.types.labels
         )
-        assert full == pytest.approx(selective_entropy(f5))
+        assert full == pytest.approx(fitness(f5).s_ns)
 
     def test_purely_environmental_cells_vanish(self, f2):
         for a in (("a",), ("b",), ("a", "b")):
@@ -122,7 +119,7 @@ class TestLocalSelectiveEntropy:
                 for a in part_a.blocks
                 for b in part_b.blocks
             ]
-            assert sum(cells) == pytest.approx(selective_entropy(p), rel=1e-9, abs=1e-12)
+            assert sum(cells) == pytest.approx(fitness(p).s_ns, rel=1e-9, abs=1e-12)
 
     def test_cells_with_low_fitness_can_be_positive(self, f5):
         """Additivity and per-cell nonpositivity are incompatible: the
@@ -251,7 +248,7 @@ class TestEnvironmentalEntropy:
             p = process(Population(TypeSet.range(k), np.multiply(weights, 10.0**s)), kernel)
             prof = generating_profile(p)
             assert environmental_entropy(p) == prof.s_ec, f"weights x 1e{s}"
-            assert total_entropy(p) == prof.s_tot
+            assert fitness(p).s_ns + environmental_entropy(p) == prof.s_tot
 
     def test_single_type(self):
         p = process(Population(TypeSet(["a"]), [3.0]), [[0.25, 0.0, 0.75]])
@@ -261,8 +258,8 @@ class TestEnvironmentalEntropy:
 
 class TestTotalEntropy:
     def test_fixture_values(self, f1, f2):
-        assert total_entropy(f2) == pytest.approx(np.log(4))
-        assert total_entropy(f1) == pytest.approx(-LOG2)
+        assert fitness(f2).s_ns + environmental_entropy(f2) == pytest.approx(np.log(4))
+        assert fitness(f1).s_ns + environmental_entropy(f1) == pytest.approx(-LOG2)
 
     def test_purely_selective_diagonal(self):
         pop = Population(TypeSet(["a", "b"]), [1, 2])
@@ -629,17 +626,17 @@ class TestPathEntropy:
             src = Population(TypeSet.range(k), rng.uniform(0.2, 2, k))
             kernel = rng.uniform(0.05, 1.5, (k, k))
             p = Process(src, Population(src.types, kernel.T @ src.weights), kernel)
-            assert ks_entropy(p, 1) == pytest.approx(
+            assert ks_entropy_curve(p, 1)[-1] == pytest.approx(
                 generating_profile(p).s_ec, rel=1e-9, abs=1e-12
             )
 
     def test_symmetric_kernel_matches_enumeration(self):
         src = Population(TypeSet(["a", "b"]), [1, 1])
         p = Process(src, Population(src.types, [1, 1]), [[0.5, 0.5], [0.5, 0.5]])
-        assert ks_entropy(p, 2) == pytest.approx(
+        assert ks_entropy_curve(p, 2)[-1] == pytest.approx(
             path_entropy_by_enumeration(p, 2), abs=1e-12
         )
-        assert ks_entropy(p, 2) == pytest.approx(3 * LOG2, abs=1e-12)
+        assert ks_entropy_curve(p, 2)[-1] == pytest.approx(3 * LOG2, abs=1e-12)
 
     def test_permutation_kernel_constant_in_t(self):
         src = Population(TypeSet(["a", "b", "c"]), [1, 2, 3])
@@ -689,15 +686,15 @@ class TestPathEntropy:
         kernel = np.array([[0.0, 1.0], [0.0, 0.0]])  # everything funnels into b, then dies
         p = Process(src, Population(src.types, kernel.T @ src.weights), kernel)
         with pytest.raises(ValueError):
-            ks_entropy(p, 3)
+            ks_entropy_curve(p, 3)
 
     def test_guards(self, f5, f2):
         with pytest.raises(ValueError):
-            ks_entropy(f5, 2)  # not endomorphic
+            ks_entropy_curve(f5, 2)  # not endomorphic
         with pytest.raises(ValueError):
-            ks_entropy(f2, 0)
+            ks_entropy_curve(f2, 0)
         with pytest.raises(ValueError):
-            ks_entropy(f2, 7)
+            ks_entropy_curve(f2, 7)
 
     def test_equals_the_per_horizon_route_bit_for_bit(self):
         """Every horizon T = 1..6 of seeded kernels, K = 1 included, with
@@ -755,7 +752,7 @@ class TestComposedEntropy:
         alt = np.zeros_like(base)
         alt[:, 0] = w
         q = process(src, alt)
-        assert selective_entropy(p) == pytest.approx(selective_entropy(q), rel=1e-12)
+        assert fitness(p).s_ns == pytest.approx(fitness(q).s_ns, rel=1e-12)
 
     def test_bernoulli_roundtrip_entropies(self):
         disp = bernoulli_dispersion(0.5)

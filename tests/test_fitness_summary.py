@@ -30,7 +30,6 @@ from pricekit import (
     q_partition_entropy,
     q_price,
     reversibility,
-    selective_entropy,
     stationarity,
     zeroth_law,
 )
@@ -209,7 +208,7 @@ def test_fitness_is_cached():
 @pytest.mark.parametrize("scale", [0.5, 1.0, 2.0])
 def test_selective_entropy_is_the_summary_value(scale):
     """One S_NS: rows whose relative fitness sits at the zero threshold count
-    the same way in selective_entropy, the profile and the law chains."""
+    the same way in the fitness record, the profile and the law chains."""
     weights = np.array([1.0, 0.7, 1.3, 0.4])
     kernel = np.array([[1.0, 0.0, 0.0], [0.5, 0.2, 0.0], [0.0, 1.1, 0.6], [0.3, 0.0, 0.8]])
     n = weights.sum()
@@ -218,7 +217,6 @@ def test_selective_entropy_is_the_summary_value(scale):
     p = process(Population(TypeSet.range(4), weights), kernel)
     assert fitness(p).U.values[0] == pytest.approx(scale * EPS_ZERO, rel=1e-3)
     s_ns = fitness(p).s_ns
-    assert selective_entropy(p) == s_ns
     assert generating_profile(p).s_ns == s_ns
     assert zeroth_law(p).extras["s_ns"] == s_ns
 

@@ -34,7 +34,6 @@ from pricekit import (
     q_price,
     second_law,
     selective_acceleration,
-    selective_entropy,
     speed_limits,
     zeroth_law,
 )
@@ -340,7 +339,7 @@ class TestQuantumLaws:
         reports = q_laws(w)
         assert reports["zeroth"].lhs == pytest.approx(zeroth_law(f1).lhs, abs=1e-12)
         assert reports["second"].lhs == pytest.approx(second_law(f1).lhs, abs=1e-12)
-        assert reports["gibbs"].lhs == pytest.approx(selective_entropy(f1), abs=1e-12)
+        assert reports["gibbs"].lhs == pytest.approx(fitness(f1).s_ns, abs=1e-12)
         assert reports["acceleration"].lhs == pytest.approx(-np.log(2), abs=1e-12)
         assert reports["zeroth"].extras["p_star"] == pytest.approx(0.5)
         assert reports["zeroth"].equilibrium_class == "selective_equilibrium"

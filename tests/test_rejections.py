@@ -1,6 +1,7 @@
 """Every input check of the library raises its own ValueError: mismatched
-dimensions and type sets, states and projections that are not what they
-claim, derived totals that overflow, open processes whose children are all
+dimensions, shapes and type sets, unknown or repeated labels, orders that
+are not integers, states and projections that are not what they claim,
+derived totals that overflow, open processes whose children are all
 orphans, and identities whose residual is NaN."""
 
 import importlib
@@ -22,10 +23,13 @@ from pricekit import (
     cell_arrays,
     compose,
     fitness,
+    higher_order_first_law,
     kgs,
+    ks_entropy_curve,
     kraus_to_super,
     local_average,
     local_change,
+    local_selective_entropy,
     multilevel_price,
     multilevel_second_law,
     open_process,
@@ -157,6 +161,22 @@ LIBRARY_REJECTIONS = [
                  id="partition-block-string"),
     pytest.param(lambda: cell_arrays(f5(), Partition.singletons(AB), Partition.singletons(AB)),
                  "partitions must match the process type sets", id="cell-arrays-types"),
+    # a cell's labels are the process's, each listed once
+    pytest.param(lambda: local_selective_entropy(f5(), ["a", "z"], ["c0"]),
+                 "block label 'z' is unknown", id="local-selective-entropy-unknown"),
+    pytest.param(lambda: local_selective_entropy(f5(), ["a", "a"], ["c0"]),
+                 "block label 'a' is repeated", id="local-selective-entropy-repeated"),
+    # orders and horizons are ints, not floats, booleans or numpy integers
+    pytest.param(lambda: higher_order_first_law(f5(), 2.5),
+                 r"order n must be an int between 1 and 8, got 2\.5", id="higher-order-float"),
+    pytest.param(lambda: higher_order_first_law(f5(), True),
+                 "order n must be an int between 1 and 8, got True", id="higher-order-bool"),
+    # a numpy integer would carry numpy scalars into the report's bounds and extras
+    pytest.param(lambda: higher_order_first_law(f5(), np.int64(2)),
+                 "order n must be an int between 1 and 8", id="higher-order-numpy-int"),
+    pytest.param(lambda: ks_entropy_curve(process(Population(AB, [1, 2]), [[1, 1], [0.5, 0]], AB),
+                                          2.5),
+                 "horizon T must be between 1 and 6", id="ks-horizon-float"),
     # open processes
     pytest.param(lambda: OpenProcess(f5(), Population(AB, [5, 5])),
                  "full target must share the child type set", id="open-process-types"),
@@ -223,6 +243,20 @@ LIBRARY_REJECTIONS = [
                  "superoperator input dimension mismatch", id="quantum-process-input"),
     pytest.param(lambda: QuantumProcess(np.ones((3, 4)), DensityOperator(np.eye(2))),
                  "superoperator output dimension is not a square", id="quantum-process-output"),
+    # the superoperator's and the projections' shapes are checked before they are read
+    pytest.param(lambda: QuantumProcess([1.0, 0, 0, 1.0], DensityOperator(np.eye(2))),
+                 r"superoperator must be a matrix, got shape \(4,\)", id="superoperator-vector"),
+    pytest.param(lambda: QuantumProcess(5.0, DensityOperator(np.eye(2))),
+                 r"superoperator must be a matrix, got shape \(\)", id="superoperator-scalar"),
+    pytest.param(lambda: q_partition_entropy(qubit_process(), [], [np.eye(2)]),
+                 r"source projections must be n >= 1 2x2 matrices, got \(0,\)",
+                 id="projections-empty"),
+    pytest.param(lambda: q_partition_entropy(qubit_process(), [np.eye(2)], [np.eye(3)]),
+                 r"target projections must be n >= 1 2x2 matrices, got \(1, 3, 3\)",
+                 id="projections-wrong-dimension"),
+    pytest.param(lambda: q_partition_entropy(qubit_process(), [[[1.0, 0.0]]], [np.eye(2)]),
+                 r"source projections must be n >= 1 2x2 matrices, got \(1, 1, 2\)",
+                 id="projections-not-square"),
     pytest.param(fitness_below_the_band, "fitness operator is not positive",
                  id="fitness-operator-negative"),
     pytest.param(lambda: q_price(qubit_process(), QuantumObservable(np.eye(3)),
