@@ -36,6 +36,7 @@ from .openproc import OpenProcess, _full_weights, kgs
 from .price import price
 from .process import (
     Process,
+    _image_process,
     _kernel_image,
     check_composable,
     classify_purity,
@@ -327,7 +328,7 @@ def cmd_simulate(args) -> int:
     current = p.source
     for t in range(args.generations + 1):
         weights = _kernel_image(p.kernel, current.weights, f"generation {t + 1} weights")
-        step = Process(current, Population(p.source.types, weights), p.kernel, _check=False)
+        step = _image_process(current, p.kernel, p.source.types, weights)
         sec = second_law(step)
         spd = speed_limits(step)
         rows.append(

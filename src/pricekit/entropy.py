@@ -19,7 +19,7 @@ import numpy as np
 from .config import EPS_INVERSE, EPS_SAT, EPS_ZERO
 from .laws import LawReport
 from .measure import Population, TypeSet, _Value, xlogx
-from .process import (FitnessData, Process, check_composable, fitness, flow_cells,
+from .process import (FitnessData, Process, _finite, check_composable, fitness, flow_cells,
                       flow_shares, price_factorize)
 
 
@@ -528,7 +528,8 @@ def reversibility(p: Process) -> ReversibilityVerdict:
                 section = Process(p.target, mid, s, _check=False)
         if retraction is not None and section is not None:
             w_support = fd.W.values[support_rows]
-            inv_kernel = retraction.kernel / w_support[None, :]
+            with np.errstate(over="ignore"):
+                inv_kernel = _finite(retraction.kernel / w_support[None, :], "inverse kernel")
             restricted = Population(mid.types, p.source.weights[support_rows])
             inverse = Process(p.target, restricted, inv_kernel, _check=False)
     left = retraction is not None

@@ -71,6 +71,30 @@ class _Value:
     __hash__ = None
 
 
+def _built(cls, **fields):
+    """A ``cls`` record of fields the package has just formed from checked parts,
+    taken over as built: each array is frozen in place, not copied or checked.
+    The public constructors are the front doors; a caller of this one
+    guarantees their invariants."""
+    record = object.__new__(cls)
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(record, name, value)
+    return record
+
+
+def _population_size(weights: np.ndarray) -> float:
+    """The total of finite nonnegative weights, which must neither overflow nor vanish."""
+    with np.errstate(over="ignore"):
+        size = weights.sum()
+    if not np.isfinite(size):
+        raise ValueError(f"total population size overflows: the weights sum to {size}")
+    if size <= 0:
+        raise ValueError("total population size must be positive")
+    return float(size)
+
+
 @dataclass(frozen=True, eq=False)
 class Population(_Value):
     """Nonnegative weight per type; the measure driving all expectations."""
@@ -84,16 +108,10 @@ class Population(_Value):
             raise ValueError("one weight per type required")
         if np.any(w < 0):
             raise ValueError("population weights must be nonnegative")
-        with np.errstate(over="ignore"):
-            size = w.sum()
-        if not np.isfinite(size):
-            raise ValueError(f"total population size overflows: the weights sum to {size}")
-        if size <= 0:
-            raise ValueError("total population size must be positive")
         object.__setattr__(self, "types", types)
         object.__setattr__(self, "weights", w)
         # Not a field, so repr and == are unchanged; the weights are read-only.
-        object.__setattr__(self, "_size", float(size))
+        object.__setattr__(self, "_size", _population_size(w))
 
     @property
     def size(self) -> float:

@@ -15,7 +15,8 @@ from functools import cached_property
 import numpy as np
 
 from .config import EPS_REL, EPS_SAT, EPS_ZERO
-from .measure import Observable, Population, TypeSet, _Value, finite_array, xlogx
+from .measure import (Observable, Population, TypeSet, _built, _population_size, _Value,
+                      finite_array, xlogx)
 
 _EPS = np.finfo(float).eps
 
@@ -150,8 +151,10 @@ class Process(_Value):
             raise ValueError("kernel carries no child mass")
         with np.errstate(over="ignore"):
             u_values = _finite(w_values / wbar, "relative fitness W/wbar")
-        return summarize_fitness(Observable(self.source.types, w_values), wbar,
-                                 Observable(self.source.types, u_values), u_values,
+        # W is finite where mu.W is, U where _finite passed
+        types = self.source.types
+        return summarize_fitness(_built(Observable, types=types, values=w_values), wbar,
+                                 _built(Observable, types=types, values=u_values), u_values,
                                  self.source.weights / self.source.size)
 
     @cached_property
@@ -177,14 +180,31 @@ def _kernel_image(kernel, weights, what: str = "derived target weights") -> np.n
         return _finite(kernel.T @ weights, what)
 
 
+def _population(types: TypeSet, weights: np.ndarray) -> Population:
+    """The population of finite nonnegative weights just formed here: only the size checks run."""
+    return _built(Population, types=types, weights=weights, _size=_population_size(weights))
+
+
+def _image_process(source: Population, kernel: np.ndarray, types: TypeSet,
+                   weights: np.ndarray) -> Process:
+    """The process of a checked kernel onto ``weights``, its image of source
+    fresh from ``_kernel_image``: finite, and nonnegative as kernel and source are."""
+    return _built(Process, source=source, target=_population(types, weights), kernel=kernel)
+
+
 def process(source: Population, kernel, target_types: TypeSet | None = None) -> Process:
     """The process whose target is the kernel image of the source, on
-    ``target_types`` (c0, c1, ... by default)."""
-    k = finite_array(kernel, "kernel entries")
+    ``target_types`` (c0, c1, ... by default).  The kernel is checked and
+    copied before its image is formed."""
+    k = np.array(finite_array(kernel, "kernel entries"))
     if k.ndim != 2 or k.shape[0] != len(source.types):
         raise ValueError(f"kernel must be a matrix with one row per source type, got {k.shape}")
     types = TypeSet.range(k.shape[1], prefix="c") if target_types is None else target_types
-    return Process(source, Population(types, _kernel_image(k, source.weights)), k, _check=False)
+    if k.shape[1] != len(types):
+        raise ValueError("one weight per type required")    # one image weight per target type
+    if np.any(k < 0):
+        raise ValueError("kernel entries must be nonnegative")
+    return _image_process(source, k, types, _kernel_image(k, source.weights))
 
 
 def fitness(p) -> FitnessData:
@@ -243,7 +263,7 @@ def check_composable(p: Process, q: Process) -> Process:
     gap = np.abs(a.weights - b.weights)
     if not np.all(gap <= EPS_REL * max(a.size, b.size, 1.0)):
         raise ValueError("intermediate populations differ beyond tolerance")
-    return Process(a, q.target, q.kernel, _check=False) if gap.any() else q
+    return _built(Process, source=a, target=q.target, kernel=q.kernel) if gap.any() else q
 
 
 def compose(p: Process, q: Process) -> Process:
@@ -274,15 +294,15 @@ def price_factorize(p: Process) -> Factorization:
     support = fd.support
     labels = np.asarray(p.source.types.labels)
     mid_types = TypeSet(labels[support])
-    mid_pop = Population(mid_types, (w * p.source.weights)[support])
+    # mu_i W_i is finite where mu.W is; each entry of env_kernel is at most 1
+    mid_pop = _population(mid_types, (w * p.source.weights)[support])
 
     k = len(p.source.types)
     sel_kernel = np.zeros((k, int(support.sum())))
     sel_kernel[np.nonzero(support)[0], np.arange(int(support.sum()))] = w[support]
-    selective = Process(p.source, mid_pop, sel_kernel, _check=False)
-
     env_kernel = p.kernel[support] / w[support, None]
-    environmental = Process(mid_pop, p.target, env_kernel, _check=False)
+    selective = _built(Process, source=p.source, target=mid_pop, kernel=sel_kernel)
+    environmental = _built(Process, source=mid_pop, target=p.target, kernel=env_kernel)
 
     return Factorization(
         selective=selective,

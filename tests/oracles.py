@@ -517,6 +517,30 @@ def speed_limits_by_loop(p):
     )
 
 
+def simulate_csv_by_constructors(p, generations: int) -> str:
+    """The CSV that ``price-kit simulate`` writes for the endomorphic process p,
+    each generation built by the public ``Population`` and ``Process``
+    constructors with every check they run."""
+    import csv
+    import io
+
+    from pricekit import (Population, Process, environmental_entropy, fitness, second_law,
+                          speed_limits)
+
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["t", "N", "var_U", "S_NS", "S_EC", "second_law_slack", "speed_limit_slack"])
+    current = p.source
+    for t in range(generations + 1):
+        step = Process(current, Population(current.types, p.kernel.T @ current.weights), p.kernel)
+        fd = fitness(step)
+        row = (current.size, fd.var_u, fd.s_ns, environmental_entropy(step),
+               min(second_law(step).slacks), min(speed_limits(step).slacks))
+        writer.writerow([t] + [format(v, ".17g") for v in row])
+        current = step.target
+    return out.getvalue()
+
+
 def reversibility_kernels_by_loop(p) -> tuple[np.ndarray, np.ndarray]:
     """The retraction and section kernels that ``pricekit.reversibility``
     builds, child by child and parent by parent, whether or not the

@@ -23,6 +23,8 @@ from pricekit import (
 from pricekit.cli import main
 from pricekit.config import IdentityViolation
 
+from oracles import simulate_csv_by_constructors
+
 LAWS_MODULE = importlib.import_module("pricekit.laws")
 
 F5_DOC = {
@@ -213,6 +215,15 @@ NON_FINITE_INPUTS = [
                  "population weights must be finite, got nan at [1]", id="weights-nan"),
     pytest.param(dict(F5_DOC, target_weights=[float("-inf"), 1]), ["validate"], None,
                  "population weights must be finite, got -inf at [0]", id="target-weights-inf"),
+    # a negative kernel entry is named as such, not by the image formed from it
+    pytest.param(dict(F5_DOC, kernel=[[-1, 0], [0, 0.5]]), ["report"], None,
+                 "kernel entries must be nonnegative", id="kernel-negative"),
+    pytest.param(dict(F5_DOC, kernel=[[-1, 0], [0, 0.5]]), ["validate"], None,
+                 "kernel entries must be nonnegative", id="kernel-negative-validate"),
+    pytest.param(dict(F5_DOC, target_types=["a", "b"], kernel=[[-1, 0], [0, 0.5]]), ["simulate"],
+                 None, "kernel entries must be nonnegative", id="kernel-negative-simulate"),
+    pytest.param(dict(F5_DOC, weights=[-1, 2]), ["report"], None,
+                 "population weights must be nonnegative", id="weights-negative"),
     pytest.param(dict(F5_DOC, observables={"trait": [float("nan"), 0], "off": [1, 0]}),
                  ["report"], None, "observable values must be finite, got nan at [0]",
                  id="observable-nan"),
@@ -315,6 +326,14 @@ NON_FINITE_INPUTS = [
                   "kernel": [[1e10, 1e10], [1e10, 0]]}, ["simulate", "--generations", "64"],
                  None, "generation 31 weights overflow: got inf at [0]",
                  id="simulated-generation-overflow"),
+    # a nilpotent kernel: the second simulated generation has no members
+    pytest.param({"types": ["a", "b"], "target_types": ["a", "b"], "weights": [1, 2],
+                  "kernel": [[0, 1], [0, 0]]}, ["simulate"], None,
+                 "total population size must be positive", id="simulated-population-vanishes"),
+    # every entry is finite, but the inverse kernel 1 / W is not
+    pytest.param({"types": ["a", "b"], "weights": [1, 2], "kernel": [[1e-310, 0], [0, 1e-310]]},
+                 ["report"], None, "inverse kernel overflow: got inf at [0, 0]",
+                 id="inverse-kernel-overflow"),
     # U_i = W_i / wbar reaches N / mu_i: a subnormal parent weight overflows it
     pytest.param({"types": ["a", "b"], "weights": [1e-310, 1], "kernel": [[1.0], [0.0]]},
                  ["report"], None, "relative fitness W/wbar overflow: got inf at [0]",
@@ -769,6 +788,18 @@ class TestSimulate:
             assert float(row["S_NS"]) == prof.s_ns
             assert float(row["S_EC"]) == prof.s_ec
             current = step.target
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-60, 1e60])
+    def test_csv_is_that_of_the_public_constructors(self, tmp_path, scale):
+        """Each generation is taken over as built; the front doors give the same bytes."""
+        kernel = np.random.default_rng(28).uniform(0.05, 1.0, (12, 12))
+        kernel[0] = 0.0                                    # a childless type
+        weights = np.linspace(0.1, 2.0, 12) * scale
+        path, out = self._write(tmp_path, kernel.tolist(), weights.tolist()), tmp_path / "traj.csv"
+        assert main(["simulate", path, "--generations", "16", "--out", str(out)]) == 0
+        types = TypeSet([f"t{i}" for i in range(12)])
+        p = Process(Population(types, weights), Population(types, kernel.T @ weights), kernel)
+        assert out.read_bytes() == simulate_csv_by_constructors(p, 16).encode()
 
     def test_builds_no_partition_or_cells(self, tmp_path, monkeypatch):
         """S_EC comes from the flow shares, not from a singleton profile."""

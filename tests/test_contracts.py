@@ -67,23 +67,42 @@ def test_law_reports_are_built_only_by_the_law_modules():
     assert found == []
 
 
+def callers(callee: str) -> list[str]:
+    """Every call of ``callee`` in the package, named by its module and the
+    top-level function or class (or the line of the statement) holding it."""
+    return sorted(f"{path.name}:{getattr(top, 'name', top.lineno)}"
+                  for path in sorted((ROOT / "src" / "pricekit").glob("*.py"))
+                  for top in ast.parse(path.read_text()).body
+                  for node in ast.walk(top) if isinstance(node, ast.Call)
+                  and callee in (getattr(node.func, "id", None),
+                                 getattr(node.func, "attr", None)))
+
+
 def test_kernel_images_are_formed_only_by_process():
     """``process`` forms every kernel-image child population (``validate``
     forms one to compare with the stated target, ``simulate`` one per
     generation), and nothing in the package calls ``compose``: each derived
-    process is built once, in one place.  A call is named by its module and
-    the top-level function or class (or the line of the statement) holding it."""
-    def callers(callee):
-        return sorted(f"{path.name}:{getattr(top, 'name', top.lineno)}"
-                      for path in sorted((ROOT / "src" / "pricekit").glob("*.py"))
-                      for top in ast.parse(path.read_text()).body
-                      for node in ast.walk(top) if isinstance(node, ast.Call)
-                      and callee in (getattr(node.func, "id", None),
-                                     getattr(node.func, "attr", None)))
-
+    process is built once, in one place."""
     assert callers("_kernel_image") == ["cli.py:cmd_simulate", "process.py:process",
                                         "process.py:validate"]
     assert callers("compose") == []
+
+
+def test_records_are_taken_over_only_where_they_are_built():
+    """``measure._built`` takes a record over without the checks of its public
+    constructor, so only ``process.py``, which has just checked the parts, calls
+    it, and only ``cmd_simulate``, whose kernel and weights ``_load_valid`` has
+    checked, calls ``process._image_process`` from outside it; no ``cli.py``
+    function that reads a document (names ``doc`` or a ``_field``) calls either."""
+    assert {name.split(":")[0] for name in callers("_built")} == {"process.py"}
+    assert [name for name in callers("_image_process")
+            if not name.startswith("process.py:")] == ["cli.py:cmd_simulate"]
+    cli = ast.parse((ROOT / "src" / "pricekit" / "cli.py").read_text())
+    readers = {f"cli.py:{func.name}" for func in cli.body if isinstance(func, ast.FunctionDef)
+               and {"doc", "_field"} & {getattr(n, "id", getattr(n, "arg", None))
+                                        for n in ast.walk(func)}}
+    assert "cli.py:build_unchecked" in readers
+    assert readers.isdisjoint(callers("_built") + callers("_image_process"))
 
 
 def test_no_imports_inside_functions():

@@ -582,6 +582,14 @@ class TestReversibility:
         assert (v.left_invertible, v.right_invertible, v.invertible) == (False, False, False)
         assert v.retraction is None and v.section is None and v.inverse is None
 
+    def test_inverse_kernel_overflow_is_named(self):
+        """Every entry of 1e-310 * I is finite, but the inverse kernel 1 / W is
+        not; at 1e-300 the inverse (1e300) can be represented."""
+        src = Population(TypeSet(["a", "b"]), [1, 2])
+        assert reversibility(process(src, 1e-300 * np.eye(2))).invertible
+        with pytest.raises(ValueError, match=r"inverse kernel overflow: got inf at \[0, 0\]"):
+            reversibility(process(src, 1e-310 * np.eye(2)))
+
     def test_childless_type_blocks_dollo_full(self, f1):
         v = reversibility(f1)
         assert v.left_invertible  # single parent feeds the single child

@@ -85,6 +85,8 @@ LIBRARY_REJECTIONS = [
                  r"population weights must be finite, got inf at \[0\]", id="population-inf"),
     pytest.param(lambda: Population(AB, [1, {}]),
                  "population weights are not an array of numbers", id="population-object"),
+    pytest.param(lambda: Population(AB, [-1, 2]), "population weights must be nonnegative",
+                 id="population-negative"),
     # numpy reads booleans and numeric strings as numbers; a nested list may not hold them
     pytest.param(lambda: Population(AB, [True, 2]),
                  "population weights are not an array of numbers: got bool True",
@@ -137,6 +139,9 @@ LIBRARY_REJECTIONS = [
     # process and Price; the kernel is checked before a target is derived from it
     pytest.param(lambda: process(Population(AB, [1, 2]), [[1.0, float("nan")], [0.5, 0.0]]),
                  r"kernel entries must be finite, got nan at \[0, 1\]", id="process-kernel-nan"),
+    # the kernel's sign, not that of the image formed from it
+    pytest.param(lambda: process(Population(AB, [1, 1]), [[-1, 0], [0, 0.5]]),
+                 "kernel entries must be nonnegative", id="process-kernel-negative"),
     pytest.param(lambda: Process(Population(AB, [1, 2]), Population(AB, [1, 1]),
                                  [[1.0, 0.0], [0.0, -float("inf")]]),
                  r"kernel entries must be finite, got -inf at \[1, 1\]", id="kernel-inf"),
