@@ -26,8 +26,8 @@ EPS_OP = 1e-8
 # |eigenvalue| of its spectrum (floored at EPS_ZERO).  Never applied to U.
 EPS_SUPPORT = 1e-10
 
-# A constructed inverse or factor composes back to the identity (or to the
-# map it factors) when every entry's gap is within EPS_INVERSE.  Absolute.
+# A constructed inverse composes back to the identity when every entry's gap,
+# q_factorize's factors when the dimensionless ||A W - P||_1, is within EPS_INVERSE.  Absolute.
 EPS_INVERSE = 1e-10
 
 # Relative error of one inverted eigenvalue per unit condition number of the

@@ -21,7 +21,7 @@ from .entropy import CellArrays, EntropyProfile, _ratio
 from .laws import (LawReport, first_law, gibbs_report, second_law, selective_acceleration,
                    zeroth_law)
 from .measure import _Value, finite_array, xlogx
-from .process import FitnessData, Process, fitness, summarize_fitness
+from .process import FitnessData, Process, _finite, fitness, summarize_fitness
 
 
 # ---------------------------------------------------------------------------
@@ -159,10 +159,10 @@ class QuantumProcess(_Value):
     Positivity is decided by one of three rules, named by ``positivity``:
     ``"by_construction"`` for ``embed_process`` (a nonnegative dephasing map,
     whose Choi matrix is diagonal and nonnegative) and ``from_kraus`` (sum_k
-    conj(A_k) (x) A_k is completely positive), whose fresh maps are taken over
-    untested and uncopied; ``"cp_certified"`` for a given superoperator, copied,
-    that passes Choi's certificate; ``"positive_on_samples"`` for one that
-    passes only the probes.  The stored map is read-only.
+    conj(A_k) (x) A_k is completely positive), ``_cp`` callers whose fresh finite
+    complex maps are taken over unscanned, untested and uncopied; ``"cp_certified"``
+    for a given superoperator, copied and scanned, that passes Choi's certificate;
+    ``"positive_on_samples"`` for one passing only the probes.  The map is read-only.
 
     A given superoperator is decided in two steps.  First Choi's test: the
     Choi matrix J = sum_ij E_ij (x) Phi(E_ij), realigned from the map, must be
@@ -190,8 +190,8 @@ class QuantumProcess(_Value):
 
     def __init__(self, superoperator, source: DensityOperator,
                  target: DensityOperator | None = None, _cp: bool = False):
-        s = finite_array(np.array(superoperator, complex, copy=not _cp),
-                         "superoperator entries", complex)
+        s = superoperator if _cp else finite_array(np.array(superoperator, complex),
+                                                   "superoperator entries", complex)
         if s.ndim != 2:
             raise ValueError(f"superoperator must be a matrix, got shape {s.shape}")
         d_in = source.dim
@@ -220,7 +220,8 @@ class QuantumProcess(_Value):
     @classmethod
     def from_kraus(cls, kraus, source: DensityOperator) -> QuantumProcess:
         """The map rho -> sum_k A_k rho A_k-dagger, completely positive by construction."""
-        return cls(kraus_to_super(kraus), source, _cp=True)
+        return cls(finite_array(kraus_to_super(kraus), "superoperator entries", complex),
+                   source, _cp=True)
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -235,7 +236,9 @@ class QuantumProcess(_Value):
         wbar = float(_pair(w_op, rho)) / self.source.trace
         if wbar <= 0:
             raise ValueError("map carries no child mass")
-        u_op = w_op / wbar
+        with np.errstate(over="ignore"):          # part by part: 1/wbar may overflow
+            u_op = _finite(w_op.real / wbar + 1j * (w_op.imag / wbar),
+                           "relative fitness operator W/wbar")
         vals, vecs = np.linalg.eigh(u_op)
         if vals.min() * wbar < -EPS_OP * max(float(vals.max()) * wbar, 1.0):
             raise ValueError("fitness operator is not positive: non-positive map")
@@ -388,23 +391,20 @@ def q_factorize(w: QuantumProcess) -> QFactorization:
     proj = _projector(fd.eigvecs, fd.support)
     vals, vecs = fd.u[fd.support] * fd.wbar, fd.eigvecs[:, fd.support]
     inv = (vecs / vals) @ vecs.conj().T
-    s = w.superoperator
     # S kron(1, A) as the product of each of S's column blocks with A, O(d^5).
-    env = (s.reshape(-1, len(inv)) @ inv).reshape(s.shape)
+    env = (w.superoperator.reshape(-1, len(inv)) @ inv).reshape(w.superoperator.shape)
 
     # Verification error grows with the spread of the kept spectrum: an
     # eigenvalue just above the support cutoff inverts with error ~ EPS_COND * cond.
     cond = float(vals.max() / vals.min()) if len(vals) else 1.0
     tol = max(EPS_INVERSE, EPS_COND * cond)
 
-    # The composite env kron(1, W) minus the restricted map S kron(1, P) is
-    # S kron(1, E), E = A W - P, whose entry [r, k d + m] is
-    # sum_l S[r, k d + l] E[l, m]; in exact arithmetic its largest entry is
-    # at most |S|max * ||E||_1 (largest column absolute sum), so checking
-    # that product is never looser than checking the formed difference.
-    s_max = float(np.abs(s).max())
-    residual = float(np.abs(inv @ w_op - proj).sum(axis=0).max()) * s_max
-    IdentityViolation.check("q_factorize_composition", residual, tol * max(1.0, s_max))
+    # The composite env kron(1, W) minus the restricted map S kron(1, P) is S kron(1, E),
+    # E = A W - P, whose entry [r, k d + m] is sum_l S[r, k d + l] E[l, m]: at most
+    # |S|max * ||E||_1 (largest column absolute sum) in exact arithmetic, so holding the
+    # dimensionless ||E||_1 to tol holds that gap to tol * |S|max at every scale.
+    residual = float(np.abs(inv @ w_op - proj).sum(axis=0).max())
+    IdentityViolation.check("q_factorize_composition", residual, tol)
     # Trace preservation of the environmental factor on the support subspace.
     env_fitness = apply_adjoint(env, np.eye(w.target.dim, dtype=complex))
     IdentityViolation.check("q_factorize_trace_preservation",

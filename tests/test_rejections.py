@@ -22,6 +22,7 @@ from pricekit import (
     TypeSet,
     cell_arrays,
     compose,
+    embed_process,
     fitness,
     higher_order_first_law,
     kgs,
@@ -238,6 +239,16 @@ LIBRARY_REJECTIONS = [
                                                    DensityOperator(np.eye(2))),
                  r"Kraus operator entries must be finite, got \(inf\+0j\) at \[0, 1, 1\]",
                  id="kraus-inf"),
+    # finite Kraus operators whose product overflows: from_kraus scans the map it builds
+    pytest.param(lambda: QuantumProcess.from_kraus([1e200 * np.eye(2)],
+                                                   DensityOperator(np.eye(2) / 2)),
+                 r"superoperator entries must be finite, got \(inf\+0j\) at \[0, 0\]",
+                 id="kraus-product-overflow"),
+    # U = W / wbar reaches N / mu_i on the embedded map as on the kernel
+    pytest.param(lambda: fitness(embed_process(process(Population(AB, [1e-310, 1]),
+                                                       [[1.0], [0.0]]))),
+                 r"relative fitness operator W/wbar overflow: got \(inf\+0j\) at \[0, 0\]",
+                 id="relative-fitness-operator-overflow"),
     pytest.param(lambda: kraus_to_super([]), "a Kraus list needs at least one operator",
                  id="kraus-empty"),
     pytest.param(lambda: kraus_to_super([[1.0, 0.0]]), "each Kraus operator must be a matrix",
