@@ -11,14 +11,16 @@ the mass flow certifies one-sided invertibility of the redistribution stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
 from .config import EPS_INVERSE, EPS_SAT, EPS_ZERO
 from .laws import LawReport
-from .measure import Population, TypeSet, _Value, xlogx
+from .measure import Population, TypeSet, _Frozen, _set, _Value, xlogx
 from .process import (FitnessData, Process, _finite, check_composable, fitness, flow_cells,
                       flow_shares, price_factorize)
 
@@ -46,8 +48,7 @@ class Partition:
             seen.extend(block)
         if sorted(seen) != sorted(types.labels):
             raise ValueError("blocks must cover the type set disjointly")
-        object.__setattr__(self, "types", types)
-        object.__setattr__(self, "blocks", blocks)
+        _set(self, types=types, blocks=blocks)
 
     @staticmethod
     def singletons(types: TypeSet) -> "Partition":
@@ -133,10 +134,6 @@ class CellArrays(_Value):
     cov_dis: np.ndarray      # cov(-U_cell log D, U)
     cov_mix: np.ndarray      # cov(U_cell log(D / u_bar), U)
 
-    def __post_init__(self):   # every array is read-only once built
-        for f in fields(self)[2:]:
-            getattr(self, f.name).setflags(write=False)
-
 
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """num / den where den > 0, else 0."""
@@ -208,7 +205,7 @@ def cell_arrays(p: Process, part_a: Partition, part_b: Partition) -> CellArrays:
 
 
 @dataclass(frozen=True)
-class EntropyProfile:
+class EntropyProfile(_Frozen):
     """Totals of one joint partition's cells, and every chain derived from
     them.  ``equilibrium_class`` is that of the fitness record the profile
     was built from; ``suffix`` ends each third-law window name."""
@@ -263,8 +260,8 @@ class EntropyProfile:
         return dis, mix
 
     @cached_property
-    def third_law(self) -> dict[str, LawReport]:
-        """Selective changes of S_EC, S_dis, S_mix with their fluctuation windows."""
+    def third_law(self) -> Mapping[str, LawReport]:
+        """Selective changes of S_EC, S_dis, S_mix with their fluctuation windows, read-only."""
         cells = self.cells
         lhs_ec = float(cells.cov_ec.sum())
         lhs_dis = float(cells.cov_dis.sum())
@@ -299,11 +296,11 @@ class EntropyProfile:
                 },
             )
 
-        return {
+        return MappingProxyType({
             "ns_s_ec": window("third_law_ec", lhs_ec, lo_dis + lo_mix, hi_dis + hi_mix),
             "ns_s_dis": window("third_law_dis", lhs_dis, lo_dis, hi_dis),
             "ns_s_mix": window("third_law_mix", lhs_mix, lo_mix, hi_mix),
-        }
+        })
 
 
 def environmental_profile(p: Process, part_a: Partition, part_b: Partition) -> EntropyProfile:
@@ -565,16 +562,18 @@ def ks_entropy_curve(p: Process, t_max: int) -> list[float]:
         raise ValueError("iterated entropy needs an endomorphic process")
     if isinstance(t_max, bool) or not isinstance(t_max, int) or not 1 <= t_max <= 6:
         raise ValueError("horizon T must be between 1 and 6")
-    w = p.kernel
+    e_mu, e_w = np.frexp(p.source.weights.max())[1], np.frexp(p.kernel.max())[1]
+    mu, w = np.ldexp(p.source.weights, -e_mu), np.ldexp(p.kernel, -e_w)   # exact: no overflow
     back = [np.ones(w.shape[0])]     # back[s]: mass reachable in s further steps
-    forward = [p.source.weights]     # forward[t]: mass after t steps
+    forward = [mu]                   # forward[t]: mass after t steps
     row_entropy = [None]             # row_entropy[s]: child entropy of a step with s to go
     out = []
     for horizon in range(1, t_max + 1):
         back.append(w @ back[-1])
-        n_final = float(p.source.weights @ back[horizon])
-        if n_final <= EPS_ZERO * p.source.size:
-            raise ValueError(f"population dies out before horizon {horizon}")
+        n_final = float(mu @ back[horizon])
+        with np.errstate(over="ignore"):    # die-out as of the unscaled mass mu W^h 1
+            if np.ldexp(n_final, e_mu + e_w * horizon) <= EPS_ZERO * p.source.size:
+                raise ValueError(f"population dies out before horizon {horizon}")
         marginal = forward[0] * back[horizon] / n_final
         h = float(np.sum(-xlogx(marginal)))
         cond = _ratio(w * back[-2], back[-1][:, None])

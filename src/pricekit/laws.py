@@ -21,7 +21,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .config import EPS_BISECT, EPS_REL, EPS_ROOT, EPS_SAT, EPS_ZERO, IdentityViolation
-from .measure import Observable
+from .measure import Observable, _Frozen, _set
 from .price import multilevel_variance, price
 from .process import Process, check_composable, fitness, flow_cells, local_average
 
@@ -31,7 +31,7 @@ from .process import Process, check_composable, fitness, flow_cells, local_avera
 
 
 @dataclass(frozen=True)
-class LawReport:
+class LawReport(_Frozen):
     """One inequality chain: lhs, then bounds ordered tightest to loosest.
 
     direction "ge" means lhs >= bounds[0] >= bounds[1] >= ...; "le" the
@@ -48,12 +48,7 @@ class LawReport:
 
     def __post_init__(self):
         # Reports may be kept and handed to every caller: extras are read-only.
-        object.__setattr__(self, "extras", MappingProxyType(dict(self.extras)))
-
-    def __reduce__(self):
-        # A mappingproxy does not pickle or deep-copy: rebuild from the fields.
-        return type(self), (self.name, self.lhs, self.bounds, self.direction,
-                            self.equilibrium_class, dict(self.extras))
+        _set(self, extras=MappingProxyType(dict(self.extras)))
 
     @property
     def chain(self) -> tuple[float, ...]:

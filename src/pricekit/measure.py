@@ -4,14 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from itertools import chain
+from types import MappingProxyType
 
 import numpy as np
-
-
-def _as_readonly(values) -> np.ndarray:
-    arr = np.array(values, dtype=float)
-    arr.setflags(write=False)
-    return arr
 
 
 def finite_array(values, what: str, dtype=float) -> np.ndarray:
@@ -46,7 +41,7 @@ class TypeSet:
             raise ValueError("a type set needs at least one label")
         if len(set(labels)) != len(labels):
             raise ValueError("type labels must be unique")
-        object.__setattr__(self, "labels", labels)
+        _set(self, labels=labels)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -56,10 +51,25 @@ class TypeSet:
         return TypeSet(f"{prefix}{i}" for i in range(k))
 
 
-class _Value:
+class _Frozen:
+    """The load rule of the frozen records: pickled and copied with each read-only mapping
+    as a dict, then set back by ``_set``, each mapping read-only and each array frozen again."""
+
+    def __getstate__(self):
+        return {k: dict(v) if type(v) is MappingProxyType else v for k, v in vars(self).items()}
+
+    def __setstate__(self, state):
+        _set(self, **{k: MappingProxyType(v) if type(v) is dict else v for k, v in state.items()})
+
+
+class _Value(_Frozen):
     """The one value rule of the records with an array field: equal when of one class
     with equal compared fields, arrays by ``np.array_equal``; ``==`` never raises.
-    Unhashable (a hash would read every array) unless the record defines one that agrees."""
+    Unhashable (a hash would read every array) unless the record defines one that agrees.
+    ``_set`` freezes the arrays a generated ``__init__`` is given."""
+
+    def __post_init__(self):
+        _set(self)
 
     def __eq__(self, other):
         return type(other) is type(self) and all(
@@ -71,16 +81,22 @@ class _Value:
     __hash__ = None
 
 
-def _built(cls, **fields):
-    """A ``cls`` record of fields the package has just formed from checked parts,
-    taken over as built: each array is frozen in place, not copied or checked.
-    The public constructors are the front doors; a caller of this one
-    guarantees their invariants."""
-    record = object.__new__(cls)
-    for name, value in fields.items():
+def _set(record, **fields) -> None:
+    """The one write rule of the frozen records: set ``fields`` on ``record`` and freeze each
+    array among them in place (with none given, each array it holds).  A front door copies
+    a caller's array first; a generated ``__init__`` takes over and freezes what it is given."""
+    vars(record).update(fields)
+    for value in (fields or vars(record)).values():
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
-        object.__setattr__(record, name, value)
+
+
+def _built(cls, **fields):
+    """A ``cls`` record of fields the package has just formed from checked parts,
+    taken over as built by ``_set``, with no array copied or checked.  The public
+    constructors are the front doors; a caller of this one guarantees their invariants."""
+    record = object.__new__(cls)
+    _set(record, **fields)
     return record
 
 
@@ -103,15 +119,13 @@ class Population(_Value):
     weights: np.ndarray = field(repr=False)
 
     def __init__(self, types: TypeSet, weights):
-        w = _as_readonly(finite_array(weights, "population weights"))
+        w = np.array(finite_array(weights, "population weights"))
         if w.ndim != 1 or len(w) != len(types):
             raise ValueError("one weight per type required")
         if np.any(w < 0):
             raise ValueError("population weights must be nonnegative")
-        object.__setattr__(self, "types", types)
-        object.__setattr__(self, "weights", w)
-        # Not a field, so repr and == are unchanged; the weights are read-only.
-        object.__setattr__(self, "_size", _population_size(w))
+        # _size is not a field, so repr and == are unchanged; the weights are read-only.
+        _set(self, types=types, weights=w, _size=_population_size(w))
 
     @property
     def size(self) -> float:
@@ -129,11 +143,10 @@ class Observable(_Value):
     values: np.ndarray = field(repr=False)
 
     def __init__(self, types: TypeSet, values):
-        v = _as_readonly(finite_array(values, "observable values"))
+        v = np.array(finite_array(values, "observable values"))
         if v.ndim != 1 or len(v) != len(types):
             raise ValueError("one value per type required")
-        object.__setattr__(self, "types", types)
-        object.__setattr__(self, "values", v)
+        _set(self, types=types, values=v)
 
     def __hash__(self):    # -0.0 and 0.0 compare equal and hash alike
         return hash((self.types, tuple(self.values.tolist())))

@@ -12,7 +12,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import EPS_REL, EPS_ZERO
-from .measure import Observable, Population, _Value, covariance, expectation, finite_array
+from .measure import Observable, Population, _set, _Value, covariance, expectation, finite_array
 from .price import price
 from .process import Process, _finite, process
 
@@ -28,8 +28,7 @@ class OpenProcess:
         gap = closed.target.weights - full_target.weights
         if np.any(gap > EPS_REL * max(full_target.size, 1.0)):
             raise ValueError("parented children exceed the full child population")
-        object.__setattr__(self, "closed", closed)
-        object.__setattr__(self, "full_target", full_target)
+        _set(self, closed=closed, full_target=full_target)
 
     @cached_property
     def parented_density(self) -> Observable:

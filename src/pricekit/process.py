@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import EPS_REL, EPS_SAT, EPS_ZERO
-from .measure import (Observable, Population, TypeSet, _built, _population_size, _Value,
+from .measure import (Observable, Population, TypeSet, _built, _population_size, _set, _Value,
                       finite_array, xlogx)
 
 _EPS = np.finfo(float).eps
@@ -91,8 +91,6 @@ def summarize_fitness(W, wbar: float, U, u_values: np.ndarray, prob: np.ndarray,
     prob = np.array(prob, dtype=float)
     u_log_u = xlogx(u)
     support = u > 0
-    for a in (u, prob, u_log_u, support):
-        a.setflags(write=False)
     # equilibrium class: purely_environmental, selective_equilibrium or generic
     carried = prob > 0
     c = u[carried]
@@ -123,10 +121,7 @@ class Process(_Value):
             )
         if np.any(k < 0):
             raise ValueError("kernel entries must be nonnegative")
-        k.setflags(write=False)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "kernel", k)
+        _set(self, source=source, target=target, kernel=k)
         if _check:
             diag = validate(self)
             if not diag.passed:
@@ -161,7 +156,7 @@ class Process(_Value):
     def flow_cells(self) -> np.ndarray:
         flow = flow_shares(self)
         flow[(flow <= EPS_ZERO) | ~self.fitness_data.support[:, None]] = 0.0
-        flow.setflags(write=False)
+        _set(self, flow_cells=flow)
         return flow
 
 

@@ -11,8 +11,10 @@ eigenvalue distribution for a QuantumProcess as they read U for a kernel.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -20,7 +22,7 @@ from .config import EPS_COND, EPS_INVERSE, EPS_OP, EPS_REL, EPS_SUPPORT, EPS_ZER
 from .entropy import CellArrays, EntropyProfile, _ratio
 from .laws import (LawReport, first_law, gibbs_report, second_law, selective_acceleration,
                    zeroth_law)
-from .measure import _Value, finite_array, xlogx
+from .measure import _Frozen, _set, _Value, finite_array, xlogx
 from .process import FitnessData, Process, _finite, fitness, summarize_fitness
 
 
@@ -102,9 +104,7 @@ class DensityOperator(_Value):
             raise ValueError(f"density operator has eigenvalue {vals.min():.3e}")
         if trace <= 0:
             raise ValueError("density operator needs positive trace")
-        m = (vecs * kept) @ vecs.conj().T
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        _set(self, matrix=(vecs * kept) @ vecs.conj().T)
 
     @property
     def dim(self) -> int:
@@ -120,9 +120,7 @@ class QuantumObservable(_Value):
     matrix: np.ndarray = field(repr=False)
 
     def __init__(self, matrix):
-        m = _square_hermitian(matrix, "observable")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        _set(self, matrix=_square_hermitian(matrix, "observable"))
 
     @property
     def dim(self) -> int:
@@ -211,11 +209,7 @@ class QuantumProcess(_Value):
             gap = float(np.abs(image - target.matrix).max())
             if gap > EPS_REL * max(target.trace, 1.0):
                 raise ValueError(f"target is not the image of the source ({gap:.3e})")
-        s.setflags(write=False)
-        object.__setattr__(self, "superoperator", s)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "positivity", positivity)
+        _set(self, superoperator=s, source=source, target=target, positivity=positivity)
 
     @classmethod
     def from_kraus(cls, kraus, source: DensityOperator) -> QuantumProcess:
@@ -243,7 +237,6 @@ class QuantumProcess(_Value):
         if vals.min() * wbar < -EPS_OP * max(float(vals.max()) * wbar, 1.0):
             raise ValueError("fitness operator is not positive: non-positive map")
         weights = np.clip(np.real(np.einsum("ij,jk,ki->i", vecs.conj().T, rho, vecs)), 0.0, None)
-        vecs.setflags(write=False)
         return summarize_fitness(QuantumObservable(w_op), wbar, QuantumObservable(u_op), vals,
                                  weights / weights.sum(), vecs)
 
@@ -448,9 +441,9 @@ def _check_resolution(projs, dim: int, label: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class QPartitionResult:
+class QPartitionResult(_Frozen):
     profile: EntropyProfile
-    third_law: dict[str, LawReport]
+    third_law: Mapping[str, LawReport]
     commutation_residual: float
 
     @property
@@ -550,7 +543,7 @@ def q_partition_entropy(w: QuantumProcess, projs_a, projs_b) -> QPartitionResult
 
 
 @dataclass(frozen=True)
-class OpenQuantumProcess:
+class OpenQuantumProcess(_Frozen):
     closed: QuantumProcess
     full_target: DensityOperator
 
@@ -561,16 +554,14 @@ class OpenQuantumProcess:
             - full_target.matrix @ closed.target.matrix
         if float(np.abs(gap).max()) > EPS_OP * max(1.0, full_target.trace):
             raise ValueError("parented component must commute with the full target")
-        object.__setattr__(self, "closed", closed)
-        object.__setattr__(self, "full_target", full_target)
+        _set(self, closed=closed, full_target=full_target)
 
     @cached_property
     def parented_operator(self) -> np.ndarray:
         vals, vecs = np.linalg.eigh(self.full_target.matrix)
         inv_half = _spectral(vals, vecs, lambda v: 1.0 / np.sqrt(v), _support(vals))
-        pi = _herm_part(inv_half @ self.closed.target.matrix @ inv_half)
-        pi.setflags(write=False)
-        return pi
+        _set(self, parented_operator=_herm_part(inv_half @ self.closed.target.matrix @ inv_half))
+        return self.parented_operator
 
     @property
     def orphan_operator(self) -> np.ndarray:
@@ -582,9 +573,9 @@ class OpenQuantumProcess:
 
 
 @dataclass(frozen=True)
-class QKgsResult:
+class QKgsResult(_Frozen):
     delta: float
-    forms: dict  # keys (side, density) -> complex total of the three terms
+    forms: Mapping  # keys (side, density) -> complex total of the three terms
     parented_share: float
 
     def residual(self, side: str, density: str) -> float:
@@ -621,10 +612,10 @@ def q_kgs(op: OpenQuantumProcess, x: QuantumObservable, y: QuantumObservable) ->
         ("right", "nu"): cov_full(nu, y.matrix) / share,
         ("right", "pi"): -cov_full(pi, y.matrix) / share,
     }
-    forms = {
+    forms = MappingProxyType({
         (side, density): getattr(sides, side).total + t
         for (side, density), t in third.items()
-    }
+    })
     return QKgsResult(delta=delta, forms=forms, parented_share=share)
 
 

@@ -3,18 +3,22 @@ seed-0 inputs, gives the recorded outputs field by field
 (``perfbench/reference``), no source module outside ``config.py`` holds
 a threshold literal, only the law modules build law reports, every
 import sits at the top of its module and is read there, no module holds a
-cache, README names only code that exists, and every record compares by
-the one value rule of ``measure._Value``."""
+cache, README names only code that exists, every record compares by
+the one value rule of ``measure._Value``, and every record is read-only by
+the one write rule of ``measure._set``."""
 
 import ast
+import copy
 import dataclasses
 import importlib
 import io
+import pickle
 import re
 import sys
 import tokenize
+from collections.abc import Mapping
 from pathlib import Path
-from types import SimpleNamespace
+from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
 import pytest
@@ -64,6 +68,18 @@ def test_law_reports_are_built_only_by_the_law_modules():
              for name, tokens in source_tokens() if name not in ("laws.py", "entropy.py")
              for tok, nxt in zip(tokens, tokens[1:])
              if tok.type == tokenize.NAME and tok.string == "LawReport" and nxt.string == "("]
+    assert found == []
+
+
+def test_the_write_rule_lives_only_in_measure():
+    """``measure._set`` sets a record's fields and freezes its arrays, so no
+    other module calls ``.__setattr__`` or ``.setflags(`` (``generating_profile``
+    keeps its profile in ``vars(p)``, which writes no field)."""
+    found = [f"{name}:{tok.start[0]}: .{tok.string}"
+             for name, tokens in source_tokens() if name != "measure.py"
+             for dot, tok, nxt in zip(tokens, tokens[1:], tokens[2:])
+             if dot.string == "." and tok.type == tokenize.NAME
+             and (tok.string == "__setattr__" or tok.string == "setflags" and nxt.string == "(")]
     assert found == []
 
 
@@ -348,3 +364,23 @@ def test_only_the_value_base_defines_eq():
              if getattr(node, "name", None) == "__eq__"
              or any(getattr(t, "id", None) == "__eq__" for t in getattr(node, "targets", []))]
     assert found == ["measure.py:_Value"]
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_BUILDERS))
+def test_records_are_read_only(name):
+    """A record and its pickled and deep-copied twins take no write: every
+    array field, and every array in a mapping field, rejects one; every mapping
+    field is a MappingProxyType; and assigning a field raises FrozenInstanceError."""
+    record = RECORD_BUILDERS[name](record_inputs(0.25))
+    for twin in (record, pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert twin == record
+        for f in dataclasses.fields(twin):
+            value = getattr(twin, f.name)
+            if isinstance(value, Mapping):
+                assert type(value) is MappingProxyType, f.name
+            for array in value.values() if isinstance(value, Mapping) else [value]:
+                if isinstance(array, np.ndarray):
+                    with pytest.raises(ValueError, match="read-only"):
+                        array[...] = 0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(twin, f.name, value)

@@ -707,28 +707,59 @@ class TestPathEntropy:
     def test_equals_the_per_horizon_route_bit_for_bit(self):
         """Every horizon T = 1..6 of seeded kernels, K = 1 included, with
         childless rows, weights x 1, 1e+-60 and 1e+-150, nilpotent kernels that
-        die out and kernels x 1e+-150 whose later horizons overflow: the same
-        curve, or the same error at the same horizon."""
+        die out, kernels x 1e+-150, and kernels whose largest entry far exceeds
+        the flow of the carried types: the same curve, or the same error at the
+        same horizon.  Where the per-horizon route overflows (a kernel x 1e150),
+        the curve is that route's on the unscaled kernel, within 1e-12 relative."""
         rng = np.random.default_rng(73)
         kinds = set()
         for draw in range(150):
             k = int(rng.integers(1, 6))
-            kernel = random_kernel(rng, k, k)
+            kernel = unscaled = random_kernel(rng, k, k)
             if draw % 5 == 1:
-                kernel = np.triu(kernel, 1)          # every path dies within K steps
+                kernel = unscaled = np.triu(kernel, 1)     # every path dies within K steps
             if draw % 5 == 2:
                 kernel = kernel * 10.0 ** rng.choice([-150, 150])
             if not kernel.any():
                 continue
             src = Population(TypeSet.range(k), rng.uniform(0.1, 2.0, k))
             for s in SCALES:
-                p = Process(src, src, kernel, _check=False) if s == 0 else Process(
-                    Population(src.types, src.weights * 10.0**s), src, kernel, _check=False)
+                parents = src if s == 0 else Population(src.types, src.weights * 10.0**s)
+                p = Process(parents, src, kernel, _check=False)
                 for t_max in range(1, 7):
                     expected = outcome(ks_entropy_curve_by_horizon, p, t_max)
-                    assert outcome(ks_entropy_curve, p, t_max) == expected
+                    got = outcome(ks_entropy_curve, p, t_max)
                     kinds.add(expected[0] if isinstance(expected[0], type) else "curve")
+                    if expected[0] is RuntimeWarning:
+                        expected = outcome(ks_entropy_curve_by_horizon,
+                                           Process(parents, src, unscaled, _check=False), t_max)
+                        assert list(map(float.fromhex, got)) == pytest.approx(
+                            list(map(float.fromhex, expected)), rel=1e-12, abs=0)
+                    else:
+                        assert got == expected
         assert kinds == {"curve", ValueError, RuntimeWarning}
+        # The rescaled masses do not decide die-out: weights (1, 1e-20) live on.
+        src = Population(TypeSet.range(2), [1.0, 1e-20])
+        for kernel in ([[0.1, 0.0], [0.0, 8.0]], [[0.01, 0.0], [0.0, 1000.0]]):
+            p = Process(src, src, np.array(kernel), _check=False)
+            for t_max in range(1, 7):
+                expected = outcome(ks_entropy_curve_by_horizon, p, t_max)
+                assert outcome(ks_entropy_curve, p, t_max) == expected
+                assert not isinstance(expected[0], type)
+
+    def test_a_large_kernel_scale_does_not_overflow(self):
+        """Weights (1e60, 2e60) and the kernel c [[1, .5], [.3, 1]]: the curve at
+        c = 1e150 is the one at c = 1, with no overflow.  Die-out is still
+        measured against the population size, so at c = 1e-12 the mass left
+        after two steps, about 1e-24 of it, counts as dying out."""
+        src = Population(TypeSet(["a", "b"]), [1e60, 2e60])
+        kernel = np.array([[1.0, 0.5], [0.3, 1.0]])
+        curve = ks_entropy_curve(process(src, kernel, src.types), 3)
+        assert curve == pytest.approx([1.2322, 1.8318, 2.4298], abs=1e-4)
+        assert ks_entropy_curve(process(src, 1e150 * kernel, src.types), 3) == pytest.approx(
+            curve, rel=1e-12, abs=0)
+        with pytest.raises(ValueError, match="dies out before horizon 2"):
+            ks_entropy_curve(process(src, 1e-12 * kernel, src.types), 3)
 
     @pytest.mark.parametrize("t_max", range(1, 7))
     def test_one_row_entropy_per_horizon(self, monkeypatch, t_max):

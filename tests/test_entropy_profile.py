@@ -277,6 +277,16 @@ def test_flow_cells_are_kept_with_the_process():
     assert flow_cells(p) is flow_cells(p)
 
 
+def test_kept_third_law_windows_are_read_only():
+    """The kept profile's windows are a read-only mapping: a write into them
+    raises and every later ``third_law(p)`` reads the windows the profile built."""
+    p = process(Population(TypeSet(["a", "b"]), [1, 2]), [[1, 1], [0.5, 0]])
+    windows = third_law(p)
+    with pytest.raises(TypeError):
+        generating_profile(p).third_law["ns_s_ec"] = windows["ns_s_dis"]
+    assert third_law(p) == windows and third_law(p)["ns_s_ec"] is windows["ns_s_ec"]
+
+
 def test_kept_law_reports_are_read_only():
     """A caller cannot write into a kept report's extras, so every later
     caller reads the values the profile computed; extras are a copy."""

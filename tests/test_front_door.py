@@ -3,12 +3,14 @@ record the package builds from parts it has just checked (a kernel-image
 process, a simulated generation, the fitness record's W and U, q read on p's
 exact target, the factorization) is taken over as built.  Each such record
 equals, by value, the one the public constructors build from its own arrays,
-and every array it keeps is read-only."""
+and every array it keeps is read-only.  The public constructors copy a caller's
+array before they freeze the one they keep."""
 
 import numpy as np
 import pytest
 
-from pricekit import (Observable, Population, Process, TypeSet, fitness, generating_profile,
+from pricekit import (DensityOperator, Observable, Population, Process, QuantumObservable,
+                      QuantumProcess, TypeSet, fitness, generating_profile, kraus_to_super,
                       price_factorize, process)
 from pricekit.process import _image_process, _kernel_image, check_composable, flow_cells
 
@@ -102,3 +104,38 @@ def test_a_write_into_a_kept_array_raises(name):
     array = kept_arrays(build(3, 3, 1, 1.0))[name]
     with pytest.raises(ValueError, match="read-only"):
         array[(0,) * array.ndim] = 1
+
+
+# Each public constructor given a caller's array of the dtype it keeps: a new
+# caller's array, and the array the record keeps of it.
+FRONT_DOORS = {
+    "Population": (lambda: np.array([1.0, 2.0]),
+                   lambda a: Population(TypeSet.range(2), a).weights),
+    "Observable": (lambda: np.array([0.5, 3.0]),
+                   lambda a: Observable(TypeSet.range(2), a).values),
+    "Process": (lambda: np.array([[1.0, 0.0], [0.5, 1.0]]),
+                lambda a: Process(Population(TypeSet.range(2), [1, 2]),
+                                  Population(TypeSet.range(2), [2, 2]), a).kernel),
+    "DensityOperator": (lambda: np.diag([0.7, 0.3]).astype(complex),
+                        lambda a: DensityOperator(a).matrix),
+    "QuantumObservable": (lambda: np.array([[1.0, 0.5], [0.5, 2.0]], dtype=complex),
+                          lambda a: QuantumObservable(a).matrix),
+    "QuantumProcess": (lambda: kraus_to_super([np.diag([1.0, 0.5]),
+                                               np.array([[0.0, 0.3], [0.2, 0.0]])]),
+                       lambda a: QuantumProcess(a, DensityOperator(np.diag([0.7, 0.3])))
+                       .superoperator),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRONT_DOORS))
+def test_front_doors_copy_before_they_freeze(name):
+    """The record freezes its own copy: the caller's array stays writable and
+    shares no memory with it, and a later write to it does not reach the record."""
+    make, keep = FRONT_DOORS[name]
+    given = make()
+    kept = keep(given)
+    snapshot = kept.copy()
+    assert given.flags.writeable and not kept.flags.writeable
+    assert not np.shares_memory(given, kept)
+    given[...] = 0.0
+    np.testing.assert_array_equal(kept, snapshot)

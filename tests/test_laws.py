@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 from collections import Counter
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -56,11 +57,19 @@ def test_to_dict_builds_the_chain_twice(f5, monkeypatch):
 
 def test_reports_pickle_and_copy_with_read_only_extras(f5):
     for rep in standard_reports(f5):
-        rep.slacks  # cached links are rebuilt by the copy, not carried
+        rep.slacks  # a copy carries the cached links with the fields
         for twin in (pickle.loads(pickle.dumps(rep)), copy.deepcopy(rep), copy.copy(rep)):
             assert twin == rep and twin.to_dict() == rep.to_dict()
             with pytest.raises(TypeError):
                 twin.extras["x"] = 1.0
+
+
+def test_a_mappingproxy_of_its_own_still_does_not_pickle():
+    """Only the package's records pickle their read-only mappings; importing
+    pricekit leaves how any other mappingproxy pickles and copies alone."""
+    for write in (pickle.dumps, copy.deepcopy):
+        with pytest.raises(TypeError, match="mappingproxy"):
+            write(MappingProxyType({"x": 1.0}))
 
 
 class TestZerothLaw:

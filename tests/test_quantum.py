@@ -753,14 +753,6 @@ class TestOwnership:
             shape = build().superoperator.shape
             assert sum(a.shape == shape for a in scanned) == scans, name
 
-    def test_a_callers_map_is_copied(self):
-        s = kraus_to_super([np.diag([1.0, 0.5]), np.array([[0.0, 0.3], [0.2, 0.0]])])
-        w = QuantumProcess(s, DensityOperator(np.diag([0.7, 0.3])))
-        assert s.flags.writeable
-        kept = w.superoperator.copy()
-        s[:] = 0.0
-        np.testing.assert_array_equal(w.superoperator, kept)
-
     def test_the_map_is_read_only_on_every_route(self):
         rho = DensityOperator(np.diag([0.7, 0.3]))
         kraus = [np.diag([1.0, 0.5]), np.array([[0.0, 0.3], [0.2, 0.0]])]
