@@ -31,7 +31,7 @@ from .laws import (
     standard_reports,
     stationarity,
 )
-from .measure import Observable, Population, TypeSet, finite_array
+from .measure import Observable, Population, TypeSet
 from .openproc import OpenProcess, _full_weights, kgs
 from .price import price
 from .process import (
@@ -99,21 +99,13 @@ def load_input(path: str) -> dict:
 
 def build_unchecked(doc: dict) -> Process:
     """Assemble the process without enforcing the disintegration identity."""
-    types = TypeSet(doc["types"])
-    source = Population(types, doc["weights"])
-    kernel = finite_array(doc["kernel"], "kernel entries")
-    if kernel.ndim != 2 or kernel.shape[0] != len(types):
-        raise InputError("kernel must have one row per source type")
-    if "target_types" in doc:
-        t_types = TypeSet(_field(doc, "target_types", list))
-    else:
-        t_types = TypeSet.range(kernel.shape[1], prefix="c")
-    if kernel.shape[1] != len(t_types):
-        raise InputError("kernel must have one column per target type")
+    source = Population(TypeSet(doc["types"]), doc["weights"])
+    t_types = TypeSet(_field(doc, "target_types", list)) if "target_types" in doc else None
     if "target_weights" not in doc:
-        return process(source, kernel, t_types)
-    target = Population(t_types, _field(doc, "target_weights", list))
-    return Process(source, target, kernel, _check=False)
+        return process(source, doc["kernel"], t_types)
+    weights = _field(doc, "target_weights", list)
+    target = Population(t_types or TypeSet.range(len(weights), prefix="c"), weights)
+    return Process(source, target, doc["kernel"], _check=False)
 
 
 def _load_valid(path: str) -> tuple[dict, Process]:
@@ -255,8 +247,6 @@ def _kgs_section(doc: dict, p: Process) -> dict:
         raise InputError("no open block in the input file")
     block = _field(doc, "open", dict)
     orphan = _field(block, "orphan_weights", list, "open.")
-    if len(orphan) != len(p.target.types):
-        raise InputError("orphan weights must match the target type set")
     full = Population(p.target.types, _full_weights(p.target.weights, orphan))
     op = OpenProcess(p, full)
     u = fitness(p).U

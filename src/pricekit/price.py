@@ -40,12 +40,8 @@ class PriceDecomposition:
 def price(p: Process, x: Observable, y: Observable) -> PriceDecomposition:
     """delta = ns + ec with ns = cov(x, U) (E[x (U - 1)], as U has unit mean) and
     ec = E[(brood average of y - x) U]: the one route to both terms."""
-    if x.types != p.source.types:
-        raise ValueError("x must live on the source type set")
-    if y.types != p.target.types:
-        raise ValueError("y must live on the target type set")
+    delta_w = local_change(p, x, y)    # checks x, then y
     u = fitness(p).U
-    delta_w = local_change(p, x, y)
     return PriceDecomposition(
         delta=expectation(p.target, y) - expectation(p.source, x),
         ns=covariance(p.source, x, u),

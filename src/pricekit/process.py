@@ -114,14 +114,7 @@ class Process(_Value):
     kernel: np.ndarray = field(repr=False)
 
     def __init__(self, source, target, kernel, _check: bool = True):
-        k = np.array(finite_array(kernel, "kernel entries"))
-        if k.ndim != 2 or k.shape != (len(source.types), len(target.types)):
-            raise ValueError(
-                f"kernel must be {len(source.types)}x{len(target.types)}, got {k.shape}"
-            )
-        if np.any(k < 0):
-            raise ValueError("kernel entries must be nonnegative")
-        _set(self, source=source, target=target, kernel=k)
+        _set(self, source=source, target=target, kernel=_kernel(kernel, source.types, target.types))
         if _check:
             diag = validate(self)
             if not diag.passed:
@@ -169,6 +162,19 @@ def _finite(values: np.ndarray, what: str) -> np.ndarray:
     return values
 
 
+def _kernel(kernel, rows: TypeSet, cols: TypeSet | None) -> np.ndarray:
+    """A copy of kernel, checked finite, a matrix with one row per ``rows`` label
+    and one column per ``cols`` label (any number when cols is None), and nonnegative."""
+    k = np.array(finite_array(kernel, "kernel entries"))
+    if k.ndim != 2 or k.shape[0] != len(rows) or cols is not None and k.shape[1] != len(cols):
+        per_col = "" if cols is None else " and one column per target type"
+        raise ValueError(f"kernel must be a matrix with one row per source type{per_col}, "
+                         f"got {k.shape}")
+    if np.any(k < 0):
+        raise ValueError("kernel entries must be nonnegative")
+    return k
+
+
 def _kernel_image(kernel, weights, what: str = "derived target weights") -> np.ndarray:
     """kernel.T @ weights, the child weights of parent weights."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -191,14 +197,8 @@ def process(source: Population, kernel, target_types: TypeSet | None = None) -> 
     """The process whose target is the kernel image of the source, on
     ``target_types`` (c0, c1, ... by default).  The kernel is checked and
     copied before its image is formed."""
-    k = np.array(finite_array(kernel, "kernel entries"))
-    if k.ndim != 2 or k.shape[0] != len(source.types):
-        raise ValueError(f"kernel must be a matrix with one row per source type, got {k.shape}")
+    k = _kernel(kernel, source.types, target_types)
     types = TypeSet.range(k.shape[1], prefix="c") if target_types is None else target_types
-    if k.shape[1] != len(types):
-        raise ValueError("one weight per type required")    # one image weight per target type
-    if np.any(k < 0):
-        raise ValueError("kernel entries must be nonnegative")
     return _image_process(source, k, types, _kernel_image(k, source.weights))
 
 
@@ -234,7 +234,7 @@ def local_average(p: Process, y: Observable) -> Observable:
     there, so the choice never reaches an average.
     """
     if y.types != p.target.types:
-        raise ValueError("observable must live on the target type set")
+        raise ValueError("y must live on the target type set")
     fd = fitness(p)
     raw = p.kernel @ y.values
     out = np.divide(raw, fd.W.values, out=np.zeros_like(raw), where=fd.support)

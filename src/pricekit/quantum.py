@@ -428,7 +428,7 @@ def q_laws(w: QuantumProcess) -> dict[str, LawReport]:
 
 def _check_resolution(projs, dim: int, label: str) -> np.ndarray:
     """The projections, a stack (n >= 1, dim, dim), checked Hermitian, idempotent and complete."""
-    mats = np.array(projs, dtype=complex)
+    mats = finite_array(projs, f"{label} projection entries", complex)
     if mats.ndim != 3 or len(mats) == 0 or mats.shape[1:] != (dim, dim):
         raise ValueError(f"{label} projections must be n >= 1 {dim}x{dim} matrices, "
                          f"got {mats.shape}")
@@ -636,4 +636,4 @@ def embed_process(p: Process) -> QuantumProcess:
 
 
 def embed_observable(values) -> QuantumObservable:
-    return QuantumObservable(np.diag(np.asarray(values, dtype=complex)))
+    return QuantumObservable(np.diag(finite_array(values, "observable values", complex)))

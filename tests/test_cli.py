@@ -160,10 +160,6 @@ REJECTED_INPUTS = [
                  "PRICEKIT_TOLERANCE must be a number >= 0, got '-1e-9'", id="tolerance-negative"),
     pytest.param([F5_DOC], ["validate"], None, "top-level JSON value must be an object",
                  id="not-an-object"),
-    pytest.param(dict(F5_DOC, kernel=[[1, 1]]), ["validate"], None,
-                 "kernel must have one row per source type", id="kernel-rows"),
-    pytest.param(dict(F5_DOC, target_types=["x"]), ["validate"], None,
-                 "kernel must have one column per target type", id="kernel-columns"),
     pytest.param(dict(F5_DOC, observables={"odd": [1, 2, 3]}), ["report"], None,
                  "observable 'odd' matches neither type set", id="observable"),
     pytest.param(F5_DOC, ["report", "--quantum"], None, "no quantum block in the input file",
@@ -172,8 +168,6 @@ REJECTED_INPUTS = [
                  None, "quantum block needs a superoperator or kraus list", id="no-map"),
     pytest.param(F5_DOC, ["report", "--kgs"], None, "no open block in the input file",
                  id="no-open-block"),
-    pytest.param(dict(F5_DOC, open={"orphan_weights": [0.5]}), ["report", "--kgs"], None,
-                 "orphan weights must match the target type set", id="orphan-length"),
     # a field that is missing or of the wrong JSON type is named
     pytest.param(dict(F5_DOC, quantum={"kraus": [[[1, 0], [0, 1]]]}), ["report"], None,
                  "missing required field 'quantum.rho'", id="quantum-no-rho"),
@@ -224,6 +218,18 @@ NON_FINITE_INPUTS = [
                  None, "kernel entries must be nonnegative", id="kernel-negative-simulate"),
     pytest.param(dict(F5_DOC, weights=[-1, 2]), ["report"], None,
                  "population weights must be nonnegative", id="weights-negative"),
+    # shapes are the library's to check: a kernel, or orphan list, of the wrong length
+    pytest.param(dict(F5_DOC, kernel=[[1, 1]]), ["validate"], None,
+                 "kernel must be a matrix with one row per source type, got (1, 2)",
+                 id="kernel-rows"),
+    pytest.param(dict(F5_DOC, target_types=["x"]), ["validate"], None,
+                 "kernel must be a matrix with one row per source type and one column per"
+                 " target type, got (2, 2)", id="kernel-columns"),
+    pytest.param(dict(F5_DOC, target_weights=[3]), ["validate"], None,
+                 "kernel must be a matrix with one row per source type and one column per"
+                 " target type, got (2, 2)", id="kernel-columns-stated-target"),
+    pytest.param(dict(F5_DOC, open={"orphan_weights": [0.5]}), ["report", "--kgs"], None,
+                 "orphan weights must be one per child type, got shape (1,)", id="orphan-length"),
     pytest.param(dict(F5_DOC, observables={"trait": [float("nan"), 0], "off": [1, 0]}),
                  ["report"], None, "observable values must be finite, got nan at [0]",
                  id="observable-nan"),

@@ -121,6 +121,28 @@ def test_records_are_taken_over_only_where_they_are_built():
     assert readers.isdisjoint(callers("_built") + callers("_image_process"))
 
 
+def test_each_rejection_message_is_raised_in_one_place():
+    """Each input check has one owner, so no message is raised at two sites:
+    ``raise E(message)`` with a string constant, or an f-string read as its
+    constant parts with ``{}`` for each placeholder, occurs once in the package."""
+    sites: dict = {}
+    for path in sorted((ROOT / "src" / "pricekit").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and len(node.exc.args) == 1):
+                continue
+            msg = node.exc.args[0]
+            if isinstance(msg, ast.JoinedStr):
+                text = "".join(part.value if isinstance(part, ast.Constant) else "{}"
+                               for part in msg.values)
+            elif isinstance(msg, ast.Constant) and isinstance(msg.value, str):
+                text = msg.value
+            else:
+                continue
+            sites.setdefault(text, []).append(f"{path.name}:{node.lineno}")
+    assert {text: where for text, where in sites.items() if len(where) > 1} == {}
+
+
 def test_no_imports_inside_functions():
     """An import inside a function hides a dependency (or an import cycle)
     until the function runs; every module imports at its top."""

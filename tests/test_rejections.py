@@ -22,6 +22,7 @@ from pricekit import (
     TypeSet,
     cell_arrays,
     compose,
+    embed_observable,
     embed_process,
     fitness,
     higher_order_first_law,
@@ -46,6 +47,7 @@ from pricekit.quantum import hermitize, vec
 A = TypeSet(["a"])
 AB = TypeSet(["a", "b"])
 XYZ = TypeSet(["x", "y", "z"])
+SINGLETONS = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
 
 
 def f5():
@@ -59,6 +61,10 @@ def pair():
 
 def on(types):
     return Observable(types, np.arange(len(types), dtype=float))
+
+
+def embedded():
+    return embed_process(process(Population(AB, [1, 2]), [[1, 0.5], [0.2, 1]]))
 
 
 def qubit_process(scale=1.0):
@@ -146,7 +152,11 @@ LIBRARY_REJECTIONS = [
     pytest.param(lambda: Process(Population(AB, [1, 2]), Population(AB, [1, 1]),
                                  [[1.0, 0.0], [0.0, -float("inf")]]),
                  r"kernel entries must be finite, got -inf at \[1, 1\]", id="kernel-inf"),
-    pytest.param(lambda: local_average(f5(), on(AB)), "observable must live on the target",
+    # a stated target type set is checked against the kernel's columns, as a target is
+    pytest.param(lambda: process(Population(AB, [1, 2]), [[1, 1], [0.5, 0]], XYZ),
+                 r"kernel must be a matrix with one row per source type and one column per"
+                 r" target type, got \(2, 2\)", id="process-target-types"),
+    pytest.param(lambda: local_average(f5(), on(AB)), "y must live on the target",
                  id="local-average-types"),
     pytest.param(lambda: local_change(f5(), on(XYZ), on(TypeSet(["c0", "c1"]))),
                  "x must live on the source", id="local-change-types"),
@@ -275,9 +285,25 @@ LIBRARY_REJECTIONS = [
                  id="projections-not-square"),
     pytest.param(fitness_below_the_band, "fitness operator is not positive",
                  id="fitness-operator-negative"),
+    pytest.param(lambda: embed_observable([True, False]),
+                 "observable values are not an array of numbers: got bool True",
+                 id="embed-observable-bool"),
+    pytest.param(lambda: embed_observable(["1", 2]),
+                 "observable values are not an array of numbers: got str '1'",
+                 id="embed-observable-str"),
     pytest.param(lambda: q_price(qubit_process(), QuantumObservable(np.eye(3)),
                                  QuantumObservable(np.eye(2))),
                  "observable dimensions do not match the process", id="q-price-dims"),
+    # a NaN entry would pass every band test of the projections
+    pytest.param(lambda: q_partition_entropy(embedded(), SINGLETONS,
+                                             [np.diag([np.nan, 0.0]), np.diag([0.0, 1.0])]),
+                 r"target projection entries must be finite, got \(nan\+0j\) at \[0, 0, 0\]",
+                 id="projection-nan"),
+    pytest.param(lambda: q_partition_entropy(embedded(),
+                                             [[[1.0, np.nan], [np.nan, 0.0]], np.diag([0.0, 1.0])],
+                                             SINGLETONS),
+                 r"source projection entries must be finite, got \(nan\+0j\) at \[0, 0, 1\]",
+                 id="projection-nan-off-diagonal"),
     pytest.param(lambda: q_partition_entropy(qubit_process(), [0.5 * np.eye(2)] * 2, [np.eye(2)]),
                  "source projection is not idempotent", id="projection-not-idempotent"),
     pytest.param(lambda: OpenQuantumProcess(qubit_process(), DensityOperator(np.eye(3))),
