@@ -9,6 +9,7 @@ ValueError, IdentityViolation included), 2 parse or I/O failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -18,16 +19,14 @@ import sys
 import numpy as np
 
 from . import config
-from .entropy import (Partition, environmental_entropy, generating_profile, reversibility,
-                      third_law)
+from .entropy import Partition, flow_entropy, generating_profile, reversibility, third_law
 from .laws import (
     ec_selective_entropy_bound,
     ec_variance_bound,
     exp_first_law,
     higher_order_first_law,
+    least_slacks,
     multilevel_second_law,
-    second_law,
-    speed_limits,
     standard_reports,
     stationarity,
 )
@@ -36,13 +35,12 @@ from .openproc import OpenProcess, _full_weights, kgs
 from .price import price
 from .process import (
     Process,
-    _image_process,
-    _kernel_image,
     check_composable,
     classify_purity,
     fitness,
     price_factorize,
     process,
+    trajectory,
     validate,
 )
 from .quantum import (
@@ -314,35 +312,14 @@ def cmd_simulate(args) -> int:
     if not 1 <= args.generations <= 64:
         raise ValueError("generations must be between 1 and 64")
 
-    rows = []
-    current = p.source
-    for t in range(args.generations + 1):
-        weights = _kernel_image(p.kernel, current.weights, f"generation {t + 1} weights")
-        step = _image_process(current, p.kernel, p.source.types, weights)
-        sec = second_law(step)
-        spd = speed_limits(step)
-        rows.append(
-            [
-                t,
-                current.size,
-                fitness(step).var_u,
-                fitness(step).s_ns,
-                environmental_entropy(step),
-                min(sec.slacks),
-                min(spd.slacks),
-            ]
-        )
-        current = step.target
+    weights, sizes, fd = trajectory(p, args.generations)
+    s_ec = [flow_entropy(p.kernel, mu, n * wbar) for mu, n, wbar in zip(weights, sizes, fd.wbar)]
+    rows = zip(sizes, fd.var_u, fd.s_ns, s_ec, *least_slacks(fd))
     header = ["t", "N", "var_U", "S_NS", "S_EC", "second_law_slack", "speed_limit_slack"]
-    writer_target = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        writer = csv.writer(writer_target)
+    with open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([row[0]] + [format(v, ".17g") for v in row[1:]])
-    finally:
-        if args.out:
-            writer_target.close()
+        writer.writerows([t] + [format(v, ".17g") for v in row] for t, row in enumerate(rows))
     return 0
 
 

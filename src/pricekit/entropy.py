@@ -21,8 +21,8 @@ import numpy as np
 from .config import EPS_INVERSE, EPS_SAT, EPS_ZERO
 from .laws import LawReport
 from .measure import Population, TypeSet, _Frozen, _set, _Value, xlogx
-from .process import (FitnessData, Process, _finite, check_composable, fitness, flow_cells,
-                      flow_shares, price_factorize)
+from .process import (FitnessData, Process, _finite, _flow_shares, check_composable, fitness,
+                      flow_cells, price_factorize)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +334,12 @@ def environmental_entropy(p: Process) -> float:
     """S_EC at the singleton joint partition: the entropy of the flow shares,
     whose identity-indicator cell sums in ``cell_arrays`` are exact, so this
     equals ``generating_profile(p).s_ec`` bit for bit."""
-    return float(np.sum(-xlogx(flow_shares(p))))
+    return flow_entropy(p.kernel, p.source.weights, p.source.size * fitness(p).wbar)
+
+
+def flow_entropy(kernel: np.ndarray, weights: np.ndarray, child_mass: float) -> float:
+    """S_EC of the flow of parent ``weights`` through ``kernel`` into ``child_mass`` = n * wbar."""
+    return float(np.sum(-xlogx(_flow_shares(kernel, weights, child_mass))))
 
 
 # ---------------------------------------------------------------------------

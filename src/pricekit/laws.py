@@ -23,7 +23,7 @@ import numpy as np
 from .config import EPS_BISECT, EPS_REL, EPS_ROOT, EPS_SAT, EPS_ZERO, IdentityViolation
 from .measure import Observable, _Frozen, _set
 from .price import multilevel_variance, price
-from .process import Process, check_composable, fitness, flow_cells, local_average
+from .process import FitnessData, Process, check_composable, fitness, flow_cells, local_average
 
 
 # ---------------------------------------------------------------------------
@@ -58,9 +58,7 @@ class LawReport(_Frozen):
     # are never reassigned.
     @cached_property
     def slacks(self) -> tuple[float, ...]:
-        sign = 1.0 if self.direction == "ge" else -1.0
-        c = self.chain
-        return tuple(sign * (c[k] - c[k + 1]) for k in range(len(c) - 1))
+        return _slacks(self.chain, self.direction)
 
     @cached_property
     def _link_scales(self) -> tuple[float, ...]:
@@ -98,6 +96,12 @@ class LawReport(_Frozen):
                 for k, v in self.extras.items()
             },
         }
+
+
+def _slacks(chain, direction: str) -> tuple:
+    """Each link's slack, >= 0 where it holds, over the chain values' leading axis if any."""
+    sign = 1.0 if direction == "ge" else -1.0
+    return tuple(sign * (chain[k] - chain[k + 1]) for k in range(len(chain) - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -201,21 +205,28 @@ def exp_first_law(p: Process) -> LawReport:
     )
 
 
+def _b1(v):
+    """The Second Law's first link -v log(1 + v) at variance v."""
+    return -v * np.log1p(v)
+
+
+def _second_law_bounds(fd: FitnessData) -> tuple:
+    """The Second Law's links b1 .. b4 below its lhs, each over fd's leading axis."""
+    inv_p = 1.0 / fd.p_star
+    return (_b1(fd.var_u), fd.var_u * fd.s_ns, (np.exp(-fd.s_ns) - 1.0) * fd.s_ns,
+            -(inv_p - 1.0) * np.log(inv_p))
+
+
 def second_law(p: Process) -> LawReport:
     """Selective change of selective entropy, bounded through five links."""
     fd = fitness(p)
-    v = fd.var_u
-    b1 = -v * np.log1p(v)
-    b2 = v * fd.s_ns
-    b3 = (np.exp(-fd.s_ns) - 1.0) * fd.s_ns
-    b4 = -(1.0 / fd.p_star - 1.0) * np.log(1.0 / fd.p_star)
     return LawReport(
         name="second_law",
         lhs=fd.ns_s_ns,
-        bounds=(float(b1), float(b2), float(b3), float(b4), 0.0),
+        bounds=(*map(float, _second_law_bounds(fd)), 0.0),
         direction="le",
         equilibrium_class=fd.equilibrium_class,
-        extras={"s_ns": fd.s_ns, "var_u": v},
+        extras={"s_ns": fd.s_ns, "var_u": fd.var_u},
     )
 
 
@@ -224,6 +235,24 @@ def second_law(p: Process) -> LawReport:
 
 
 DEFAULT_SPEED_GRID = (0.125, 0.25, 0.5, 1.0, 2.0)
+
+
+def _speed_grid(m2: float) -> tuple[float, ...]:
+    """The exponents c of the speed limits at E[U^2] = m2; round(m2, 12) may repeat one."""
+    return (*DEFAULT_SPEED_GRID, round(m2, 12))
+
+
+def _speed_bounds(fd: FitnessData, m2, c, m2c) -> tuple:
+    """The basic bound (-inf if vacuous) and the infinitary bound, then the two tightest
+    first, from m2 = E[U^2] and m2c = E[U^(2+c)] at the exponents c on the last axis."""
+    # a diverging moment makes the bound vacuous at this exponent
+    bracket = np.where(np.isfinite(m2c), -(m2 / c) * np.log(m2c / m2), -np.inf).max(axis=-1)
+    log_inv_pstar = np.log(1.0 / fd.p_star)
+    basic = np.where(np.isfinite(bracket), log_inv_pstar + bracket, -np.inf)
+    infinitary = log_inv_pstar - fd.u2_log_u
+    # sorted([basic, infinitary], reverse=True), stable, with a vacuous basic bound last
+    swap = (infinitary > basic) | (basic == -np.inf)
+    return basic, infinitary, np.where(swap, infinitary, basic), np.where(swap, basic, infinitary)
 
 
 def speed_limits(p: Process) -> LawReport:
@@ -237,8 +266,7 @@ def speed_limits(p: Process) -> LawReport:
     """
     fd = fitness(p)
     m2 = fd.moment(2.0)
-    c_grid = sorted(set(DEFAULT_SPEED_GRID) | {round(m2, 12)})
-    log_inv_pstar = np.log(1.0 / fd.p_star)
+    c_grid = sorted(set(_speed_grid(m2)))
     log_m2 = np.log(m2)
 
     def gaps(cs: list[float]) -> tuple[list[float], np.ndarray]:
@@ -254,11 +282,7 @@ def speed_limits(p: Process) -> LawReport:
         return np.where(ok, gap, np.nan).tolist(), m2c
 
     grid_gaps, m2c = gaps(c_grid)
-    c = np.array(c_grid)
-    # a diverging moment makes the bound vacuous at this exponent
-    best_bracket = np.where(np.isfinite(m2c), -(m2 / c) * np.log(m2c / m2), -np.inf).max()
-    basic = log_inv_pstar + best_bracket if np.isfinite(best_bracket) else None
-    infinitary = log_inv_pstar - fd.u2_log_u
+    basic, infinitary, tight, loose = _speed_bounds(fd, m2, np.array(c_grid), m2c)
 
     c_star = None
     for k, (a, b) in enumerate(zip(c_grid, c_grid[1:])):
@@ -282,21 +306,34 @@ def speed_limits(p: Process) -> LawReport:
             c_star = 0.5 * (lo + hi)
             break
 
-    finite_bounds = [float(infinitary)] if basic is None else [float(basic), float(infinitary)]
+    vacuous = basic == -np.inf
     return LawReport(
         name="speed_limits",
         lhs=fd.ns_s_ns,
-        bounds=tuple(sorted(finite_bounds, reverse=True)),
+        bounds=(float(tight),) if vacuous else (float(tight), float(loose)),
         direction="ge",
         equilibrium_class=fd.equilibrium_class,
         extras={
-            "basic_bound": None if basic is None else float(basic),
+            "basic_bound": None if vacuous else float(basic),
             "infinitary_bound": float(infinitary),
             "grid": tuple(c_grid),
             "stationary_point": c_star,
             "stationary_point_found": c_star is not None,
         },
     )
+
+
+def least_slacks(fd: FitnessData) -> tuple[list, list]:
+    """min(second_law(p).slacks) and min(speed_limits(p).slacks) for each process
+    p of a stacked fitness record (``trajectory``), with no report built."""
+    m2 = fd.moment(2.0)
+    # one grid per row; a repeated point leaves the best bracket as it is
+    c = np.array([_speed_grid(m) for m in m2.tolist()])
+    with np.errstate(over="ignore"):
+        m2c = np.stack([fd.moment(2.0 + col[:, None]) for col in c.T], axis=-1)
+    *_, tight, loose = _speed_bounds(fd, m2[:, None], c, m2c)
+    return (list(map(min, zip(*_slacks((fd.ns_s_ns, *_second_law_bounds(fd), 0.0), "le")))),
+            list(map(min, zip(*_slacks((fd.ns_s_ns, tight, loose), "ge")))))
 
 
 def selective_acceleration(p: Process, *, with_lower: bool = True) -> LawReport:
@@ -403,10 +440,8 @@ def multilevel_second_law(p: Process, q: Process) -> LawReport:
     from the two-level variance split; both routes must agree."""
     q = check_composable(p, q)
     fd_q = fitness(q)
-    direct = -fd_q.var_u * np.log1p(fd_q.var_u)
     var_u2, mean_cond = multilevel_variance(p, q)
-    split = var_u2 + mean_cond
-    via_split = -split * np.log1p(split)
+    direct, via_split = _b1(fd_q.var_u), _b1(var_u2 + mean_cond)
     IdentityViolation.check("multilevel_variance_routes", abs(direct - via_split),
                             EPS_REL * max(1.0, abs(direct)))
     return LawReport(

@@ -48,11 +48,12 @@ class FitnessData(_Value):
     distribution of U that the laws read: U's values, or its eigenvalues
     weighted by the source state, with each within EPS_ZERO or the rank floor
     of zero set to 0.  U log U, the support u > 0 (the one childbearing rule),
-    p_star, var(U), S_NS and the equilibrium class are read off them."""
+    p_star, var(U), S_NS and the equilibrium class are read off them.  On (G, K) stacks
+    of u and prob (``trajectory``) it has no U, and its statistics and means are per row."""
 
     W: Observable
     wbar: float
-    U: Observable
+    U: Observable | None
     u: np.ndarray = field(repr=False)
     prob: np.ndarray = field(repr=False)
     u_log_u: np.ndarray = field(repr=False)
@@ -64,7 +65,7 @@ class FitnessData(_Value):
     eigvecs: np.ndarray | None = field(default=None, repr=False)
 
     def mean(self, values: np.ndarray) -> float:
-        return float(self.prob @ values)
+        return _item(np.vecdot(self.prob, values))
 
     def moment(self, k: float) -> float:
         return self.mean(self.u**k)
@@ -81,30 +82,40 @@ class FitnessData(_Value):
         return self.mean(safe**2 * np.log(safe))
 
 
-def summarize_fitness(W, wbar: float, U, u_values: np.ndarray, prob: np.ndarray,
+def _item(x):
+    """x, a numpy array or scalar, as a Python float where it has no axes."""
+    return float(x) if x.ndim == 0 else x
+
+
+def _row_summary(u: np.ndarray, prob: np.ndarray, support: np.ndarray) -> tuple:
+    """p_star and the equilibrium class of one process, or of each row of a stack, row by
+    row: a where-sum over the stack adds in another order."""
+    if u.ndim > 1:
+        return tuple(map(np.array, zip(*map(_row_summary, u, prob, support))))
+    carried, p_star = prob > 0, float(prob[support].sum())
+    c, live = u[carried], u[carried & support]
+    # max |c - 1| <= EPS_SAT, read off c's extremes: rounding is monotone
+    if max(c.max(initial=1.0) - 1.0, 1.0 - c.min(initial=1.0)) <= EPS_SAT:
+        return p_star, "purely_environmental"
+    if len(live) and live.max() - live.min() <= EPS_SAT * max(1.0, live.max()):
+        return p_star, "selective_equilibrium"
+    return p_star, "generic"
+
+
+def summarize_fitness(W, wbar, U, u_values: np.ndarray, prob: np.ndarray,
                       eigvecs: np.ndarray | None = None) -> FitnessData:
     u = np.array(u_values, dtype=float)
     abs_u = np.abs(u)
     # EPS_ZERO, or the rank floor size * eps * max|U| of an eigh if larger
-    floor = max(EPS_ZERO, u.size * _EPS * float(abs_u.max(initial=0.0)))
+    floor = np.maximum(EPS_ZERO, u.shape[-1] * _EPS * abs_u.max(-1, initial=0.0, keepdims=True))
     u[abs_u <= floor] = 0.0
     prob = np.array(prob, dtype=float)
     u_log_u = xlogx(u)
     support = u > 0
-    # equilibrium class: purely_environmental, selective_equilibrium or generic
-    carried = prob > 0
-    c = u[carried]
-    live = u[carried & support]
-    # max |c - 1| <= EPS_SAT, read off c's extremes: rounding is monotone
-    if max(c.max(initial=1.0) - 1.0, 1.0 - c.min(initial=1.0)) <= EPS_SAT:
-        eq = "purely_environmental"
-    elif len(live) and live.max() - live.min() <= EPS_SAT * max(1.0, live.max()):
-        eq = "selective_equilibrium"
-    else:
-        eq = "generic"
+    p_star, eq = _row_summary(u, prob, support)
     return FitnessData(W=W, wbar=wbar, U=U, u=u, prob=prob, u_log_u=u_log_u, support=support,
-                       p_star=float(prob[support].sum()), var_u=float(prob @ (u - 1.0) ** 2),
-                       s_ns=float(prob @ (-u_log_u)), equilibrium_class=eq, eigvecs=eigvecs)
+                       p_star=p_star, var_u=_item(np.vecdot(prob, (u - 1.0) ** 2)),
+                       s_ns=_item(np.vecdot(prob, -u_log_u)), equilibrium_class=eq, eigvecs=eigvecs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,22 +135,15 @@ class Process(_Value):
 
     @property
     def fitness_values(self) -> np.ndarray:
-        return self.kernel.sum(axis=1)
+        with np.errstate(over="ignore"):
+            return self.kernel.sum(axis=1)
 
     @cached_property
     def fitness_data(self) -> FitnessData:
         # Built on first use and kept: kernel and weights are read-only.
-        with np.errstate(over="ignore", invalid="ignore"):
-            w_values = self.fitness_values
-            mass = float(self.source.weights @ w_values)
-        if not np.isfinite(mass):
-            raise ValueError(f"child mass mu.W overflows: {mass}")
-        wbar = mass / self.source.size
-        if wbar <= 0:
-            raise ValueError("kernel carries no child mass")
-        with np.errstate(over="ignore"):
-            u_values = _finite(w_values / wbar, "relative fitness W/wbar")
-        # W is finite where mu.W is, U where _finite passed
+        w_values = self.fitness_values
+        wbar, u_values = _relative_fitness(w_values, self.source.weights, self.source.size)
+        # W is finite where mu.W is, U where _relative_fitness passed
         types = self.source.types
         return summarize_fitness(_built(Observable, types=types, values=w_values), wbar,
                                  _built(Observable, types=types, values=u_values), u_values,
@@ -160,6 +164,18 @@ def _finite(values: np.ndarray, what: str) -> np.ndarray:
         at = np.unravel_index(np.argmin(np.isfinite(values)), values.shape)
         raise ValueError(f"{what} overflow: got {values[at]} at [{', '.join(map(str, at))}]")
     return values
+
+
+def _relative_fitness(w: np.ndarray, weights: np.ndarray, size: float) -> tuple[float, np.ndarray]:
+    """wbar = weights.W / size and U = W / wbar: weights.W finite, wbar > 0, U finite, in turn."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mass = float(weights @ w)
+        if not np.isfinite(mass):
+            raise ValueError(f"child mass mu.W overflows: {mass}")
+        wbar = mass / size
+        if wbar <= 0:
+            raise ValueError("kernel carries no child mass")
+        return wbar, _finite(w / wbar, "relative fitness W/wbar")
 
 
 def _kernel(kernel, rows: TypeSet, cols: TypeSet | None) -> np.ndarray:
@@ -202,6 +218,20 @@ def process(source: Population, kernel, target_types: TypeSet | None = None) -> 
     return _image_process(source, k, types, _kernel_image(k, source.weights))
 
 
+def trajectory(p: Process, generations: int) -> tuple[np.ndarray, np.ndarray, FitnessData]:
+    """The parent weights (G, K), sizes and stacked fitness record of generations 0 ..
+    ``generations`` of the endomorphic p, each checked as its process would be, in turn."""
+    w, mu, size, fit = p.fitness_values, [p.source.weights], [p.source.size], []
+    for t in range(generations + 1):
+        mu.append(_kernel_image(p.kernel, mu[t], f"generation {t + 1} weights"))
+        size.append(_population_size(mu[-1]))
+        fit.append(_relative_fitness(w, mu[t], size[t]))
+    wbar, u = map(np.array, zip(*fit))
+    mu, size = np.array(mu[:-1]), np.array(size[:-1])
+    return mu, size, summarize_fitness(_built(Observable, types=p.source.types, values=w),
+                                       wbar, None, u, mu / size[:, None])
+
+
 def fitness(p) -> FitnessData:
     """The fitness record of a Process or a QuantumProcess, computed once per process."""
     return p.fitness_data
@@ -210,7 +240,11 @@ def fitness(p) -> FitnessData:
 def flow_shares(p: Process) -> np.ndarray:
     """Parent-child mass flow mu_i W_ij as shares of the child mass n * wbar,
     which sum to one; unthresholded."""
-    return p.kernel * p.source.weights[:, None] / (p.source.size * fitness(p).wbar)
+    return _flow_shares(p.kernel, p.source.weights, p.source.size * fitness(p).wbar)
+
+
+def _flow_shares(kernel: np.ndarray, weights: np.ndarray, child_mass: float) -> np.ndarray:
+    return kernel * weights[:, None] / child_mass
 
 
 def flow_cells(p: Process) -> np.ndarray:

@@ -22,6 +22,8 @@ from pricekit import (
 )
 from pricekit.cli import main
 from pricekit.config import IdentityViolation
+from pricekit.laws import DEFAULT_SPEED_GRID
+from pricekit.process import FitnessData
 
 from oracles import simulate_csv_by_constructors
 
@@ -332,6 +334,16 @@ NON_FINITE_INPUTS = [
                   "kernel": [[1e10, 1e10], [1e10, 0]]}, ["simulate", "--generations", "64"],
                  None, "generation 31 weights overflow: got inf at [0]",
                  id="simulated-generation-overflow"),
+    # each generation's fitness is checked right after its child weights, before
+    # the next generation is formed
+    pytest.param({"types": ["a", "b"], "target_types": ["a", "b"], "weights": [1e-310, 1],
+                  "kernel": [[1, 0], [0, 0]]}, ["simulate"], None,
+                 "relative fitness W/wbar overflow: got inf at [0]",
+                 id="simulated-fitness-overflow"),
+    pytest.param({"types": ["a", "b"], "target_types": ["a", "b"], "weights": [1e-310, 1],
+                  "kernel": [[1e10, 0], [0, 0]]}, ["simulate", "--generations", "64"], None,
+                 "relative fitness W/wbar overflow: got inf at [0]",
+                 id="simulated-fitness-overflow-before-image-overflow"),
     # a nilpotent kernel: the second simulated generation has no members
     pytest.param({"types": ["a", "b"], "target_types": ["a", "b"], "weights": [1, 2],
                   "kernel": [[0, 1], [0, 0]]}, ["simulate"], None,
@@ -807,6 +819,24 @@ class TestSimulate:
         p = Process(Population(types, weights), Population(types, kernel.T @ weights), kernel)
         assert out.read_bytes() == simulate_csv_by_constructors(p, 16).encode()
 
+    @pytest.mark.parametrize("kernel, weights, generations", [
+        # K = 1: m2 = 1 is on the grid already, which has 5 points
+        pytest.param([[1.5]], [2.0], 8, id="one-type"),
+        # U_b is childbearing at t = 0 and read as 0 from t = 1 on
+        pytest.param([[2.0, 0.0], [0.0, 1.5e-12]], [1.0, 1.0], 8, id="support-changes"),
+        # every E[U^(2+c)] overflows at t = 0, so the basic bound is vacuous there
+        pytest.param([[1e150, 0.0], [0.0, 1.0]], [1e-200, 1.0], 1, id="vacuous-basic-bound"),
+    ])
+    def test_stacked_edge_cases_are_those_of_the_public_constructors(
+            self, tmp_path, kernel, weights, generations):
+        path, out = self._write(tmp_path, kernel, weights), tmp_path / "traj.csv"
+        argv = ["simulate", path, "--generations", str(generations), "--out", str(out)]
+        assert main(argv) == 0
+        types = TypeSet([f"t{i}" for i in range(len(weights))])
+        k = np.array(kernel)
+        p = Process(Population(types, weights), Population(types, k.T @ np.array(weights)), k)
+        assert out.read_bytes() == simulate_csv_by_constructors(p, generations).encode()
+
     def test_builds_no_partition_or_cells(self, tmp_path, monkeypatch):
         """S_EC comes from the flow shares, not from a singleton profile."""
         path, _, _ = self._random_doc(tmp_path)
@@ -822,9 +852,9 @@ class TestSimulate:
         assert out.read_bytes() == expected.read_bytes()
 
     def test_u_log_u_once_per_generation(self, tmp_path, monkeypatch):
-        """Each generation evaluates x log x twice: U log U once, in the
-        fitness summary that both law chains read, and the flow shares once
-        for S_EC.  The laws themselves call it on no U."""
+        """U log U is evaluated once per run, in the one fitness summary of all
+        generations that both law chains read, and x log x of the flow shares
+        once per generation for S_EC.  The laws themselves call it on no U."""
         path, _, _ = self._random_doc(tmp_path)
         calls = {}
         for name in ("measure", "process", "entropy", "quantum"):
@@ -837,7 +867,18 @@ class TestSimulate:
             monkeypatch.setattr(module, "xlogx", counted)
         out = tmp_path / "traj.csv"
         assert main(["simulate", path, "--generations", "6", "--out", str(out)]) == 0
-        assert calls == {"process": 7, "entropy": 7}
+        assert calls == {"process": 1, "entropy": 7}
+
+    def test_stacked_moments_are_read_through_fitness_data(self, tmp_path, monkeypatch):
+        """The stacked speed limits read E[U^2] once, and E[U^(2+c)] once per grid
+        column for all generations, through FitnessData.moment as speed_limits does."""
+        path, _, _ = self._random_doc(tmp_path)
+        shapes = []
+        moment = FitnessData.moment
+        monkeypatch.setattr(FitnessData, "moment",
+                            lambda fd, k: shapes.append(np.shape(k)) or moment(fd, k))
+        assert main(["simulate", path, "--generations", "6", "--out", str(tmp_path / "t.csv")]) == 0
+        assert shapes == [()] + [(7, 1)] * (len(DEFAULT_SPEED_GRID) + 1)
 
     def test_non_endomorphic_rejected(self, f5_file):
         assert main(["simulate", f5_file]) == 1

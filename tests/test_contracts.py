@@ -83,6 +83,37 @@ def test_the_write_rule_lives_only_in_measure():
     assert found == []
 
 
+# Each law link by its shape, with any names (b2 and the infinitary bound by the
+# record fields they read): b1 = -v log(1 + v), b2 = var(U) S_NS,
+# b3 = (e^-S_NS - 1) S_NS, b4 = -(1/p_* - 1) log(1/p_*), the speed limits' bracket
+# -(m2/c) log(E[U^(2+c)]/m2) and infinitary bound log(1/p_*) - E[U^2 log U], and the
+# slack rule chain[k] - chain[k + 1].
+LAW_LINKS = {
+    "second_law b1": r"-([\w.]+)\*np\.log1p\(\1\)",
+    "second_law b2": r"\bvar_u\*[\w.]*\bs_ns\b|\bs_ns\*[\w.]*\bvar_u\b",
+    "second_law b3": r"\(np\.exp\(-([\w.]+)\)-1\.0\)\*\1",
+    "second_law b4": r"\(([\w./]+)-1\.0\)\*np\.log\(\1\)",
+    "speed_limits bracket": r"-\(([\w.]+)/[\w.]+\)\*np\.log\([\w.]+/\1\)",
+    "speed_limits infinitary": r"-[\w.]*\bu2_log_u\b",
+    "slack rule": r"\[(\w+)\]-[\w.]+\[\1\+1\]",
+}
+
+
+def test_each_law_link_is_written_once():
+    """The Second Law's links b1 .. b4, the speed limits' best bracket and
+    infinitary bound, and the slack rule are each written once, in ``laws.py``,
+    as array functions with an optional leading axis: the per-process reports
+    and ``simulate``'s stacked pass call the same ones.  Code is read without
+    comments or strings, and with a space only between two words."""
+    skip = {tokenize.COMMENT, tokenize.STRING, tokenize.NL, tokenize.INDENT, tokenize.DEDENT}
+    code = {name: re.sub(r" (?=\W)|(?<=\W) ", "", " ".join(
+                tok.string for tok in tokens if tok.type not in skip))
+            for name, tokens in source_tokens()}
+    found = {link: [name for name, text in code.items() for _ in re.finditer(pattern, text)]
+             for link, pattern in LAW_LINKS.items()}
+    assert found == {link: ["laws.py"] for link in LAW_LINKS}
+
+
 def callers(callee: str) -> list[str]:
     """Every call of ``callee`` in the package, named by its module and the
     top-level function or class (or the line of the statement) holding it."""
@@ -96,10 +127,10 @@ def callers(callee: str) -> list[str]:
 
 def test_kernel_images_are_formed_only_by_process():
     """``process`` forms every kernel-image child population (``validate``
-    forms one to compare with the stated target, ``simulate`` one per
-    generation), and nothing in the package calls ``compose``: each derived
-    process is built once, in one place."""
-    assert callers("_kernel_image") == ["cli.py:cmd_simulate", "process.py:process",
+    forms one to compare with the stated target, ``trajectory`` one per
+    simulated generation), and nothing in the package calls ``compose``: each
+    derived process is built once, in one place."""
+    assert callers("_kernel_image") == ["process.py:process", "process.py:trajectory",
                                         "process.py:validate"]
     assert callers("compose") == []
 
@@ -107,12 +138,11 @@ def test_kernel_images_are_formed_only_by_process():
 def test_records_are_taken_over_only_where_they_are_built():
     """``measure._built`` takes a record over without the checks of its public
     constructor, so only ``process.py``, which has just checked the parts, calls
-    it, and only ``cmd_simulate``, whose kernel and weights ``_load_valid`` has
-    checked, calls ``process._image_process`` from outside it; no ``cli.py``
+    it, and nothing outside it calls ``process._image_process``; no ``cli.py``
     function that reads a document (names ``doc`` or a ``_field``) calls either."""
     assert {name.split(":")[0] for name in callers("_built")} == {"process.py"}
     assert [name for name in callers("_image_process")
-            if not name.startswith("process.py:")] == ["cli.py:cmd_simulate"]
+            if not name.startswith("process.py:")] == []
     cli = ast.parse((ROOT / "src" / "pricekit" / "cli.py").read_text())
     readers = {f"cli.py:{func.name}" for func in cli.body if isinstance(func, ast.FunctionDef)
                and {"doc", "_field"} & {getattr(n, "id", getattr(n, "arg", None))
