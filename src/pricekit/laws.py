@@ -272,8 +272,9 @@ def speed_limits(p: Process) -> LawReport:
     def gaps(cs: list[float]) -> tuple[list[float], np.ndarray]:
         # log of E[U^(1+c)]^c / (E[U^2]^(c-1) E[U^(2+c)]), whose root is a
         # stationary point of the basic-bound exponent in c (NaN where either
-        # moment diverges), and E[U^(2+c)], at each c in cs
-        with np.errstate(over="ignore"):
+        # moment diverges), and E[U^(2+c)], at each c in cs; a type of probability 0
+        # whose power overflows gives 0 * inf = NaN, which isfinite reads as diverging too
+        with np.errstate(over="ignore", invalid="ignore"):
             m1c, m2c = np.array([[fd.moment(1.0 + c), fd.moment(2.0 + c)] for c in cs]).T
         c = np.array(cs)
         ok = np.isfinite(m1c) & np.isfinite(m2c)
@@ -329,7 +330,7 @@ def least_slacks(fd: FitnessData) -> tuple[list, list]:
     m2 = fd.moment(2.0)
     # one grid per row; a repeated point leaves the best bracket as it is
     c = np.array([_speed_grid(m) for m in m2.tolist()])
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):    # as in speed_limits
         m2c = np.stack([fd.moment(2.0 + col[:, None]) for col in c.T], axis=-1)
     *_, tight, loose = _speed_bounds(fd, m2[:, None], c, m2c)
     return (list(map(min, zip(*_slacks((fd.ns_s_ns, *_second_law_bounds(fd), 0.0), "le")))),

@@ -93,19 +93,6 @@ def _conditional_mean(p: Process, y: Observable) -> Observable:
     return Observable(p.source.types, avg.values * u.values)
 
 
-def _conditional_cov(p: Process, y: Observable, z: Observable) -> Observable:
-    """U-weighted per-parent covariance E'_w[yz] - E'_w[y] E'_w[z].
-
-    The U weighting is what makes the tower identity close; this is not the
-    plain per-row covariance.
-    """
-    yz = Observable(p.target.types, y.values * z.values)
-    m_yz = _conditional_mean(p, yz)
-    m_y = _conditional_mean(p, y)
-    m_z = _conditional_mean(p, z)
-    return Observable(p.source.types, m_yz.values - m_y.values * m_z.values)
-
-
 @dataclass(frozen=True)
 class MultiLevelPrice:
     between_group: float      # cov(E'_w[y], E'_w[U'])
@@ -129,7 +116,10 @@ def multilevel_price(p: Process, q: Process, y: Observable, z: Observable) -> Mu
     m_y = _conditional_mean(p, y)
     m_u = _conditional_mean(p, u_next)
     between = covariance(p.source, m_y, m_u)
-    within = expectation(p.source, _conditional_cov(p, y, u_next))
+    # E[cov_w(y, U')], cov_w = E'_w[y U'] - E'_w[y] E'_w[U']: U-weighted, so the tower rule closes
+    m_yu = _conditional_mean(p, Observable(q.source.types, y.values * u_next.values))
+    cov_w = Observable(p.source.types, m_yu.values - m_y.values * m_u.values)
+    within = expectation(p.source, cov_w)
     # E[E'_w[f]] = E'[f] (the tower rule): q's own terms, read from price
     second = price(q, y, z)
     return MultiLevelPrice(between, within, second.ec, second.delta)
@@ -142,6 +132,6 @@ def multilevel_variance(p: Process, q: Process) -> tuple[float, float]:
     u_next = fitness(q).U
     m_u = _conditional_mean(p, u_next)
     m_uu = _conditional_mean(p, Observable(p.target.types, u_next.values * u_next.values))
-    # _conditional_cov(p, U', U') with the one average of U' reused
+    # cov_w(U', U'), as in multilevel_price, with the one average of U' reused
     cond_var = Observable(p.source.types, m_uu.values - m_u.values * m_u.values)
     return variance(p.source, m_u), expectation(p.source, cond_var)

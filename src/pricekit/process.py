@@ -48,8 +48,9 @@ class FitnessData(_Value):
     distribution of U that the laws read: U's values, or its eigenvalues
     weighted by the source state, with each within EPS_ZERO or the rank floor
     of zero set to 0.  U log U, the support u > 0 (the one childbearing rule),
-    p_star, var(U), S_NS and the equilibrium class are read off them.  On (G, K) stacks
-    of u and prob (``trajectory``) it has no U, and its statistics and means are per row."""
+    p_star = E[1_{u > 0}], var(U), S_NS and the equilibrium class are read off them.
+    On (G, K) stacks of u and prob (``trajectory``) it has no U, and its statistics
+    and means are per row, by the same reductions over the last axis."""
 
     W: Observable
     wbar: float
@@ -82,24 +83,13 @@ class FitnessData(_Value):
         return self.mean(safe**2 * np.log(safe))
 
 
-def _item(x):
-    """x, a numpy array or scalar, as a Python float where it has no axes."""
-    return float(x) if x.ndim == 0 else x
+def _item(x, kind=float):
+    """x, a numpy array or scalar, as a Python ``kind`` where it has no axes."""
+    return kind(x) if x.ndim == 0 else x
 
 
-def _row_summary(u: np.ndarray, prob: np.ndarray, support: np.ndarray) -> tuple:
-    """p_star and the equilibrium class of one process, or of each row of a stack, row by
-    row: a where-sum over the stack adds in another order."""
-    if u.ndim > 1:
-        return tuple(map(np.array, zip(*map(_row_summary, u, prob, support))))
-    carried, p_star = prob > 0, float(prob[support].sum())
-    c, live = u[carried], u[carried & support]
-    # max |c - 1| <= EPS_SAT, read off c's extremes: rounding is monotone
-    if max(c.max(initial=1.0) - 1.0, 1.0 - c.min(initial=1.0)) <= EPS_SAT:
-        return p_star, "purely_environmental"
-    if len(live) and live.max() - live.min() <= EPS_SAT * max(1.0, live.max()):
-        return p_star, "selective_equilibrium"
-    return p_star, "generic"
+# the equilibrium classes by index: 2 where purely environmental, else 1 where selective
+_CLASSES = np.array(["generic", "selective_equilibrium", "purely_environmental"])
 
 
 def summarize_fitness(W, wbar, U, u_values: np.ndarray, prob: np.ndarray,
@@ -112,10 +102,20 @@ def summarize_fitness(W, wbar, U, u_values: np.ndarray, prob: np.ndarray,
     prob = np.array(prob, dtype=float)
     u_log_u = xlogx(u)
     support = u > 0
-    p_star, eq = _row_summary(u, prob, support)
+    carried = prob > 0
+    live = carried & support
+    # max |U - 1| <= EPS_SAT over the carried U, read off their extremes: rounding is monotone
+    environmental = np.maximum(u.max(-1, initial=1.0, where=carried) - 1.0,
+                               1.0 - u.min(-1, initial=1.0, where=carried)) <= EPS_SAT
+    top = u.max(-1, initial=-np.inf, where=live)
+    selective = live.any(-1) & (top - u.min(-1, initial=np.inf, where=live)
+                                <= EPS_SAT * np.maximum(1.0, top))
     return FitnessData(W=W, wbar=wbar, U=U, u=u, prob=prob, u_log_u=u_log_u, support=support,
-                       p_star=p_star, var_u=_item(np.vecdot(prob, (u - 1.0) ** 2)),
-                       s_ns=_item(np.vecdot(prob, -u_log_u)), equilibrium_class=eq, eigvecs=eigvecs)
+                       p_star=_item(np.vecdot(prob, support)),
+                       var_u=_item(np.vecdot(prob, (u - 1.0) ** 2)),
+                       s_ns=_item(np.vecdot(prob, -u_log_u)),
+                       equilibrium_class=_item(_CLASSES[np.where(environmental, 2, selective)], str),
+                       eigvecs=eigvecs)
 
 
 @dataclass(frozen=True, eq=False)

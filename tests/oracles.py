@@ -250,6 +250,21 @@ def multilevel_environmental_by_hand(p, q, y, z) -> float:
     return expectation(p.source, Observable(p.source.types, per_parent))
 
 
+def conditional_cov_by_hand(p, y, z):
+    """U-weighted per-parent covariance E'_w[yz] - E'_w[y] E'_w[z], each E'_w[f] = <f>_w U
+    (p's brood average times U) formed on its own.  The U weighting is what makes the
+    tower identity close; this is not the plain per-row covariance."""
+    from pricekit import Observable, fitness, local_average
+
+    u = fitness(p).U.values
+
+    def conditional_mean(values):
+        return local_average(p, Observable(p.target.types, values)).values * u
+
+    return Observable(p.source.types, conditional_mean(y.values * z.values)
+                      - conditional_mean(y.values) * conditional_mean(z.values))
+
+
 def ec_variance_lhs_by_hand(p, q) -> float:
     """E[(<U'^2> - U^2) U], on the fitness record's u."""
     from pricekit import Observable, fitness, local_average

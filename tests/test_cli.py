@@ -837,6 +837,23 @@ class TestSimulate:
         p = Process(Population(types, weights), Population(types, k.T @ np.array(weights)), k)
         assert out.read_bytes() == simulate_csv_by_constructors(p, generations).encode()
 
+    @pytest.mark.parametrize("argv", [["simulate", "--generations", "1"], ["report"]],
+                             ids=["simulate", "report"])
+    def test_a_power_that_overflows_on_a_zero_weight_is_no_warning(self, tmp_path, capsys, argv):
+        """U_a = 1e6 carries no weight: at the speed-limit grid point c = round(E[U^2], 12),
+        U_a^(2+c) overflows and 0 * inf is NaN, a diverging moment, with no warning."""
+        doc = {"types": ["a", "b", "c"], "target_types": ["a", "b", "c"], "weights": [0, 1, 1e-3],
+               "kernel": [[1.3e6, 0, 0], [0.5, 0.5, 0], [100, 100, 100]]}
+        path, out = tmp_path / "doc.json", tmp_path / "out"
+        path.write_text(json.dumps(doc))
+        flag = "--out" if argv[0] == "simulate" else "--json"
+        assert main([argv[0], str(path), *argv[1:], flag, str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        if argv[0] == "simulate":
+            types, k, w = TypeSet(doc["types"]), np.array(doc["kernel"]), np.array(doc["weights"])
+            p = Process(Population(types, w), Population(types, k.T @ w), k)
+            assert out.read_bytes() == simulate_csv_by_constructors(p, 1).encode()
+
     def test_builds_no_partition_or_cells(self, tmp_path, monkeypatch):
         """S_EC comes from the flow shares, not from a singleton profile."""
         path, _, _ = self._random_doc(tmp_path)

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion, and so does the report on the sample input."""
+"""Every demo script runs to completion with RuntimeWarnings as errors and nothing on
+stderr, and the report on the sample input runs too."""
 
 import os
 import subprocess
@@ -17,9 +18,11 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    run = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
-                         capture_output=True, text=True, timeout=120)
+    # a subprocess does not read pyproject's filterwarnings: RuntimeWarnings are errors here too
+    run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)], cwd=ROOT,
+                         env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
+    assert run.stderr == ""
     assert run.stdout.strip()
 
 

@@ -316,6 +316,63 @@ def test_purely_environmental_is_read_off_the_extremes_of_carried_u():
 
 
 # ---------------------------------------------------------------------------
+# A stacked record is its rows: each row of a (G, K) summary is the summary of
+# that row alone, bit for bit, at K on and beside numpy's summation block edges.
+
+STACK_SIZES = (1, 2, 3, 7, 8, 9, 16, 48, 129, 300)
+
+
+def stack_rows(rng, k: int) -> list:
+    """(u, prob) rows: zero U and zero probabilities, carried U at 1 +- EPS_SAT and up to
+    two ulps either side, live U within EPS_SAT of a common value, one live value, and
+    no childbearing type (p_star = 0)."""
+    near_one = [v + j * np.spacing(v) for v in (1.0 + EPS_SAT, 1.0 - EPS_SAT)
+                for j in range(-2, 3)]
+    near_two = [2.0 * v for v in near_one]
+
+    def prob():
+        return rng.uniform(0.0, 1.0, k) * (rng.random(k) < 0.7)
+
+    one_live = np.zeros(k)
+    one_live[rng.integers(k)] = rng.uniform(0.5, 3.0)
+    rows = [rng.uniform(0.0, 3.0, k) * (rng.random(k) < 0.8), rng.choice(near_one + [1.0], k),
+            rng.choice(near_two + [0.0], k), one_live, np.zeros(k), rng.choice([0.0, 1.0], k)]
+    return [(u, prob()) for u in rows] + [(u, np.ones(k)) for u in rows[1:3]]
+
+
+def test_each_row_of_a_stack_is_a_single_record():
+    rng = np.random.default_rng(408)
+    seen, p_star_zero = Counter(), 0
+    for k in STACK_SIZES:
+        for _ in range(3):
+            rows = stack_rows(rng, k)
+            rng.shuffle(rows)
+            u, prob = map(np.array, zip(*rows))
+            stack = summarize_fitness(None, 1.0, None, u, prob)
+            for g, (u_g, prob_g) in enumerate(rows):
+                one = summarize_fitness(None, 1.0, None, u_g, prob_g)
+                for name in ("p_star", "var_u", "s_ns"):
+                    assert float(getattr(stack, name)[g]).hex() == getattr(one, name).hex(), \
+                        (name, k, g)
+                assert stack.u_log_u[g].tobytes() == one.u_log_u.tobytes(), (k, g)
+                assert np.array_equal(stack.support[g], one.support), (k, g)
+                assert stack.equilibrium_class[g] == one.equilibrium_class, (k, g)
+                seen[one.equilibrium_class] += 1
+                p_star_zero += one.p_star == 0.0
+    assert len(seen) == 3 and p_star_zero, (seen, p_star_zero)
+
+
+def test_a_single_record_holds_python_scalars():
+    """A kernel or operator process has its class as a str and its statistics as floats."""
+    p = random_process(np.random.default_rng(409))
+    for fd in (fitness(p), fitness(embed_process(p))):
+        assert type(fd.equilibrium_class) is str
+        for value in (fd.wbar, fd.p_star, fd.var_u, fd.s_ns, fd.ns_s_ns, fd.u2_log_u,
+                      fd.moment(2.0)):
+            assert type(value) is float, value
+
+
+# ---------------------------------------------------------------------------
 # Stationarity against the per-row loop
 
 

@@ -9,6 +9,7 @@ from pricekit import (
     TypeSet,
     aggregate_price,
     compose,
+    covariance,
     ec_selective_entropy_bound,
     ec_variance_bound,
     expectation,
@@ -21,12 +22,14 @@ from pricekit import (
     variance,
 )
 from pricekit.measure import xlogx
+from pricekit.price import MultiLevelPrice
 from pricekit.process import Process
 
 from conftest import (childless_composable_pair, random_composable_pair, random_observable,
                       random_process)
 from oracles import (
     aggregate_price_compact,
+    conditional_cov_by_hand,
     ec_selective_entropy_lhs_by_hand,
     ec_variance_lhs_by_hand,
     multilevel_environmental_by_hand,
@@ -258,27 +261,64 @@ class TestMultiLevelVariance:
 
     def test_equals_the_conditional_cov_route_bit_for_bit(self):
         price_module = importlib.import_module("pricekit.price")
-        rng = np.random.default_rng(24)
-        for i in range(100):
-            p, q = (random_composable_pair(rng) if i % 2 else
-                    childless_composable_pair(rng, scale=10.0 ** rng.choice([-60, 0, 60])))
+        for p, q in _seeded_pairs():
             u_next = fitness(q).U
             expected = (variance(p.source, price_module._conditional_mean(p, u_next)),
-                        expectation(p.source, price_module._conditional_cov(p, u_next, u_next)))
+                        expectation(p.source, conditional_cov_by_hand(p, u_next, u_next)))
             assert multilevel_variance(p, q) == expected
 
     def test_forms_each_brood_average_once(self, monkeypatch):
         """The averages of U' and of U'^2 over p's broods, each formed once."""
-        price_module = importlib.import_module("pricekit.price")
-        calls = []
-
-        def counted(p, y, _average=price_module.local_average):
-            calls.append(y)
-            return _average(p, y)
-
-        monkeypatch.setattr(price_module, "local_average", counted)
+        calls = _count_brood_averages(monkeypatch)
         multilevel_variance(*random_composable_pair(np.random.default_rng(25)))
         assert len(calls) == 2
+
+    def test_multilevel_price_equals_the_conditional_cov_route_bit_for_bit(self):
+        """The within-group term reads the two brood averages the between-group
+        term formed, with the same bits as the route that forms them again."""
+        price_module = importlib.import_module("pricekit.price")
+        rng = np.random.default_rng(26)
+        for p, q in _seeded_pairs():
+            y, z = random_observable(rng, q.source.types), random_observable(rng, q.target.types)
+            u_next = fitness(q).U
+            m_y, m_u = (price_module._conditional_mean(p, v) for v in (y, u_next))
+            second = price(q, y, z)
+            expected = MultiLevelPrice(
+                covariance(p.source, m_y, m_u),
+                expectation(p.source, conditional_cov_by_hand(p, y, u_next)),
+                second.ec, second.delta)
+            assert multilevel_price(p, q, y, z) == expected
+
+    def test_multilevel_price_forms_each_brood_average_once(self, monkeypatch):
+        """The averages of y, U' and y U' over p's broods, each formed once."""
+        calls = _count_brood_averages(monkeypatch)
+        rng = np.random.default_rng(27)
+        p, q = random_composable_pair(rng)
+        multilevel_price(p, q, random_observable(rng, q.source.types),
+                         random_observable(rng, q.target.types))
+        assert len(calls) == 3
+
+
+def _seeded_pairs(n: int = 100):
+    """n seed-24 composable pairs, every other one with childless rows and
+    parent weights x 10^0 or 10^+-60."""
+    rng = np.random.default_rng(24)
+    for i in range(n):
+        yield (random_composable_pair(rng) if i % 2 else
+               childless_composable_pair(rng, scale=10.0 ** rng.choice([-60, 0, 60])))
+
+
+def _count_brood_averages(monkeypatch) -> list:
+    """The observables that pricekit.price averages over a brood, as it calls local_average."""
+    price_module = importlib.import_module("pricekit.price")
+    calls = []
+
+    def counted(p, y, _average=price_module.local_average):
+        calls.append(y)
+        return _average(p, y)
+
+    monkeypatch.setattr(price_module, "local_average", counted)
+    return calls
 
 
 class TestThreeStage:
